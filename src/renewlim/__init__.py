@@ -17,6 +17,7 @@ from .errors import (
     CaseMismatchError,
     ConfigError,
     DomainError,
+    InvariantError,
     NoBracketError,
     ParameterMismatchError,
     PoleError,
@@ -34,11 +35,13 @@ from .limits import (
 from .montecarlo import MCEstimate, replication_rng, stream_base, thread_count
 from .renewal import (
     ConvergenceRow,
+    RenewalEstimates,
     RenewalObservation,
     convergence_table,
     exact_abs_deviation_poisson,
     mc_abs_deviation,
     mc_overshoot_mean,
+    renewal_estimates,
     simulate_renewal,
     wald_residual,
 )
@@ -61,6 +64,7 @@ from .subordinator import (
     Subordinator,
     coupling_check,
     format_subordinator,
+    mc_passage,
     mc_passage_abs_deviation,
     parse_subordinator,
     passage_convergence_table,

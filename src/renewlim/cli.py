@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, fields
 from . import distributions, limits, renewal, scaling, subordinator
 from .errors import (
     ConfigError,
+    InvariantError,
     NoBracketError,
     RenewlimError,
     SpecParseError,
@@ -49,6 +50,8 @@ def _positive(mapping: dict, field: str, kind=float):
         raise ConfigError(f"{field}: expected {kind.__name__}, got {value!r}") from None
     if not value > 0:
         raise ConfigError(f"{field}: must be positive, got {value}")
+    if value == math.inf:
+        raise ConfigError(f"{field}: must be finite, got {value}")
     return value
 
 
@@ -191,6 +194,8 @@ def _parse_s_grid(raw) -> tuple:
         raise ConfigError(f"s_grid: non-numeric entry in {raw!r}") from None
     if not grid:
         raise ConfigError("s_grid: must be nonempty")
+    if not all(map(math.isfinite, grid)):
+        raise ConfigError(f"s_grid: entries must be finite, got {grid}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"s_grid: must be strictly increasing, got {grid}")
     return grid
@@ -207,7 +212,7 @@ def _cmd_moment(args: argparse.Namespace) -> int:
         alpha=_positive(mapping, "alpha"),
         r=_positive(mapping, "r"),
         method=mapping.get("method") or "closed",
-        n=int(mapping["n"]) if mapping.get("n") is not None else None,
+        n=_positive(mapping, "n", kind=int) if mapping.get("n") is not None else None,
         seed=_seed(mapping) if mapping.get("seed") is not None else None,
         tol=_positive(mapping, "tol") if mapping.get("tol") is not None else 1e-9,
     )
@@ -287,9 +292,7 @@ def _simulate_config(args: argparse.Namespace, target: str, spec_flag: str) -> S
 def _cmd_simulate_renewal(args: argparse.Namespace) -> int:
     cfg = _simulate_config(args, "renewal", "dist")
     spec = distributions.parse_interarrival(cfg.spec)
-    dev = renewal.mc_abs_deviation(spec, cfg.s, cfg.reps, cfg.seed, cfg.threads)
-    over = renewal.mc_overshoot_mean(spec, cfg.s, cfg.reps, cfg.seed, cfg.threads)
-    wald = renewal.wald_residual(spec, cfg.s, cfg.reps, cfg.seed, cfg.threads)
+    est = renewal.renewal_estimates(spec, cfg.s, cfg.reps, cfg.seed, cfg.threads)
     lines = [
         "s,n_reps,seed,estimate,stderr,overshoot_mean,overshoot_stderr,wald_residual",
         ",".join(
@@ -297,11 +300,11 @@ def _cmd_simulate_renewal(args: argparse.Namespace) -> int:
                 _fmt(cfg.s),
                 str(cfg.reps),
                 str(cfg.seed),
-                _fmt(dev.mean),
-                _fmt(dev.std_error),
-                _fmt(over.mean),
-                _fmt(over.std_error),
-                _fmt(wald),
+                _fmt(est.deviation.mean),
+                _fmt(est.deviation.std_error),
+                _fmt(est.overshoot.mean),
+                _fmt(est.overshoot.std_error),
+                _fmt(est.wald),
             ]
         ),
     ]
@@ -312,11 +315,7 @@ def _cmd_simulate_renewal(args: argparse.Namespace) -> int:
 def _cmd_simulate_passage(args: argparse.Namespace) -> int:
     cfg = _simulate_config(args, "passage", "sub")
     spec = subordinator.parse_subordinator(cfg.spec)
-    dev = subordinator.mc_passage_abs_deviation(spec, cfg.s, cfg.reps, cfg.seed, cfg.threads)
-    if isinstance(spec, subordinator.CompoundPoisson):
-        violations = subordinator.coupling_check(spec, cfg.s, cfg.reps, cfg.seed, cfg.threads)
-    else:
-        violations = math.nan  # grid paths are excluded from the exact coupling
+    dev, violations = subordinator.mc_passage(spec, cfg.s, cfg.reps, cfg.seed, cfg.threads)
     lines = [
         "s,n_reps,seed,estimate,stderr,coupling_violation_fraction",
         ",".join(
@@ -424,15 +423,18 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
         frac = subordinator.coupling_check(spec, 100.0, 2000, seed)
         report(f"coupling[{spec_text}]", frac == 0.0, f"violation fraction {_fmt(frac)}")
 
-    # coupled studentized residual of the stopping identity
+    # coupled studentized residual of the stopping identity; the exp:1.0
+    # replications also feed the Poisson oracle check below
+    estimates = {}
     for dist_text in ("exp:1.0", "pareto:1.5,1.0"):
         spec = distributions.parse_interarrival(dist_text)
-        resid = renewal.wald_residual(spec, 100.0, 20_000, seed)
+        estimates[dist_text] = renewal.renewal_estimates(spec, 100.0, 20_000, seed)
+        resid = estimates[dist_text].wald
         report(f"wald[{dist_text}]", abs(resid) <= 4.0, f"residual {_fmt(resid)}")
 
     # exact Poisson oracle vs Monte Carlo and vs its own asymptote
     oracle = renewal.exact_abs_deviation_poisson(100.0)
-    est = renewal.mc_abs_deviation(distributions.Exponential(1.0), 100.0, 20_000, seed)
+    est = estimates["exp:1.0"].deviation
     z = abs(est.mean - oracle) / est.std_error
     report("poisson-oracle-vs-mc", z <= 4.0, f"|z| = {_fmt(z)}")
     asym = renewal.exact_abs_deviation_poisson(1e4) / math.sqrt(1e4)
@@ -553,7 +555,7 @@ def run(argv: list[str] | None = None) -> int:
     except (ConfigError, SpecParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NoBracketError, ToleranceNotMetError) as exc:
+    except (InvariantError, NoBracketError, ToleranceNotMetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RenewlimError as exc:

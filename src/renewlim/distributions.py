@@ -418,6 +418,8 @@ def parse_interarrival(text: str) -> Interarrival:
         args = [float(p) for p in parts]
     except ValueError:
         raise SpecParseError(f"non-numeric argument in distribution spec {text!r}") from None
+    if not all(map(math.isfinite, args)):
+        raise SpecParseError(f"non-finite argument in distribution spec {text!r}")
     try:
         if name == "exp":
             return Exponential(args[0])

@@ -43,3 +43,11 @@ class ConfigError(RenewlimError, ValueError):
 
     The message is a single line naming the offending field.
     """
+
+
+class InvariantError(RenewlimError, RuntimeError):
+    """A pathwise identity that holds for every correct simulation failed.
+
+    It signals a defect, not bad input, and it is raised by an explicit
+    check so that ``python -O`` cannot strip it.
+    """

@@ -56,6 +56,23 @@ def replication_rng(base: np.uint64, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def replication_streams(base: np.uint64) -> Callable[[int], np.random.Generator]:
+    """Re-keyable stream source: ``streams(rep)`` restores one Philox to its
+    fresh state under key (base, rep) and returns the same generator, which
+    then draws exactly what ``replication_rng(base, rep)`` would."""
+    bitgen = np.random.Philox(key=np.array([base, 0], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+
+    def streams(rep: int) -> np.random.Generator:
+        key[1] = rep
+        bitgen.state = fresh
+        return rng
+
+    return streams
+
+
 def map_replications(
     fn: Callable[[np.random.Generator], Sequence[float]],
     n_outputs: int,
@@ -67,7 +84,8 @@ def map_replications(
 
     Returns an array of shape (n_outputs, n_reps).  Column ``rep`` is a pure
     function of (master_seed, rep), so the result is identical for every
-    thread count.
+    thread count.  Each worker block re-keys one generator per replication
+    (``replication_streams``), so ``fn`` must not keep it after returning.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
@@ -75,8 +93,9 @@ def map_replications(
     out = np.empty((n_outputs, n_reps))
 
     def run_block(lo: int, hi: int) -> None:
+        streams = replication_streams(base)
         for rep in range(lo, hi):
-            vals = fn(replication_rng(base, rep))
+            vals = fn(streams(rep))
             for j in range(n_outputs):
                 out[j, rep] = vals[j]
 

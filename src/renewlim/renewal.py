@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import Interarrival
-from .errors import CaseMismatchError, DomainError
+from .errors import CaseMismatchError, DomainError, InvariantError
 from .limits import LimitCase, limit_constant
 from .montecarlo import MCEstimate, estimate_from_values, map_replications
 from .scaling import SlowlyVarying, solve_c
@@ -24,6 +24,8 @@ from .scaling import SlowlyVarying, solve_c
 __all__ = [
     "RenewalObservation",
     "simulate_renewal",
+    "RenewalEstimates",
+    "renewal_estimates",
     "mc_abs_deviation",
     "mc_overshoot_mean",
     "wald_residual",
@@ -77,7 +79,11 @@ def simulate_renewal(
         if idx < chunk:
             total = float(sums[idx])
             before = float(sums[idx - 1]) if idx > 0 else carried
-            assert total > t >= before, "crossing bookkeeping violated"
+            if not total > t >= before:
+                raise InvariantError(
+                    f"crossing bookkeeping violated: {before} <= {t} < {total} fails; "
+                    f"spec={spec.spec_string()}"
+                )
             return RenewalObservation(n_of_t=count + idx + 1, overshoot=total - t, total=total)
         count += chunk
         carried = float(sums[-1])
@@ -90,21 +96,47 @@ def simulate_renewal(
         chunk = max(64, chunk // 4)
 
 
-def _collect(
+@dataclass(frozen=True)
+class RenewalEstimates:
+    """Every renewal estimate at one level, from one walk per replication.
+
+    ``deviation`` estimates E|N(s) - s/mu|, ``overshoot`` the mean
+    overshoot E(S_{N(s)} - s), and ``wald`` is the coupled studentized
+    residual of E S_{N(s)} = mu * E N(s) (see ``wald_residual``).
+    """
+
+    deviation: MCEstimate
+    overshoot: MCEstimate
+    wald: float
+
+
+def renewal_estimates(
     spec: Interarrival,
-    t: float,
+    s: float,
     n_reps: int,
     master_seed: int,
     threads: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-replication (count, overshoot) arrays with coupled paths."""
+) -> RenewalEstimates:
+    """Walk each replication once and reduce its (count, overshoot) pair
+    into all three renewal estimates."""
+    if n_reps < 2:
+        raise DomainError(f"n_reps must be >= 2, got {n_reps}")
 
     def one(rng: np.random.Generator) -> tuple[float, float]:
-        obs = simulate_renewal(spec, t, rng)
+        obs = simulate_renewal(spec, s, rng)
         return (float(obs.n_of_t), obs.overshoot)
 
-    out = map_replications(one, 2, n_reps, master_seed, threads)
-    return out[0], out[1]
+    counts, overshoots = map_replications(one, 2, n_reps, master_seed, threads)
+    diffs = estimate_from_values((s + overshoots) - spec.mean() * counts, master_seed)
+    if diffs.std_error == 0.0:
+        wald = 0.0 if diffs.mean == 0.0 else math.copysign(math.inf, diffs.mean)
+    else:
+        wald = diffs.mean / diffs.std_error
+    return RenewalEstimates(
+        deviation=estimate_from_values(np.abs(counts - s / spec.mean()), master_seed),
+        overshoot=estimate_from_values(overshoots, master_seed),
+        wald=wald,
+    )
 
 
 def mc_abs_deviation(
@@ -115,11 +147,7 @@ def mc_abs_deviation(
     threads: int | None = None,
 ) -> MCEstimate:
     """Monte Carlo estimate of E|N(s) - s/mu|."""
-    if n_reps < 2:
-        raise DomainError(f"n_reps must be >= 2, got {n_reps}")
-    counts, _ = _collect(spec, s, n_reps, master_seed, threads)
-    center = s / spec.mean()
-    return estimate_from_values(np.abs(counts - center), master_seed)
+    return renewal_estimates(spec, s, n_reps, master_seed, threads).deviation
 
 
 def mc_overshoot_mean(
@@ -130,10 +158,7 @@ def mc_overshoot_mean(
     threads: int | None = None,
 ) -> MCEstimate:
     """Monte Carlo estimate of the mean overshoot E(S_{N(s)} - s)."""
-    if n_reps < 2:
-        raise DomainError(f"n_reps must be >= 2, got {n_reps}")
-    _, overshoots = _collect(spec, s, n_reps, master_seed, threads)
-    return estimate_from_values(overshoots, master_seed)
+    return renewal_estimates(spec, s, n_reps, master_seed, threads).overshoot
 
 
 def wald_residual(
@@ -151,14 +176,7 @@ def wald_residual(
     standard normal deviate for a correct implementation.  Returns 0.0
     for degenerate (zero-variance) differences.
     """
-    if n_reps < 2:
-        raise DomainError(f"n_reps must be >= 2, got {n_reps}")
-    counts, overshoots = _collect(spec, t, n_reps, master_seed, threads)
-    diffs = (t + overshoots) - spec.mean() * counts
-    est = estimate_from_values(diffs, master_seed)
-    if est.std_error == 0.0:
-        return 0.0 if est.mean == 0.0 else math.copysign(math.inf, est.mean)
-    return est.mean / est.std_error
+    return renewal_estimates(spec, t, n_reps, master_seed, threads).wald
 
 
 def exact_abs_deviation_poisson(s: float) -> float:

@@ -259,6 +259,8 @@ def parse_slowly_varying(text: str) -> SlowlyVarying:
         args = [float(p) for p in parts]
     except ValueError:
         raise SpecParseError(f"non-numeric argument in slowly varying spec {text!r}") from None
+    if not all(map(math.isfinite, args)):
+        raise SpecParseError(f"non-finite argument in slowly varying spec {text!r}")
     try:
         if name == "const":
             return Constant(args[0])

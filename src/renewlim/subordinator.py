@@ -19,10 +19,16 @@ import numpy as np
 from scipy.special import exp1
 
 from .distributions import Interarrival, parse_interarrival
-from .errors import CaseMismatchError, DomainError, ParameterMismatchError, SpecParseError
+from .errors import (
+    CaseMismatchError,
+    DomainError,
+    InvariantError,
+    ParameterMismatchError,
+    SpecParseError,
+)
 from .limits import LimitCase, limit_constant
 from .montecarlo import MCEstimate, estimate_from_values, map_replications
-from .renewal import ConvergenceRow, _case_denominator
+from .renewal import ConvergenceRow, _case_denominator, _chunk_size
 from .scaling import SlowlyVarying
 
 __all__ = [
@@ -32,6 +38,7 @@ __all__ = [
     "PassageObservation",
     "simulate_passage",
     "mc_passage_abs_deviation",
+    "mc_passage",
     "coupling_check",
     "passage_convergence_table",
     "parse_subordinator",
@@ -72,8 +79,8 @@ class CompoundPoisson(Subordinator):
     jump: Interarrival
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise DomainError(f"compound Poisson rate must be positive, got {self.rate}")
+        if not 0.0 < self.rate < math.inf:
+            raise DomainError(f"compound Poisson rate must be positive finite, got {self.rate}")
 
     def mean_rate(self):
         return self.rate * self.jump.mean()
@@ -108,10 +115,10 @@ class GammaSubordinator(Subordinator):
     grid_step: float
 
     def __post_init__(self):
-        if not self.shape > 0.0:
-            raise DomainError(f"gamma shape must be positive, got {self.shape}")
-        if not self.rate > 0.0:
-            raise DomainError(f"gamma rate must be positive, got {self.rate}")
+        if not 0.0 < self.shape < math.inf:
+            raise DomainError(f"gamma shape must be positive finite, got {self.shape}")
+        if not 0.0 < self.rate < math.inf:
+            raise DomainError(f"gamma rate must be positive finite, got {self.rate}")
         if not 0.0 < self.grid_step <= 1.0:
             raise DomainError(f"grid_step must lie in (0, 1], got {self.grid_step}")
 
@@ -165,8 +172,7 @@ def _simulate_cp_path(
     stream in a fixed order.  N*(s) is evaluated honestly from the path:
     S(k) is reconstructed at every integer k rather than inferred from T.
     """
-    mean_jump = spec.jump.mean()
-    chunk = min(int(s / mean_jump * 1.02 + 6.0 * math.sqrt(s / mean_jump + 1.0)) + 16, 2**21)
+    chunk = _chunk_size(s / spec.jump.mean())
     chunks: list[np.ndarray] = []
     carried = 0.0
     drawn = 0
@@ -206,8 +212,7 @@ def _simulate_gamma_path(
     """Grid-approximated gamma path: T(s) is the first grid time above s."""
     h = spec.grid_step
     inc_shape = spec.shape * h
-    expected_steps = s / (spec.mean_rate() * h)
-    chunk = min(int(expected_steps * 1.02 + 6.0 * math.sqrt(expected_steps + 1.0)) + 16, 2**21)
+    chunk = _chunk_size(s / (spec.mean_rate() * h))
     values: list[np.ndarray] = []
     carried = 0.0
     steps_done = 0
@@ -249,10 +254,38 @@ def simulate_passage(
     if isinstance(spec, CompoundPoisson):
         t_passage, n_star = _simulate_cp_path(spec, s, rng, want_n_star=True)
         coupling = n_star - t_passage
-        assert 0.0 <= coupling <= 1.0, f"coupling violated: N*-T = {coupling}"
+        if not 0.0 <= coupling <= 1.0:
+            raise InvariantError(
+                f"coupling violated: N*-T = {coupling}; spec={spec.spec_string()}, s={s}"
+            )
     else:
         t_passage, n_star = _simulate_gamma_path(spec, s, rng, want_n_star=True)
     return PassageObservation(t_passage=t_passage, n_star=n_star, s_level=s)
+
+
+def _walk_passages(
+    spec: Subordinator,
+    s: float,
+    n_reps: int,
+    master_seed: int,
+    threads: int | None,
+    want_n_star: bool,
+) -> tuple[MCEstimate, np.ndarray]:
+    """Walk each replication once: the estimate of E|T(s) - s/m| and every
+    N*(s) - T(s), which is meaningful only with ``want_n_star``."""
+    if n_reps < 2:
+        raise DomainError(f"n_reps must be >= 2, got {n_reps}")
+    if not s > 0.0:
+        raise DomainError(f"s must be positive, got {s}")
+    center = s / spec.mean_rate()
+    walk = _simulate_cp_path if isinstance(spec, CompoundPoisson) else _simulate_gamma_path
+
+    def one(rng):
+        t_passage, n_star = walk(spec, s, rng, want_n_star=want_n_star)
+        return (abs(t_passage - center), n_star - t_passage)
+
+    values, couplings = map_replications(one, 2, n_reps, master_seed, threads)
+    return estimate_from_values(values, master_seed), couplings
 
 
 def mc_passage_abs_deviation(
@@ -262,24 +295,28 @@ def mc_passage_abs_deviation(
     master_seed: int,
     threads: int | None = None,
 ) -> MCEstimate:
-    """Monte Carlo estimate of E|T(s) - s/m|."""
-    if n_reps < 2:
-        raise DomainError(f"n_reps must be >= 2, got {n_reps}")
-    if not s > 0.0:
-        raise DomainError(f"s must be positive, got {s}")
-    center = s / spec.mean_rate()
+    """Monte Carlo estimate of E|T(s) - s/m|; the walks skip the N* rebuild."""
+    return _walk_passages(spec, s, n_reps, master_seed, threads, want_n_star=False)[0]
 
-    if isinstance(spec, CompoundPoisson):
-        def one(rng):
-            t_passage, _ = _simulate_cp_path(spec, s, rng, want_n_star=False)
-            return (abs(t_passage - center),)
-    else:
-        def one(rng):
-            t_passage, _ = _simulate_gamma_path(spec, s, rng, want_n_star=False)
-            return (abs(t_passage - center),)
 
-    values = map_replications(one, 1, n_reps, master_seed, threads)[0]
-    return estimate_from_values(values, master_seed)
+def mc_passage(
+    spec: Subordinator,
+    s: float,
+    n_reps: int,
+    master_seed: int,
+    threads: int | None = None,
+) -> tuple[MCEstimate, float]:
+    """Estimate of E|T(s) - s/m| and the fraction of replications violating
+    N*(s) - T(s) in [0, 1], from one walk per replication.
+
+    The fraction is nan for grid-approximated subordinators, which are
+    excluded from the exact coupling.
+    """
+    exact = isinstance(spec, CompoundPoisson)
+    est, couplings = _walk_passages(spec, s, n_reps, master_seed, threads, want_n_star=exact)
+    if not exact:
+        return est, math.nan
+    return est, np.count_nonzero(~((couplings >= 0.0) & (couplings <= 1.0))) / n_reps
 
 
 def coupling_check(
@@ -299,16 +336,7 @@ def coupling_check(
             "coupling check requires exact compound Poisson paths, got "
             f"{spec.spec_string()}"
         )
-    if n_reps < 1:
-        raise DomainError(f"n_reps must be >= 1, got {n_reps}")
-
-    def one(rng):
-        t_passage, n_star = _simulate_cp_path(spec, s, rng, want_n_star=True)
-        diff = n_star - t_passage
-        return (0.0 if 0.0 <= diff <= 1.0 else 1.0,)
-
-    flags = map_replications(one, 1, n_reps, master_seed, threads)[0]
-    return float(np.sum(flags)) / n_reps
+    return mc_passage(spec, s, n_reps, master_seed, threads)[1]
 
 
 def _check_passage_case(spec: Subordinator, case: str) -> LimitCase:

@@ -1,8 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from renewlim import distributions
 from renewlim.cli import (
     ConvergeConfig,
     LimitConfig,
@@ -251,3 +255,118 @@ def test_config_round_trip():
     ]
     for cfg in configs:
         assert type(cfg).from_mapping(cfg.to_mapping()) == cfg
+
+
+# rows pinned from a build that gave every replication a freshly constructed
+# generator and walked the paths once per estimate; the bytes must not move
+GOLDEN_ROWS = {
+    ("renewal", "exp:1.0"): "50,300,13,5.4800000000000004,0.24623995149523276,"
+    "0.91187890863492593,0.054067645440857431,0.11321681160526859",
+    ("renewal", "pareto:1.5,1.0"): "50,300,13,5.4922222222222219,0.21532640572324818,"
+    "18.30696740641131,6.6130045592919338,1.3399707357291035",
+    ("passage", "cp:rate=1.0,jump=exp:1.0"): "100,200,13,11.658618397298117,0.63170179726025422,0",
+    ("passage", "cp:rate=5.0,jump=pareto:1.5,1.0"): "100,200,13,2.0511527941651844,0.11355127804692301,0",
+    ("passage", "gamma:shape=1.0,rate=1.0,grid=0.01"): "100,200,13,7.7883999999999993,0.43844157796271122,nan",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("target,spec", list(GOLDEN_ROWS), ids=lambda x: str(x))
+def test_simulate_golden_bytes(capsys, monkeypatch, threads, target, spec):
+    monkeypatch.setenv("RL_THREADS", threads)
+    flag, s, reps = ("--dist", "50", "300") if target == "renewal" else ("--sub", "100", "200")
+    code, out, _ = run_capture(
+        capsys, ["simulate", target, flag, spec, "--s", s, "--reps", reps, "--seed", "13"]
+    )
+    assert code == 0
+    assert out.splitlines()[1] == GOLDEN_ROWS[(target, spec)]
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["moment", "--alpha", "1.5", "--r", "0.5", "--method", "mc", "--n", "0"], "n"),
+        (["moment", "--alpha", "1.5", "--r", "0.5", "--method", "mc", "--n", "-5"], "n"),
+        (["simulate", "renewal", "--dist", "exp:1.0", "--s", "inf", "--reps", "10", "--seed", "1"], "s"),
+        (["converge", "--side", "renewal", "--case", "a1", "--dist", "exp:1.0",
+          "--s-grid", "10,inf", "--reps", "10", "--seed", "1", "--csv", "unused.csv"], "s_grid"),
+    ],
+)
+def test_bad_sizes_exit_2_with_one_line(capsys, argv, field):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}:") and err.count("\n") == 1
+
+
+def test_broken_invariant_exits_1(capsys, monkeypatch):
+    # NaN increments make the crossing bookkeeping fail on the first path
+    monkeypatch.setattr(
+        distributions.Exponential, "sample", lambda self, rng, size=None: np.full(size, np.nan)
+    )
+    code, out, err = run_capture(
+        capsys, ["simulate", "renewal", "--dist", "exp:1.0", "--s", "5", "--reps", "4", "--seed", "1"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: crossing bookkeeping violated")
+
+
+# per flag: values that keep a call tiny and valid, then values that are not
+_NUMBER = (["1.5", "1", "0.5"], ["0", "-5", "2", "3", "inf", "-inf", "nan", "1e400", "abc", ""])
+_SIZE = (["2", "3"], ["0", "-5", "1", "inf", "nan", "1e400", "abc"])
+_SEED = (["0", "7"], ["-5", "inf", "abc"])
+_LEVEL = (["0.5", "3", "20"], ["0", "-5", "inf", "-inf", "nan", "1e400", "abc"])
+_THREADS = (["1", "2"], ["0", "-1", "abc"])
+_DIST = (
+    ["exp:1.0", "pareto:1.5,1.0", "unif:0,2", "det:1.0", "pareto2:1.0"],
+    ["exp:inf", "exp:nan", "unif:0,inf", "det:1e400", "exp:-1", "pareto:3,1", "wat:1", "exp"],
+)
+_SUB = (
+    ["cp:rate=1.0,jump=exp:1.0", "cp:rate=5.0,jump=pareto:1.5,1.0", "gamma:shape=1.0,rate=1.0,grid=0.1"],
+    ["cp:rate=inf,jump=exp:1.0", "cp:rate=1.0,jump=exp:inf", "gamma:shape=nan,rate=1.0,grid=0.1",
+     "gamma:shape=1.0,rate=inf,grid=0.1", "cp:rate=1"],
+)
+_ELL = (
+    ["const:1", "logpow:1,1", "logshift:2,2.718281828459045"],
+    ["const:inf", "logpow:nan,1", "logshift:1,inf", "const:-1", "nope:1"],
+)
+_CASE = (["a1", "a2", "a3", "b1", "b2", "b3"], ["zz", ""])
+
+_FLAGS = {
+    ("moment",): {"--alpha": _NUMBER, "--r": _NUMBER, "--n": _SIZE, "--seed": _SEED,
+                  "--method": (["closed", "quadrature", "mc", "closed,mc"], ["bogus", ""]),
+                  "--tol": (["1e-9"], ["0", "-1", "inf", "nan"])},
+    ("limit",): {"--case": _CASE, "--mu": _NUMBER, "--sigma": _NUMBER, "--alpha": _NUMBER},
+    ("scaling",): {"--alpha": _NUMBER, "--ell": _ELL, "--x": (["3", "64", "1e300"], _NUMBER[1]),
+                   "--tol": (["1e-10"], ["0", "inf", "nan"])},
+    ("simulate", "renewal"): {"--dist": _DIST, "--s": _LEVEL, "--reps": _SIZE,
+                              "--seed": _SEED, "--threads": _THREADS},
+    ("simulate", "passage"): {"--sub": _SUB, "--s": _LEVEL, "--reps": _SIZE,
+                              "--seed": _SEED, "--threads": _THREADS},
+    ("converge",): {"--side": (["renewal", "passage"], ["up"]), "--case": _CASE,
+                    "--dist": _DIST, "--sub": _SUB, "--ell": _ELL,
+                    "--s-grid": (["3,20", "20"], ["20,3", "0,3", "3,inf", "nan", "", "abc"]),
+                    "--reps": _SIZE, "--seed": _SEED},
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = list(command)
+    for flag, (good, bad) in _FLAGS[command].items():
+        kind = draw(st.sampled_from(["good", "good", "good", "bad", "absent"]))
+        if kind != "absent":
+            argv += [flag, draw(st.sampled_from(good if kind == "good" else bad))]
+    return argv
+
+
+@given(argv=_argvs())
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_argv_fuzz_never_leaks_a_traceback(tmp_path, capsys, argv):
+    if argv[0] == "converge":
+        argv = argv + ["--csv", str(tmp_path / "fuzz.csv")]
+    code, _, err = run_capture(capsys, argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

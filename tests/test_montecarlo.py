@@ -3,14 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from renewlim import ConfigError, MCEstimate
+from renewlim import ConfigError, MCEstimate, StableParams, parse_interarrival
 from renewlim.montecarlo import (
     estimate_from_values,
     map_replications,
     replication_rng,
+    replication_streams,
     stream_base,
     thread_count,
 )
+
+# every zoo law, the stable CMS sampler and the gamma-grid increments
+DRAWS = [
+    *(
+        (text, lambda rng, law=parse_interarrival(text): law.sample(rng, size=7))
+        for text in ("exp:1.0", "det:2.0", "unif:0,2", "pareto:1.5,1.0", "pareto2:1.0")
+    ),
+    ("stable", lambda rng: StableParams.from_alpha(1.5).sample(rng, size=7)),
+    ("gamma", lambda rng: rng.gamma(0.01, 1.0, size=7)),
+]
 
 
 def test_replication_streams_are_distinct_and_reproducible():
@@ -65,3 +76,29 @@ def test_estimate_exact_for_constant_values():
     est = estimate_from_values(np.full(10_000, 0.5), master_seed=1)
     assert est.mean == 0.5
     assert est.std_error == 0.0
+
+
+@pytest.mark.parametrize("name,draw", DRAWS, ids=[d[0] for d in DRAWS])
+def test_rekeyed_stream_matches_fresh_generator(name, draw):
+    base = stream_base(77)
+    streams = replication_streams(base)
+    for rep in (5, 3, 5, 0, 2**40):
+        rng = streams(rep)
+        first = draw(rng)
+        rng.random(3)  # leave the stream mid-way; the next re-key must reset it
+        assert np.array_equal(first, draw(replication_rng(base, rep)))
+    # an odd number of 32-bit draws leaves a buffered half word to drop too
+    streams(1).integers(0, 2**31, size=3, dtype=np.int32)
+    assert np.array_equal(
+        streams(4).integers(0, 2**31, size=5, dtype=np.int32),
+        replication_rng(base, 4).integers(0, 2**31, size=5, dtype=np.int32),
+    )
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_map_replications_draws_reference_streams(monkeypatch, threads):
+    monkeypatch.setenv("RL_THREADS", threads)
+    base = stream_base(42)
+    got = map_replications(lambda rng: tuple(rng.random(2)), 2, 50, 42)
+    want = np.array([replication_rng(base, rep).random(2) for rep in range(50)]).T
+    assert np.array_equal(got, want)

@@ -17,10 +17,11 @@ from renewlim import (
     exact_abs_deviation_poisson,
     mc_abs_deviation,
     mc_overshoot_mean,
+    renewal_estimates,
     simulate_renewal,
     wald_residual,
 )
-from renewlim.montecarlo import replication_rng, stream_base
+from renewlim.montecarlo import estimate_from_values, replication_rng, stream_base
 
 SEED = 20260808
 
@@ -219,3 +220,22 @@ def test_n_reps_validation():
         mc_abs_deviation(Exponential(1.0), 10.0, 1, SEED)
     with pytest.raises(DomainError):
         simulate_renewal(Exponential(1.0), 0.0, rng_for(0))
+
+
+@pytest.mark.parametrize("spec", [Exponential(1.0), Pareto(1.5, 1.0), Deterministic(1.0)])
+def test_collector_equals_standalone_estimators(spec):
+    est = renewal_estimates(spec, 40.0, 300, SEED)
+    assert est.deviation == mc_abs_deviation(spec, 40.0, 300, SEED)
+    assert est.overshoot == mc_overshoot_mean(spec, 40.0, 300, SEED)
+    assert est.wald == wald_residual(spec, 40.0, 300, SEED)
+    # reference: one fresh generator per replication, one reduction per estimate
+    paths = [simulate_renewal(spec, 40.0, rng_for(SEED, rep)) for rep in range(300)]
+    counts = np.array([float(p.n_of_t) for p in paths])
+    overshoots = np.array([p.overshoot for p in paths])
+    assert est.deviation == estimate_from_values(np.abs(counts - 40.0 / spec.mean()), SEED)
+    assert est.overshoot == estimate_from_values(overshoots, SEED)
+    diffs = estimate_from_values((40.0 + overshoots) - spec.mean() * counts, SEED)
+    if diffs.std_error > 0.0:
+        assert est.wald == diffs.mean / diffs.std_error
+    else:
+        assert est.wald == 0.0 == diffs.mean

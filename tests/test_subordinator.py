@@ -12,17 +12,20 @@ from renewlim import (
     DomainError,
     Exponential,
     GammaSubordinator,
+    InvariantError,
     Pareto,
     ParetoBoundary,
     ParameterMismatchError,
     SpecParseError,
     coupling_check,
     format_subordinator,
+    mc_passage,
     mc_passage_abs_deviation,
     parse_subordinator,
     passage_convergence_table,
     simulate_passage,
 )
+from renewlim import subordinator
 from renewlim.montecarlo import replication_rng, stream_base
 
 SEED = 20260808
@@ -288,3 +291,38 @@ def test_validation():
         GammaSubordinator(1.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         mc_passage_abs_deviation(CompoundPoisson(1.0, Exponential(1.0)), -1.0, 10, SEED)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["cp:rate=1.0,jump=exp:1.0", "cp:rate=5.0,jump=pareto:1.5,1.0", "gamma:shape=1.0,rate=1.0,grid=0.01"],
+)
+def test_single_walk_equals_standalone_estimators(text):
+    spec = parse_subordinator(text)
+    est, frac = mc_passage(spec, 60.0, 200, SEED)
+    assert est == mc_passage_abs_deviation(spec, 60.0, 200, SEED)
+    if isinstance(spec, CompoundPoisson):
+        assert frac == coupling_check(spec, 60.0, 200, SEED) == 0.0
+    else:
+        assert math.isnan(frac)
+
+
+def test_single_walk_validates_before_simulating(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("simulated before validating")
+
+    monkeypatch.setattr(subordinator, "_simulate_cp_path", no_walk)
+    cp = CompoundPoisson(1.0, Exponential(1.0))
+    with pytest.raises(DomainError, match="n_reps must be >= 2, got 1"):
+        mc_passage(cp, 10.0, 1, SEED)
+    with pytest.raises(DomainError, match="s must be positive, got 0.0"):
+        mc_passage(cp, 0.0, 10, SEED)
+
+
+def test_coupling_violation_counts_and_is_a_typed_error(monkeypatch):
+    # a path whose N* lags T by more than one step breaks the coupling
+    monkeypatch.setattr(subordinator, "_simulate_cp_path", lambda *a, **k: (5.5, 3))
+    cp = CompoundPoisson(1.0, Exponential(1.0))
+    assert mc_passage(cp, 10.0, 20, SEED)[1] == 1.0
+    with pytest.raises(InvariantError, match="coupling violated"):
+        simulate_passage(cp, 10.0, rng_for(0))
