@@ -10,7 +10,6 @@ from .distributions import (
     ParetoBoundary,
     StableParams,
     Uniform,
-    format_interarrival,
     parse_interarrival,
 )
 from .errors import (
@@ -49,12 +48,8 @@ from .scaling import (
     Constant,
     LogPower,
     LogShifted,
-    ScalingSolution,
     SlowlyVarying,
-    format_slowly_varying,
-    normalizer,
     parse_slowly_varying,
-    regvar_ratio_check,
     solve_c,
 )
 from .subordinator import (
@@ -63,11 +58,9 @@ from .subordinator import (
     PassageObservation,
     Subordinator,
     coupling_check,
-    format_subordinator,
     mc_passage,
     mc_passage_abs_deviation,
     parse_subordinator,
-    passage_convergence_table,
     simulate_passage,
 )
 

@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 from . import distributions, limits, renewal, scaling, subordinator
 from .errors import (
@@ -28,7 +28,6 @@ from .errors import (
 )
 from .montecarlo import replication_rng, stream_base
 
-_CASES = ("a1", "a2", "a3", "b1", "b2", "b3")
 _METHODS = ("closed", "quadrature", "mc")
 
 
@@ -55,6 +54,13 @@ def _positive(mapping: dict, field: str, kind=float):
     return value
 
 
+def _case(mapping: dict) -> str:
+    case = str(_require(mapping, "case")).strip().lower()
+    if case not in limits.CASES:
+        raise ConfigError(f"case: must be one of {limits.CASES}, got {case!r}")
+    return case
+
+
 def _seed(mapping: dict, field: str = "seed") -> int:
     value = _require(mapping, field)
     try:
@@ -66,23 +72,8 @@ def _seed(mapping: dict, field: str = "seed") -> int:
     return value
 
 
-class _ConfigBase:
-    """Shared JSON round-trip for per-command parameter records."""
-
-    def to_mapping(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
-
-    @classmethod
-    def from_mapping(cls, mapping: dict):
-        known = {f.name for f in fields(cls)}
-        unknown = set(mapping) - known
-        if unknown:
-            raise ConfigError(f"{sorted(unknown)[0]}: unknown field for {cls.__name__}")
-        return cls(**{k: mapping.get(k) for k in known})
-
-
 @dataclass(frozen=True)
-class MomentConfig(_ConfigBase):
+class MomentConfig:
     alpha: float
     r: float
     method: str = "closed"
@@ -104,7 +95,7 @@ class MomentConfig(_ConfigBase):
 
 
 @dataclass(frozen=True)
-class LimitConfig(_ConfigBase):
+class LimitConfig:
     case: str
     mu: float
     sigma: float | None = None
@@ -112,7 +103,7 @@ class LimitConfig(_ConfigBase):
 
 
 @dataclass(frozen=True)
-class ScalingConfig(_ConfigBase):
+class ScalingConfig:
     alpha: float
     ell: str
     x: float
@@ -120,7 +111,7 @@ class ScalingConfig(_ConfigBase):
 
 
 @dataclass(frozen=True)
-class SimulateConfig(_ConfigBase):
+class SimulateConfig:
     target: str  # "renewal" or "passage"
     spec: str  # distribution or subordinator spec string
     s: float
@@ -131,7 +122,7 @@ class SimulateConfig(_ConfigBase):
 
 
 @dataclass(frozen=True)
-class ConvergeConfig(_ConfigBase):
+class ConvergeConfig:
     side: str
     case: str
     spec: str
@@ -243,11 +234,8 @@ def _cmd_moment(args: argparse.Namespace) -> int:
 
 def _cmd_limit(args: argparse.Namespace) -> int:
     mapping = _merge(args, _load_config(args.config), ["case", "mu", "sigma", "alpha"])
-    case = str(_require(mapping, "case")).strip().lower()
-    if case not in _CASES:
-        raise ConfigError(f"case: must be one of {_CASES}, got {case!r}")
     cfg = LimitConfig(
-        case=case,
+        case=_case(mapping),
         mu=_positive(mapping, "mu"),
         sigma=float(mapping["sigma"]) if mapping.get("sigma") is not None else None,
         alpha=float(mapping["alpha"]) if mapping.get("alpha") is not None else None,
@@ -341,12 +329,9 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     spec_flag = "dist" if side == "renewal" else "sub"
     keys = ["side", "case", spec_flag, "ell", "s_grid", "reps", "seed", "csv", "threads"]
     mapping = _merge(args, config, keys)
-    case = str(_require(mapping, "case")).strip().lower()
-    if case not in _CASES:
-        raise ConfigError(f"case: must be one of {_CASES}, got {case!r}")
     cfg = ConvergeConfig(
         side=side,
-        case=case,
+        case=_case(mapping),
         spec=str(_require(mapping, spec_flag)),
         ell=str(mapping["ell"]) if mapping.get("ell") is not None else None,
         s_grid=_parse_s_grid(mapping.get("s_grid")),
@@ -358,14 +343,11 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     ell = scaling.parse_slowly_varying(cfg.ell) if cfg.ell is not None else None
     if side == "renewal":
         spec = distributions.parse_interarrival(cfg.spec)
-        rows = renewal.convergence_table(
-            spec, cfg.case, ell, cfg.s_grid, cfg.reps, cfg.seed, cfg.threads
-        )
     else:
         spec = subordinator.parse_subordinator(cfg.spec)
-        rows = subordinator.passage_convergence_table(
-            spec, cfg.case, ell, cfg.s_grid, cfg.reps, cfg.seed, cfg.threads
-        )
+    rows = renewal.convergence_table(
+        spec, cfg.case, ell, cfg.s_grid, cfg.reps, cfg.seed, cfg.threads
+    )
     lines = [renewal.CSV_HEADER]
     for row in rows:
         lines.append(
@@ -484,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_moment)
 
     p = sub.add_parser("limit", help="print the limit constant for a convergence case")
-    p.add_argument("--case", choices=_CASES)
+    p.add_argument("--case", choices=limits.CASES)
     p.add_argument("--mu", "--m", dest="mu", type=float)
     p.add_argument("--sigma", "--b", dest="sigma", type=float)
     p.add_argument("--alpha", type=float)
@@ -524,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="convergence table against the case limit")
     p.add_argument("--side", choices=("renewal", "passage"))
-    p.add_argument("--case", choices=_CASES)
+    p.add_argument("--case", choices=limits.CASES)
     p.add_argument("--dist", help="inter-arrival spec (side renewal)")
     p.add_argument("--sub", help="subordinator spec (side passage)")
     p.add_argument("--ell", help="slowly varying spec for c(s) (cases a2/a3/b2/b3)")

@@ -27,7 +27,6 @@ __all__ = [
     "ParetoBoundary",
     "StableParams",
     "parse_interarrival",
-    "format_interarrival",
 ]
 
 
@@ -432,7 +431,3 @@ def parse_interarrival(text: str) -> Interarrival:
         return ParetoBoundary(args[0])
     except DomainError as exc:
         raise SpecParseError(f"invalid distribution spec {text!r}: {exc}") from None
-
-
-def format_interarrival(spec: Interarrival) -> str:
-    return spec.spec_string()

@@ -26,6 +26,7 @@ __all__ = [
     "gamma_fn",
     "stable_abs_moment",
     "stable_abs_moment_quadrature",
+    "CASES",
     "LimitCase",
     "limit_constant",
 ]
@@ -136,7 +137,8 @@ def stable_abs_moment_quadrature(alpha: float, r: float, tol: float = 1e-9) -> f
     return lead * (inv_q * val_low + val_high)
 
 
-_CASES = ("a1", "a2", "a3", "b1", "b2", "b3")
+#: the six convergence cases: a* for renewal counts, b* for passage times
+CASES = ("a1", "a2", "a3", "b1", "b2", "b3")
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,7 @@ class LimitCase:
 
     def __post_init__(self):
         kind = self.case.strip().lower()
-        if kind not in _CASES:
+        if kind not in CASES:
             raise ParameterMismatchError(f"unknown case {self.case!r}")
         object.__setattr__(self, "case", kind)
         if not (self.mu > 0.0 and math.isfinite(self.mu)):

@@ -1,4 +1,5 @@
-"""Reproducible Monte Carlo plumbing: counter-based streams and estimates.
+"""Reproducible Monte Carlo plumbing: counter-based streams, the chunked
+first-crossing walk shared by every simulated path, and estimates.
 
 Every replication draws from its own Philox stream keyed by
 (master seed, replication index).  Results therefore do not depend on how
@@ -17,9 +18,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, InvariantError
 
 THREAD_ENV_VAR = "RL_THREADS"
+
+_MAX_DRAWS_PER_PATH = 10**9
+_MAX_CHUNK = 2**21
 
 
 def thread_count(explicit: int | None = None) -> int:
@@ -108,6 +112,48 @@ def map_replications(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda b: run_block(*b), bounds))
     return out
+
+
+def _chunk_size(target: float) -> int:
+    return min(int(target * 1.02 + 6.0 * math.sqrt(target + 1.0)) + 16, _MAX_CHUNK)
+
+
+def first_crossing(
+    draw: Callable[[int], np.ndarray],
+    level: float,
+    mean_step: float,
+    max_draws: int = _MAX_DRAWS_PER_PATH,
+) -> tuple[int, float]:
+    """First n with S_n > level, and S_n, where S_n sums the positive steps
+    that ``draw(size)`` returns in order.
+
+    The first chunk is sized from level/mean_step so a path costs
+    O(level/mean_step) vectorized work; later chunks are a quarter of the
+    previous one (at least 64).  A path still below the level after
+    ``max_draws`` steps raises DomainError.
+    """
+    chunk = _chunk_size(level / mean_step)
+    count = 0
+    carried = 0.0
+    while True:
+        sums = carried + np.cumsum(draw(chunk))
+        idx = int(np.searchsorted(sums, level, side="right"))
+        if idx < chunk:
+            total = float(sums[idx])
+            before = float(sums[idx - 1]) if idx > 0 else carried
+            if not total > level >= before:
+                raise InvariantError(
+                    f"crossing bookkeeping violated: {before} <= {level} < {total} fails"
+                )
+            return count + idx + 1, total
+        count += chunk
+        carried = float(sums[-1])
+        if count > max_draws:
+            raise DomainError(
+                f"path exceeded {max_draws} draws before crossing level {level}; "
+                f"running sum={carried}"
+            )
+        chunk = max(64, chunk // 4)
 
 
 @dataclass(frozen=True)

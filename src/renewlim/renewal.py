@@ -4,22 +4,26 @@ N(t) counts the partial-sum points of i.i.d. positive increments in [0, t]
 (the zero-th point S_0 = 0 always counts, so N(t) >= 1).  Monte Carlo
 estimators of E|N(s) - s/mu| come with valid standard errors because N(s)
 has a finite second moment at fixed s whenever the increments have a finite
-mean.  The exponential case is backed by an exact Poisson oracle.
+mean.  The exponential case is backed by an exact Poisson oracle.  The
+convergence table here serves both sides: renewal counts (cases a1-a3) and
+subordinator first-passage times (cases b1-b3).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .distributions import Interarrival
-from .errors import CaseMismatchError, DomainError, InvariantError
+from .errors import CaseMismatchError, DomainError
 from .limits import LimitCase, limit_constant
-from .montecarlo import MCEstimate, estimate_from_values, map_replications
+from .montecarlo import MCEstimate, estimate_from_values, first_crossing, map_replications
 from .scaling import SlowlyVarying, solve_c
+from .subordinator import Subordinator, mc_passage_abs_deviation
 
 __all__ = [
     "RenewalObservation",
@@ -34,9 +38,6 @@ __all__ = [
     "convergence_table",
     "CSV_HEADER",
 ]
-
-_MAX_DRAWS_PER_PATH = 10**9
-_MAX_CHUNK = 2**21
 
 
 @dataclass(frozen=True)
@@ -53,47 +54,15 @@ class RenewalObservation:
     total: float
 
 
-def _chunk_size(target: float) -> int:
-    return min(int(target * 1.02 + 6.0 * math.sqrt(target + 1.0)) + 16, _MAX_CHUNK)
-
-
 def simulate_renewal(
     spec: Interarrival, t: float, rng: np.random.Generator
 ) -> RenewalObservation:
-    """Draw increments until the partial sum first exceeds t.
-
-    Draws arrive in chunks sized from t/mean, so a path costs O(t/mean)
-    vectorized work.  A hard cap of 1e9 draws guards against degenerate
-    specs that would never terminate.
-    """
+    """Draw increments until the partial sum first exceeds t
+    (``montecarlo.first_crossing``: chunked, capped at 1e9 draws)."""
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
-    chunk = _chunk_size(t / spec.mean())
-    count = 0
-    carried = 0.0
-    drawn = 0
-    while True:
-        x = spec.sample(rng, size=chunk)
-        sums = carried + np.cumsum(x)
-        idx = int(np.searchsorted(sums, t, side="right"))
-        if idx < chunk:
-            total = float(sums[idx])
-            before = float(sums[idx - 1]) if idx > 0 else carried
-            if not total > t >= before:
-                raise InvariantError(
-                    f"crossing bookkeeping violated: {before} <= {t} < {total} fails; "
-                    f"spec={spec.spec_string()}"
-                )
-            return RenewalObservation(n_of_t=count + idx + 1, overshoot=total - t, total=total)
-        count += chunk
-        carried = float(sums[-1])
-        drawn += chunk
-        if drawn > _MAX_DRAWS_PER_PATH:
-            raise RuntimeError(
-                f"renewal path exceeded {_MAX_DRAWS_PER_PATH} draws before crossing t={t}; "
-                f"spec={spec.spec_string()}, running sum={carried}"
-            )
-        chunk = max(64, chunk // 4)
+    n, total = first_crossing(partial(spec.sample, rng), t, spec.mean())
+    return RenewalObservation(n_of_t=n, overshoot=total - t, total=total)
 
 
 @dataclass(frozen=True)
@@ -228,17 +197,11 @@ class ConvergenceRow:
     rel_gap: float
 
 
-def _case_denominator(
-    case: str, s: float, alpha: float, ell: SlowlyVarying | None
-) -> float:
-    if case in ("a1", "b1"):
-        return math.sqrt(s)
-    if ell is None:
-        raise CaseMismatchError(f"case {case} needs a slowly varying ell for c(s)")
-    return solve_c(alpha, ell, s)
-
-
-def _check_renewal_case(spec: Interarrival, case: str) -> LimitCase:
+def _limit_case(
+    spec: Interarrival | Subordinator, case: str, ell: SlowlyVarying | None
+) -> LimitCase:
+    """The limit case of ``spec``, after checking that ``case`` is its
+    regime and that a case scaled by c(s) has an ell to solve for it."""
     regime = spec.moment_regime()
     if regime is None:
         raise CaseMismatchError(
@@ -248,16 +211,21 @@ def _check_renewal_case(spec: Interarrival, case: str) -> LimitCase:
         raise CaseMismatchError(
             f"case {case} requested but {spec.spec_string()} belongs to case {regime}"
         )
-    mu = spec.mean()
-    if case == "a1":
-        return LimitCase("a1", mu, sigma=math.sqrt(spec.variance()))
-    if case == "a2":
-        return LimitCase("a2", mu)
-    return LimitCase("a3", mu, alpha=spec.alpha)
+    if case[1] != "1" and ell is None:
+        raise CaseMismatchError(f"case {case} needs a slowly varying ell for c(s)")
+    if isinstance(spec, Subordinator):  # b3 arises only from compound Poisson jumps
+        mu, variance, law = spec.mean_rate(), spec.variance_rate(), getattr(spec, "jump", None)
+    else:
+        mu, variance, law = spec.mean(), spec.variance(), spec
+    if case[1] == "1":
+        return LimitCase(case, mu, sigma=math.sqrt(variance))
+    if case[1] == "2":
+        return LimitCase(case, mu)
+    return LimitCase(case, mu, alpha=law.alpha)
 
 
 def convergence_table(
-    spec: Interarrival,
+    spec: Interarrival | Subordinator,
     case: str,
     ell: SlowlyVarying | None,
     s_grid: Sequence[float],
@@ -267,20 +235,22 @@ def convergence_table(
 ) -> list[ConvergenceRow]:
     """One row per grid point comparing the scaled estimate to its limit.
 
-    The same master seed feeds every row (common random numbers), which
-    smooths the trend of rel_gap along the grid without biasing any row.
+    The estimate is E|N(s) - s/mu| for an inter-arrival law and
+    E|T(s) - s/m| for a subordinator.  The same master seed feeds every row
+    (common random numbers), which smooths the trend of rel_gap along the
+    grid without biasing any row.
     """
     case = case.strip().lower()
     grid = [float(s) for s in s_grid]
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError(f"s_grid must be nonempty and strictly increasing, got {s_grid}")
-    lc = _check_renewal_case(spec, case)
+    lc = _limit_case(spec, case, ell)
     limit = limit_constant(lc)
-    alpha_for_c = 2.0 if case == "a2" else (lc.alpha if case == "a3" else math.nan)
+    estimate = mc_passage_abs_deviation if isinstance(spec, Subordinator) else mc_abs_deviation
     rows = []
     for s in grid:
-        est = mc_abs_deviation(spec, s, n_reps, master_seed, threads)
-        denom = _case_denominator(case, s, alpha_for_c, ell)
+        est = estimate(spec, s, n_reps, master_seed, threads)
+        denom = math.sqrt(s) if lc.sigma is not None else solve_c(lc.alpha or 2.0, ell, s)
         ratio = est.mean / denom
         rows.append(
             ConvergenceRow(

@@ -13,25 +13,15 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from .errors import (
-    DomainError,
-    NoBracketError,
-    ParameterMismatchError,
-    SpecParseError,
-    ToleranceNotMetError,
-)
+from .errors import DomainError, NoBracketError, SpecParseError, ToleranceNotMetError
 
 __all__ = [
     "SlowlyVarying",
     "Constant",
     "LogPower",
     "LogShifted",
-    "ScalingSolution",
     "solve_c",
-    "normalizer",
-    "regvar_ratio_check",
     "parse_slowly_varying",
-    "format_slowly_varying",
 ]
 
 DEFAULT_RESIDUAL_TOL = 1e-10
@@ -174,73 +164,6 @@ def solve_c(
     raise ToleranceNotMetError(f"bisection stalled above residual tolerance {tol} at x={x}")
 
 
-@dataclass(frozen=True)
-class ScalingSolution:
-    """Pointwise-evaluated scaling function with a residual guarantee.
-
-    Every evaluation satisfies |x*ell(c(x))/c(x)**alpha - 1| <= residual_tol.
-    """
-
-    alpha: float
-    ell: SlowlyVarying
-    residual_tol: float = DEFAULT_RESIDUAL_TOL
-
-    def __call__(self, x: float) -> float:
-        return solve_c(self.alpha, self.ell, x, self.residual_tol)
-
-
-def regvar_ratio_check(solution: ScalingSolution, x: float, lam: float) -> float:
-    """Return c(lam*x)/c(x); tests assert convergence to lam**(1/alpha)."""
-    if not lam > 0.0:
-        raise DomainError(f"lambda must be positive, got {lam}")
-    if lam == 1.0:
-        return 1.0
-    return solution(lam * x) / solution(x)
-
-
-_CASES = ("a1", "a2", "a3", "b1", "b2", "b3")
-
-
-def normalizer(
-    case: str,
-    s: float,
-    *,
-    mu: float,
-    sigma: float | None = None,
-    alpha: float | None = None,
-    ell: SlowlyVarying | None = None,
-    tol: float = DEFAULT_RESIDUAL_TOL,
-) -> float:
-    """Full normalizer g(s) of the centered-count limit for the given case.
-
-    a1 -> sqrt(sigma**2 * mu**-3 * s); a2 -> mu**-1.5 * c(s) with alpha = 2;
-    a3 -> mu**-(1+alpha)/alpha * c(s).  The b-cases are identical with the
-    subordinator parameters m, b in place of mu, sigma.
-    """
-    kind = case.strip().lower()
-    if kind not in _CASES:
-        raise ParameterMismatchError(f"unknown case {case!r}")
-    if not (mu > 0.0 and math.isfinite(mu)):
-        raise ParameterMismatchError(f"case {kind}: mean parameter must be positive finite, got {mu}")
-    if not s > 0.0:
-        raise DomainError(f"s must be positive, got {s}")
-
-    if kind in ("a1", "b1"):
-        if sigma is None or not (0.0 < sigma < math.inf):
-            raise ParameterMismatchError(
-                f"case {kind}: needs a finite positive sigma/b, got {sigma}"
-            )
-        return math.sqrt(sigma**2 * mu**-3 * s)
-
-    if ell is None:
-        raise ParameterMismatchError(f"case {kind}: needs a slowly varying ell")
-    if kind in ("a2", "b2"):
-        return mu**-1.5 * solve_c(2.0, ell, s, tol)
-    if alpha is None or not (1.0 < alpha < 2.0):
-        raise ParameterMismatchError(f"case {kind}: needs alpha in (1, 2), got {alpha}")
-    return mu ** (-(1.0 + alpha) / alpha) * solve_c(alpha, ell, s, tol)
-
-
 _ELL_ARITY = {"const": 1, "logpow": 2, "logshift": 2}
 
 
@@ -269,7 +192,3 @@ def parse_slowly_varying(text: str) -> SlowlyVarying:
         return LogShifted(args[0], args[1])
     except DomainError as exc:
         raise SpecParseError(f"invalid slowly varying spec {text!r}: {exc}") from None
-
-
-def format_slowly_varying(ell: SlowlyVarying) -> str:
-    return ell.spec_string()

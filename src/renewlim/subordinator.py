@@ -13,23 +13,13 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import exp1
 
 from .distributions import Interarrival, parse_interarrival
-from .errors import (
-    CaseMismatchError,
-    DomainError,
-    InvariantError,
-    ParameterMismatchError,
-    SpecParseError,
-)
-from .limits import LimitCase, limit_constant
-from .montecarlo import MCEstimate, estimate_from_values, map_replications
-from .renewal import ConvergenceRow, _case_denominator, _chunk_size
-from .scaling import SlowlyVarying
+from .errors import DomainError, InvariantError, ParameterMismatchError, SpecParseError
+from .montecarlo import MCEstimate, estimate_from_values, first_crossing, map_replications
 
 __all__ = [
     "Subordinator",
@@ -40,12 +30,8 @@ __all__ = [
     "mc_passage_abs_deviation",
     "mc_passage",
     "coupling_check",
-    "passage_convergence_table",
     "parse_subordinator",
-    "format_subordinator",
 ]
-
-_MAX_JUMPS_PER_PATH = 10**9
 
 
 class Subordinator(ABC):
@@ -154,14 +140,6 @@ class PassageObservation:
     s_level: float
 
 
-def _cross_index(chunk: np.ndarray, carried: float, s: float) -> int | None:
-    """Index of the first element of the chunk whose running sum exceeds s,
-    or None when the whole chunk stays at or below s."""
-    sums = carried + np.cumsum(chunk)
-    idx = int(np.searchsorted(sums, s, side="right"))
-    return idx if idx < len(chunk) else None
-
-
 def _simulate_cp_path(
     spec: CompoundPoisson, s: float, rng: np.random.Generator, want_n_star: bool
 ) -> tuple[float, int]:
@@ -172,33 +150,20 @@ def _simulate_cp_path(
     stream in a fixed order.  N*(s) is evaluated honestly from the path:
     S(k) is reconstructed at every integer k rather than inferred from T.
     """
-    chunk = _chunk_size(s / spec.jump.mean())
     chunks: list[np.ndarray] = []
-    carried = 0.0
-    drawn = 0
-    while True:
-        chunks.append(spec.jump.sample(rng, size=chunk))
-        idx = _cross_index(chunks[-1], carried, s)
-        if idx is not None:
-            break
-        carried += float(np.sum(chunks[-1]))
-        drawn += chunk
-        if drawn > _MAX_JUMPS_PER_PATH:
-            raise RuntimeError(
-                f"compound Poisson path exceeded {_MAX_JUMPS_PER_PATH} jumps below s={s}; "
-                f"spec={spec.spec_string()}"
-            )
-        chunk = max(64, chunk // 4)
-    sizes = np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
-    n_jumps = sum(len(c) for c in chunks[:-1]) + idx + 1
-    sizes = sizes[:n_jumps]
 
+    def draw(size: int) -> np.ndarray:
+        chunks.append(spec.jump.sample(rng, size=size))
+        return chunks[-1]
+
+    n_jumps, _ = first_crossing(draw, s, spec.jump.mean())
     gaps = rng.exponential(1.0 / spec.rate, size=n_jumps)
     epochs = np.cumsum(gaps)
     t_passage = float(epochs[-1])
 
     n_star = -1
     if want_n_star:
+        sizes = (np.concatenate(chunks) if len(chunks) > 1 else chunks[0])[:n_jumps]
         mass = np.concatenate(([0.0], np.cumsum(sizes)))
         ks = np.arange(0.0, math.floor(t_passage) + 2.0)
         jumps_by_k = np.searchsorted(epochs, ks, side="right")
@@ -209,39 +174,25 @@ def _simulate_cp_path(
 def _simulate_gamma_path(
     spec: GammaSubordinator, s: float, rng: np.random.Generator, want_n_star: bool
 ) -> tuple[float, int]:
-    """Grid-approximated gamma path: T(s) is the first grid time above s."""
+    """Grid-approximated gamma path: T(s) is the first grid time above s.
+
+    A path still at or below s after 1e9 time units raises DomainError.
+    The grid path never decreases, so S(k) <= s at integer time k exactly
+    when its grid index floor(k/h + 0.5) lies below the crossing index k*.
+    """
     h = spec.grid_step
-    inc_shape = spec.shape * h
-    chunk = _chunk_size(s / (spec.mean_rate() * h))
-    values: list[np.ndarray] = []
-    carried = 0.0
-    steps_done = 0
-    while True:
-        inc = rng.gamma(inc_shape, 1.0 / spec.rate, size=chunk)
-        sums = carried + np.cumsum(inc)
-        idx = int(np.searchsorted(sums, s, side="right"))
-        values.append(sums)
-        if idx < chunk:
-            break
-        carried = float(sums[-1])
-        steps_done += chunk
-        if steps_done * h > 10**9:
-            raise RuntimeError(f"gamma path exceeded time horizon below s={s}")
-        chunk = max(64, chunk // 4)
-    k_star = steps_done + idx + 1  # first grid index with S > s
+    k_star, _ = first_crossing(
+        lambda size: rng.gamma(spec.shape * h, 1.0 / spec.rate, size=size),
+        s,
+        spec.mean_rate() * h,
+        max_draws=int(1e9 / h),
+    )
     t_passage = k_star * h
 
     n_star = -1
-    if want_n_star:
-        path = np.concatenate(values) if len(values) > 1 else values[0]
-        n_star = 1  # k = 0: S(0) = 0 <= s
-        k = 1
-        while True:
-            gi = int(math.floor(k / h + 0.5)) - 1  # grid index for time k
-            if gi >= len(path) or not path[gi] <= s:
-                break
-            n_star += 1
-            k += 1
+    if want_n_star:  # k = 0 counts too: S(0) = 0 <= s
+        ks = np.arange(1, math.floor(t_passage) + 2)
+        n_star = 1 + int(np.count_nonzero(np.floor(ks / h + 0.5) <= k_star - 1))
     return t_passage, n_star
 
 
@@ -339,57 +290,6 @@ def coupling_check(
     return mc_passage(spec, s, n_reps, master_seed, threads)[1]
 
 
-def _check_passage_case(spec: Subordinator, case: str) -> LimitCase:
-    regime = spec.moment_regime()
-    if case != regime:
-        raise CaseMismatchError(
-            f"case {case} requested but {spec.spec_string()} belongs to case {regime}"
-        )
-    m = spec.mean_rate()
-    if case == "b1":
-        return LimitCase("b1", m, sigma=math.sqrt(spec.variance_rate()))
-    if case == "b2":
-        return LimitCase("b2", m)
-    return LimitCase("b3", m, alpha=spec.jump.alpha)
-
-
-def passage_convergence_table(
-    spec: Subordinator,
-    case: str,
-    ell: SlowlyVarying | None,
-    s_grid: Sequence[float],
-    n_reps: int,
-    master_seed: int,
-    threads: int | None = None,
-) -> list[ConvergenceRow]:
-    """Convergence study of E|T(s) - s/m| against its case limit."""
-    case = case.strip().lower()
-    grid = [float(s) for s in s_grid]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError(f"s_grid must be nonempty and strictly increasing, got {s_grid}")
-    lc = _check_passage_case(spec, case)
-    limit = limit_constant(lc)
-    alpha_for_c = 2.0 if case == "b2" else (lc.alpha if case == "b3" else math.nan)
-    rows = []
-    for s in grid:
-        est = mc_passage_abs_deviation(spec, s, n_reps, master_seed, threads)
-        denom = _case_denominator(case, s, alpha_for_c, ell)
-        ratio = est.mean / denom
-        rows.append(
-            ConvergenceRow(
-                s=s,
-                n_reps=n_reps,
-                estimate=est.mean,
-                stderr=est.std_error,
-                normalizer=denom,
-                ratio=ratio,
-                limit=limit,
-                rel_gap=ratio / limit - 1.0,
-            )
-        )
-    return rows
-
-
 def parse_subordinator(text: str) -> Subordinator:
     """Parse ``cp:rate=1.0,jump=exp:1.0`` or
     ``gamma:shape=1.0,rate=1.0,grid=0.001``."""
@@ -425,7 +325,3 @@ def parse_subordinator(text: str) -> Subordinator:
         if isinstance(exc, SpecParseError):
             raise
         raise SpecParseError(f"invalid subordinator spec {text!r}: {exc}") from None
-
-
-def format_subordinator(spec: Subordinator) -> str:
-    return spec.spec_string()

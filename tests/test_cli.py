@@ -6,15 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from renewlim import distributions
-from renewlim.cli import (
-    ConvergeConfig,
-    LimitConfig,
-    MomentConfig,
-    ScalingConfig,
-    SimulateConfig,
-    run,
-)
+from renewlim import distributions, montecarlo, renewal
+from renewlim.cli import run
 
 
 def run_capture(capsys, argv):
@@ -242,21 +235,6 @@ def test_selfcheck_passes(capsys):
     assert lines and all(line.startswith("ok ") for line in lines)
 
 
-def test_config_round_trip():
-    configs = [
-        MomentConfig(alpha=1.5, r=1.0, method="closed,quadrature", tol=1e-9),
-        LimitConfig(case="a1", mu=1.0, sigma=1.0),
-        ScalingConfig(alpha=2.0, ell="logshift:2.0,2.718281828459045", x=1e6),
-        SimulateConfig(target="renewal", spec="exp:1.0", s=100.0, reps=10, seed=1),
-        ConvergeConfig(
-            side="renewal", case="a1", spec="exp:1.0", s_grid=(100.0, 1000.0),
-            reps=10, seed=1, csv="out.csv",
-        ),
-    ]
-    for cfg in configs:
-        assert type(cfg).from_mapping(cfg.to_mapping()) == cfg
-
-
 # rows pinned from a build that gave every replication a freshly constructed
 # generator and walked the paths once per estimate; the bytes must not move
 GOLDEN_ROWS = {
@@ -280,6 +258,88 @@ def test_simulate_golden_bytes(capsys, monkeypatch, threads, target, spec):
     )
     assert code == 0
     assert out.splitlines()[1] == GOLDEN_ROWS[(target, spec)]
+
+
+# converge rows pinned from the build that wrote the crossing loop once per
+# walk and kept a separate passage-side table; the bytes must not move
+GOLDEN_CONVERGE = {
+    ("renewal", "a1", "exp:1.0"): [
+        "50,200,5.4299999999999997,0.3033738261484662,7.0710678118654755,"
+        "0.7679179643685905,0.79788456080286541,-0.037557558958305037",
+        "200,200,12.59,0.62919706350524085,14.142135623730951,"
+        "0.89024743751386326,0.79788456080286541,0.11575969914502227",
+    ],
+    ("renewal", "a3", "pareto:1.5,1.0"): [
+        "50,200,5.8683333333333323,0.26989148821403253,13.57208808376453,"
+        "0.4323824968652587,0.55026856127134682,-0.21423369006167248",
+        "200,200,15.198333333333331,0.81551160068650852,34.199518935524608,"
+        "0.44440196255351783,0.55026856127134682,-0.19239078182702929",
+    ],
+    ("passage", "b1", "cp:rate=1.0,jump=exp:1.0"): [
+        "50,200,7.5670648723479292,0.39778698147942343,7.0710678118654755,"
+        "1.0701445769831475,1.1283791670955128,-0.051609061750283125",
+        "200,200,16.214901402387078,0.89743619125183849,14.142135623730951,"
+        "1.1465666737899161,1.1283791670955128,0.016118258139432573",
+    ],
+    ("passage", "b3", "cp:rate=5.0,jump=pareto:1.5,1.0"): [
+        "50,200,1.363616920812982,0.067608954271077562,13.57208808376453,"
+        "0.10047215376123256,0.037637840159455829,1.6694452533826052",
+        "200,200,3.3228626258710245,0.18416094738048286,34.199518935524608,"
+        "0.097161092591259074,0.037637840159455829,1.5814736493812624",
+    ],
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("side,case,spec", list(GOLDEN_CONVERGE), ids=lambda x: str(x))
+def test_converge_golden_bytes(tmp_path, capsys, monkeypatch, threads, side, case, spec):
+    monkeypatch.setenv("RL_THREADS", threads)
+    out_path = tmp_path / "c.csv"
+    argv = ["converge", "--side", side, "--case", case,
+            "--dist" if side == "renewal" else "--sub", spec]
+    if case[1] != "1":
+        argv += ["--ell", "const:1"]
+    argv += ["--s-grid", "50,200", "--reps", "200", "--seed", "13", "--csv", str(out_path)]
+    code, _, _ = run_capture(capsys, argv)
+    assert code == 0
+    assert out_path.read_text().splitlines()[1:] == GOLDEN_CONVERGE[(side, case, spec)]
+
+
+@pytest.mark.parametrize(
+    "argv,estimator",
+    [
+        (["--side", "renewal", "--case", "a3", "--dist", "pareto:1.5,1.0"], "mc_abs_deviation"),
+        (["--side", "passage", "--case", "b3", "--sub", "cp:rate=5.0,jump=pareto:1.5,1.0"],
+         "mc_passage_abs_deviation"),
+    ],
+)
+def test_converge_missing_ell_fails_before_any_walk(tmp_path, capsys, monkeypatch, argv, estimator):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("simulated before validating")
+
+    monkeypatch.setattr(renewal, estimator, no_walk)
+    out_path = tmp_path / "c.csv"
+    code, out, err = run_capture(
+        capsys,
+        ["converge", *argv, "--s-grid", "1e6", "--reps", "300", "--seed", "1", "--csv", str(out_path)],
+    )
+    assert code == 2
+    assert out == ""
+    case = argv[3]
+    assert err == f"error: case {case} needs a slowly varying ell for c(s)\n"
+    assert not out_path.exists()
+
+
+def test_draw_cap_exits_2_with_one_line(capsys, monkeypatch):
+    # the mean step 3e-300 needs ~1e300 draws; a cap of 1e6 stops the first path
+    monkeypatch.setattr(montecarlo.first_crossing, "__defaults__", (10**6,))
+    code, out, err = run_capture(
+        capsys,
+        ["simulate", "renewal", "--dist", "pareto:1.5,1e-300", "--s", "1", "--reps", "2", "--seed", "1"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: path exceeded 1000000 draws") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

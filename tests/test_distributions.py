@@ -16,7 +16,6 @@ from renewlim import (
     SpecParseError,
     StableParams,
     Uniform,
-    format_interarrival,
     parse_interarrival,
     stable_abs_moment,
 )
@@ -248,7 +247,7 @@ def test_stable_from_alpha_rejects_outside_interval():
 
 @pytest.mark.parametrize("spec", ZOO, ids=lambda s: s.spec_string())
 def test_grammar_round_trip(spec):
-    assert parse_interarrival(format_interarrival(spec)) == spec
+    assert parse_interarrival(spec.spec_string()) == spec
 
 
 @pytest.mark.parametrize(
@@ -257,7 +256,7 @@ def test_grammar_round_trip(spec):
 )
 def test_grammar_parses(text):
     spec = parse_interarrival(text)
-    assert format_interarrival(spec)
+    assert spec.spec_string()
 
 
 @pytest.mark.parametrize(

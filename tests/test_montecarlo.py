@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from renewlim import ConfigError, MCEstimate, StableParams, parse_interarrival
+from renewlim import ConfigError, DomainError, MCEstimate, StableParams, parse_interarrival
 from renewlim.montecarlo import (
     estimate_from_values,
+    first_crossing,
     map_replications,
     replication_rng,
     replication_streams,
@@ -102,3 +103,31 @@ def test_map_replications_draws_reference_streams(monkeypatch, threads):
     got = map_replications(lambda rng: tuple(rng.random(2)), 2, 50, 42)
     want = np.array([replication_rng(base, rep).random(2) for rep in range(50)]).T
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "level,mean_step,first_chunks",
+    [(1000.0, 4.0, [366, 91, 64]), (1000.0, 2e6, [22, 64, 64]), (2.0, 2e6, [22]), (0.5, 2e6, [22])],
+)
+def test_first_crossing_refills_match_direct_cumsum(level, mean_step, first_chunks):
+    # integer steps of mean 2 keep every partial sum exact, so a sum can tie
+    # the level; a mean step set too high makes the first chunk fall short
+    rng = np.random.default_rng(3)
+    chunks = []
+
+    def draw(size):
+        chunks.append(rng.integers(1, 4, size=size).astype(float))
+        return chunks[-1]
+
+    n, total = first_crossing(draw, level, mean_step)
+    sizes = [len(c) for c in chunks]
+    assert sizes[: len(first_chunks)] == first_chunks
+    assert set(sizes[len(first_chunks) :]) <= {64}
+    sums = np.cumsum(np.concatenate(chunks))
+    first = int(np.argmax(sums > level))
+    assert (n, total) == (first + 1, sums[first])
+
+
+def test_first_crossing_draw_cap_is_a_domain_error():
+    with pytest.raises(DomainError, match="path exceeded 100 draws"):
+        first_crossing(lambda size: np.full(size, 1e-9), 1.0, mean_step=1.0, max_draws=100)

@@ -6,19 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renewlim import (
+    CaseMismatchError,
+    CompoundPoisson,
     Constant,
     DomainError,
+    Exponential,
+    LimitCase,
     LogPower,
     LogShifted,
     NoBracketError,
     ParameterMismatchError,
-    ScalingSolution,
+    Pareto,
+    ParetoBoundary,
     SpecParseError,
-    format_slowly_varying,
-    normalizer,
+    convergence_table,
+    limit_constant,
     parse_slowly_varying,
-    regvar_ratio_check,
     solve_c,
+    stable_abs_moment,
 )
 
 
@@ -83,23 +88,23 @@ def test_solution_strictly_increasing():
 
 def test_ratio_convergence_trend():
     # |c(2x)/c(x) - 2**(1/alpha)| decreases along x = 1e3 .. 1e9
-    sol = ScalingSolution(2.0, LogShifted(2.0, math.e))
+    ell = LogShifted(2.0, math.e)
     target = math.sqrt(2.0)
-    devs = [abs(regvar_ratio_check(sol, 10.0**k, 2.0) - target) for k in range(3, 10)]
+    xs = [10.0**k for k in range(3, 10)]
+    devs = [abs(solve_c(2.0, ell, 2.0 * x) / solve_c(2.0, ell, x) - target) for x in xs]
     assert all(b < a for a, b in zip(devs, devs[1:]))
 
 
 def test_ratio_exact_for_constant_ell():
-    sol = ScalingSolution(1.5, Constant(1.0), residual_tol=1e-13)
-    assert regvar_ratio_check(sol, 37.0, 8.0) == pytest.approx(4.0, rel=1e-11)
-    assert regvar_ratio_check(sol, 37.0, 1.0) == 1.0
+    ell = Constant(1.0)
+    ratio = solve_c(1.5, ell, 8.0 * 37.0, tol=1e-13) / solve_c(1.5, ell, 37.0, tol=1e-13)
+    assert ratio == pytest.approx(4.0, rel=1e-11)
 
 
 def test_ratio_solver_consistency_at_1e8():
     # both points evaluated by the solver agree with the fixed-point oracle
     ell = LogShifted(2.0, math.e)
-    sol = ScalingSolution(2.0, ell, residual_tol=1e-12)
-    ratio = regvar_ratio_check(sol, 1e8, 2.0)
+    ratio = solve_c(2.0, ell, 2e8, tol=1e-12) / solve_c(2.0, ell, 1e8, tol=1e-12)
 
     def fixed_point(x):
         c = math.sqrt(x)
@@ -127,48 +132,64 @@ def test_solver_argument_validation():
 
 
 # ---------------------------------------------------------------------------
-# normalizer g(s)
+# normalizer g(s): the scale of E|N(s) - s/mu| in each case is the limit
+# constant times the convergence table's normalizer column, which equals
+# E|W| * g(s) with E|W| = sqrt(2/pi) for the normal cases
 # ---------------------------------------------------------------------------
 
 
+def _row(spec, case, ell, s):
+    return convergence_table(spec, case, ell, [s], 2, 1)[0]
+
+
 def test_normalizer_a1():
-    assert normalizer("a1", 100.0, mu=1.0, sigma=1.0) == pytest.approx(10.0, rel=1e-14)
+    # exp:2.0 has mu = 1/2, sigma**2 = 1/4, so g = sqrt(sigma**2 mu**-3 s) = sqrt(2 s)
+    row = _row(Exponential(2.0), "a1", None, 100.0)
+    assert row.normalizer == pytest.approx(10.0, rel=1e-14)
+    assert row.limit * row.normalizer == pytest.approx(
+        math.sqrt(2.0 / math.pi) * math.sqrt(200.0), rel=1e-14
+    )
 
 
 def test_normalizer_a3_exponent_arithmetic():
-    # c(s) = s**(2/3) for constant ell, so g = mu**(-5/3) * s**(2/3)
-    g = normalizer("a3", 1e6, mu=3.0, alpha=1.5, ell=Constant(1.0), tol=1e-12)
+    # c(s) = s**(2/3) for constant ell, so g = mu**(-5/3) * s**(2/3) with mu = 3
+    row = _row(Pareto(1.5, 1.0), "a3", Constant(1.0), 1e6)
+    assert row.normalizer == pytest.approx(1e4, rel=1e-10)
+    g = row.limit * row.normalizer / stable_abs_moment(1.5, 1.0)
     assert g == pytest.approx(3.0 ** (-5.0 / 3.0) * 1e4, rel=1e-10)
 
 
 def test_normalizer_a2_consistent_with_a1():
     sigma = 1.7
+    a1 = limit_constant(LimitCase("a1", 2.0, sigma=sigma))
+    a2 = limit_constant(LimitCase("a2", 2.0))
     for s in (1e2, 1e4, 1e6):
-        g1 = normalizer("a1", s, mu=2.0, sigma=sigma)
-        g2 = normalizer("a2", s, mu=2.0, ell=Constant(sigma**2), tol=1e-12)
-        assert g2 == pytest.approx(g1, rel=1e-11)
+        g2 = a2 * solve_c(2.0, Constant(sigma**2), s, tol=1e-12)
+        assert g2 == pytest.approx(a1 * math.sqrt(s), rel=1e-11)
 
 
 def test_normalizer_b_cases_mirror_a_cases():
-    assert normalizer("b1", 50.0, mu=1.0, sigma=math.sqrt(2.0)) == pytest.approx(
-        math.sqrt(100.0), rel=1e-14
-    )
-    assert normalizer("b2", 1e4, mu=2.0, ell=Constant(1.0)) == normalizer(
-        "a2", 1e4, mu=2.0, ell=Constant(1.0)
+    # cp:rate=1,jump=exp:1 has m = 1 and b**2 = 2, mirroring a1 with mu = 1, sigma**2 = 2
+    row = _row(CompoundPoisson(1.0, Exponential(1.0)), "b1", None, 50.0)
+    assert row.normalizer == pytest.approx(math.sqrt(50.0), rel=1e-14)
+    assert row.limit == limit_constant(LimitCase("a1", 1.0, sigma=math.sqrt(2.0)))
+    assert limit_constant(LimitCase("b2", 2.0)) == limit_constant(LimitCase("a2", 2.0))
+    assert limit_constant(LimitCase("b3", 2.0, alpha=1.5)) == limit_constant(
+        LimitCase("a3", 2.0, alpha=1.5)
     )
 
 
 def test_normalizer_parameter_mismatch():
     with pytest.raises(ParameterMismatchError):
-        normalizer("a1", 100.0, mu=1.0, sigma=math.inf)
+        LimitCase("a1", 1.0, sigma=math.inf)
     with pytest.raises(ParameterMismatchError):
-        normalizer("a1", 100.0, mu=1.0)
+        LimitCase("a1", 1.0)
     with pytest.raises(ParameterMismatchError):
-        normalizer("a3", 100.0, mu=1.0, alpha=2.5, ell=Constant(1.0))
+        LimitCase("a3", 1.0, alpha=2.5)
     with pytest.raises(ParameterMismatchError):
-        normalizer("a2", 100.0, mu=1.0)
-    with pytest.raises(ParameterMismatchError):
-        normalizer("zz", 100.0, mu=1.0)
+        LimitCase("zz", 1.0)
+    with pytest.raises(CaseMismatchError, match="needs a slowly varying ell"):
+        _row(ParetoBoundary(1.0), "a2", None, 100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +203,7 @@ def test_normalizer_parameter_mismatch():
     ids=lambda e: e.spec_string(),
 )
 def test_ell_grammar_round_trip(ell):
-    assert parse_slowly_varying(format_slowly_varying(ell)) == ell
+    assert parse_slowly_varying(ell.spec_string()) == ell
 
 
 @pytest.mark.parametrize("text", ["logpow:2.0", "wat:1", "const:-1", "const:", "logshift:1"])

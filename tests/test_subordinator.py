@@ -17,16 +17,15 @@ from renewlim import (
     ParetoBoundary,
     ParameterMismatchError,
     SpecParseError,
+    convergence_table,
     coupling_check,
-    format_subordinator,
     mc_passage,
     mc_passage_abs_deviation,
     parse_subordinator,
-    passage_convergence_table,
     simulate_passage,
 )
 from renewlim import subordinator
-from renewlim.montecarlo import replication_rng, stream_base
+from renewlim.montecarlo import _chunk_size, replication_rng, stream_base
 
 SEED = 20260808
 
@@ -162,6 +161,48 @@ def test_gamma_passage_sanity():
     assert 99.0 <= float(np.mean(vals)) <= 101.0
 
 
+def _gamma_path_reference(spec, s, rng):
+    """Reference for the vectorised N*: the grid walk stores its path and
+    counts N*(s) one integer time k at a time."""
+    h = spec.grid_step
+    chunk = _chunk_size(s / (spec.mean_rate() * h))
+    values = []
+    carried = 0.0
+    steps_done = 0
+    while True:
+        sums = carried + np.cumsum(rng.gamma(spec.shape * h, 1.0 / spec.rate, size=chunk))
+        idx = int(np.searchsorted(sums, s, side="right"))
+        values.append(sums)
+        if idx < chunk:
+            break
+        carried = float(sums[-1])
+        steps_done += chunk
+        chunk = max(64, chunk // 4)
+    path = np.concatenate(values)
+    n_star = 1  # k = 0: S(0) = 0 <= s
+    k = 1
+    while True:
+        gi = int(math.floor(k / h + 0.5)) - 1  # grid index for time k
+        if gi >= len(path) or not path[gi] <= s:
+            break
+        n_star += 1
+        k += 1
+    return (steps_done + idx + 1) * h, n_star
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.01, 0.3, 1.0])
+def test_gamma_n_star_matches_per_k_reference(h):
+    from renewlim.subordinator import _simulate_gamma_path
+
+    base = stream_base(SEED)
+    for shape in (1.0, 0.05):
+        g = GammaSubordinator(shape, 1.0, h)
+        for s in (0.7, 5.0, 50.0):
+            for rep in range(15):
+                got = _simulate_gamma_path(g, s, replication_rng(base, rep), True)
+                assert got == _gamma_path_reference(g, s, replication_rng(base, rep))
+
+
 def test_gamma_passage_observation():
     obs = simulate_passage(GammaSubordinator(1.0, 1.0, 1e-3), 50.0, rng_for(8))
     assert obs.t_passage > 0.0
@@ -210,7 +251,7 @@ def test_b3_trend_heavy_tail():
     # nu tail = x**-1.5 (ell = 1), m = 3: scaled ratio approaches the b3
     # constant from below with the gap inside 15% by s = 1e6
     cp = CompoundPoisson(1.0, Pareto(1.5, 1.0))
-    rows = passage_convergence_table(cp, "b3", Constant(1.0), [1e5, 1e6], 2000, SEED)
+    rows = convergence_table(cp, "b3", Constant(1.0), [1e5, 1e6], 2000, SEED)
     assert abs(rows[-1].rel_gap) <= 0.15
     for row in rows:
         assert row.normalizer == pytest.approx(row.s ** (2.0 / 3.0), rel=1e-10)
@@ -218,11 +259,11 @@ def test_b3_trend_heavy_tail():
 
 def test_passage_case_mismatch():
     with pytest.raises(CaseMismatchError):
-        passage_convergence_table(
+        convergence_table(
             CompoundPoisson(1.0, Exponential(1.0)), "b3", Constant(1.0), [10.0], 10, SEED
         )
     with pytest.raises(CaseMismatchError):
-        passage_convergence_table(
+        convergence_table(
             GammaSubordinator(1.0, 1.0, 0.01), "b2", Constant(1.0), [10.0], 10, SEED
         )
 
@@ -252,7 +293,7 @@ def test_passage_determinism(monkeypatch):
     ids=lambda s: s.spec_string(),
 )
 def test_subordinator_grammar_round_trip(spec):
-    assert parse_subordinator(format_subordinator(spec)) == spec
+    assert parse_subordinator(spec.spec_string()) == spec
 
 
 def test_subordinator_grammar_nested_commas():
