@@ -54,8 +54,14 @@ class Interarrival(ABC):
         """Exact E[min(X, k)], used for light-tailed sampling checks."""
 
     @abstractmethod
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw from the law; scalar for size=None, else an ndarray."""
+    def sample(
+        self, rng: np.random.Generator, size: int | None = None, out: np.ndarray | None = None
+    ):
+        """Draw from the law; scalar for size=None, else an ndarray.
+
+        With ``out`` (a float64 array) given, fill it in place with the
+        values ``size=len(out)`` would return and return it.
+        """
 
     @abstractmethod
     def spec_string(self) -> str:
@@ -112,8 +118,12 @@ class Exponential(Interarrival):
             return 0.0
         return -math.expm1(-self.rate * k) / self.rate
 
-    def sample(self, rng, size=None):
-        return rng.exponential(1.0 / self.rate, size=size)
+    def sample(self, rng, size=None, out=None):
+        if out is None:
+            return rng.exponential(1.0 / self.rate, size=size)
+        rng.standard_exponential(out=out)
+        out *= 1.0 / self.rate
+        return out
 
     def spec_string(self):
         return f"exp:{self.rate!r}"
@@ -144,7 +154,10 @@ class Deterministic(Interarrival):
     def truncated_mean(self, k):
         return min(self.d, k) if k > 0.0 else 0.0
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size=None, out=None):
+        if out is not None:
+            out.fill(self.d)
+            return out
         if size is None:
             return self.d
         return np.full(size, self.d)
@@ -194,8 +207,13 @@ class Uniform(Interarrival):
         w = self.b - self.a
         return (k * k - self.a**2) / (2.0 * w) + k * (self.b - k) / w
 
-    def sample(self, rng, size=None):
-        return self.a + (self.b - self.a) * rng.random(size)
+    def sample(self, rng, size=None, out=None):
+        if out is None:
+            return self.a + (self.b - self.a) * rng.random(size)
+        rng.random(out=out)
+        out *= self.b - self.a
+        out += self.a
+        return out
 
     def spec_string(self):
         return f"unif:{self.a!r},{self.b!r}"
@@ -243,10 +261,8 @@ class Pareto(Interarrival):
         a, m = self.alpha, self.x_min
         return (a * m - m**a * k ** (1.0 - a)) / (a - 1.0)
 
-    def sample(self, rng, size=None):
-        # inversion; 1-U lies in (0, 1] so the power never overflows
-        u = rng.random(size)
-        return self.x_min * (1.0 - u) ** (-1.0 / self.alpha)
+    def sample(self, rng, size=None, out=None):
+        return _inverse_power(rng, self.x_min, -1.0 / self.alpha, size, out)
 
     def moment_regime(self):
         return "a2" if self.alpha == 2.0 else "a3"
@@ -290,15 +306,26 @@ class ParetoBoundary(Interarrival):
             return max(k, 0.0)
         return 2.0 * self.x_min - self.x_min**2 / k
 
-    def sample(self, rng, size=None):
-        u = rng.random(size)
-        return self.x_min * (1.0 - u) ** -0.5
+    def sample(self, rng, size=None, out=None):
+        return _inverse_power(rng, self.x_min, -0.5, size, out)
 
     def moment_regime(self):
         return "a2"
 
     def spec_string(self):
         return f"pareto2:{self.x_min!r}"
+
+
+def _inverse_power(rng, x_min, exponent, size, out):
+    """Pareto draws x_min * (1 - U)**exponent by inversion, in ``out`` when
+    given; 1 - U lies in (0, 1], so the power never overflows."""
+    if out is None:
+        return x_min * (1.0 - rng.random(size)) ** exponent
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
+    out **= exponent
+    out *= x_min
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import StableParams
 from .errors import DomainError, ParameterMismatchError, PoleError, ToleranceNotMetError
@@ -101,6 +100,8 @@ def stable_abs_moment_quadrature(alpha: float, r: float, tol: float = 1e-9) -> f
     Gauss-Kronrod quadrature with the cancellation-safe integrand above.
     Absolute error is kept below tol or ToleranceNotMetError is raised.
     """
+    from scipy import integrate  # on demand: scipy costs most of the start-up
+
     _validate_moment_args(alpha, r)
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")

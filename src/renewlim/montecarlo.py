@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -118,26 +119,58 @@ def _chunk_size(target: float) -> int:
     return min(int(target * 1.02 + 6.0 * math.sqrt(target + 1.0)) + 16, _MAX_CHUNK)
 
 
+_scratch = threading.local()
+
+
+def _scratch_buffer(size: int) -> np.ndarray:
+    """This thread's float64 scratch buffer, grown to at least ``size``.
+
+    Every walk on the thread overwrites it, so nothing may keep a view of it
+    once the walk returns.
+    """
+    buf = getattr(_scratch, "buf", None)
+    if buf is None or len(buf) < size:
+        buf = _scratch.buf = np.empty(size)
+    return buf
+
+
 def first_crossing(
-    draw: Callable[[int], np.ndarray],
+    draw: Callable[..., np.ndarray],
     level: float,
     mean_step: float,
     max_draws: int = _MAX_DRAWS_PER_PATH,
 ) -> tuple[int, float]:
     """First n with S_n > level, and S_n, where S_n sums the positive steps
-    that ``draw(size)`` returns in order.
+    that ``draw(out=...)`` yields in order.
+
+    ``draw`` fills the float64 array ``out`` in place with the next len(out)
+    steps and returns it, or returns a new array of that length; the
+    running sums are then taken in that array.  ``out`` is a slice of one
+    scratch buffer per thread, so a walk allocates nothing per chunk.
 
     The first chunk is sized from level/mean_step so a path costs
     O(level/mean_step) vectorized work; later chunks are a quarter of the
-    previous one (at least 64).  A path still below the level after
-    ``max_draws`` steps raises DomainError.
+    previous one (at least 64).  A path whose expected length
+    level/mean_step exceeds ``max_draws`` raises DomainError before its
+    first draw, and a path still below the level after ``max_draws`` steps
+    raises it too.
     """
-    chunk = _chunk_size(level / mean_step)
+    expected = level / mean_step
+    if expected > max_draws:
+        raise DomainError(
+            f"path would exceed {max_draws} draws before crossing level {level}: "
+            f"it needs {expected:.6g} steps of mean {mean_step} on average"
+        )
+    chunk = _chunk_size(expected)
+    buf = _scratch_buffer(chunk)
     count = 0
     carried = 0.0
     while True:
-        sums = carried + np.cumsum(draw(chunk))
-        idx = int(np.searchsorted(sums, level, side="right"))
+        sums = draw(out=buf[:chunk])
+        np.add.accumulate(sums, out=sums)  # np.cumsum, without its wrapper's cost
+        if carried:
+            sums += carried
+        idx = int(sums.searchsorted(level, side="right"))
         if idx < chunk:
             total = float(sums[idx])
             before = float(sums[idx - 1]) if idx > 0 else carried

@@ -58,7 +58,7 @@ def simulate_renewal(
     spec: Interarrival, t: float, rng: np.random.Generator
 ) -> RenewalObservation:
     """Draw increments until the partial sum first exceeds t
-    (``montecarlo.first_crossing``: chunked, capped at 1e9 draws)."""
+    (``montecarlo.first_crossing``: chunked, in place, capped at 1e9 draws)."""
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
     n, total = first_crossing(partial(spec.sample, rng), t, spec.mean())

@@ -15,7 +15,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
 
 from .distributions import Interarrival, parse_interarrival
 from .errors import DomainError, InvariantError, ParameterMismatchError, SpecParseError
@@ -118,6 +117,8 @@ class GammaSubordinator(Subordinator):
         # Levy density shape * x**-1 * exp(-rate*x) integrates to shape*E1(rate*x)
         if x <= 0.0:
             return math.inf
+        from scipy.special import exp1  # on demand: scipy costs most of the start-up
+
         return self.shape * float(exp1(self.rate * x))
 
     def moment_regime(self):
@@ -148,13 +149,17 @@ def _simulate_cp_path(
     Jump sizes are drawn first (chunked) to locate the crossing jump, then
     exactly that many inter-jump gaps; both use the same per-replication
     stream in a fixed order.  N*(s) is evaluated honestly from the path:
-    S(k) is reconstructed at every integer k rather than inferred from T.
+    S(k) is reconstructed at every integer k rather than inferred from T,
+    from copies of the raw jump chunks, because the crossing turns each
+    chunk into running sums in place.
     """
     chunks: list[np.ndarray] = []
 
-    def draw(size: int) -> np.ndarray:
-        chunks.append(spec.jump.sample(rng, size=size))
-        return chunks[-1]
+    def draw(out: np.ndarray) -> np.ndarray:
+        spec.jump.sample(rng, out=out)
+        if want_n_star:
+            chunks.append(out.copy())
+        return out
 
     n_jumps, _ = first_crossing(draw, s, spec.jump.mean())
     gaps = rng.exponential(1.0 / spec.rate, size=n_jumps)
@@ -182,7 +187,7 @@ def _simulate_gamma_path(
     """
     h = spec.grid_step
     k_star, _ = first_crossing(
-        lambda size: rng.gamma(spec.shape * h, 1.0 / spec.rate, size=size),
+        lambda out: rng.gamma(spec.shape * h, 1.0 / spec.rate, size=len(out)),
         s,
         spec.mean_rate() * h,
         max_draws=int(1e9 / h),

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -339,7 +343,62 @@ def test_draw_cap_exits_2_with_one_line(capsys, monkeypatch):
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: path exceeded 1000000 draws") and err.count("\n") == 1
+    assert err.startswith("error: path would exceed 1000000 draws") and err.count("\n") == 1
+
+
+def test_hopeless_path_fails_fast_at_the_default_cap(capsys):
+    # ~3e299 steps per path on average: rejected before the first draw
+    start = time.perf_counter()
+    code, out, err = run_capture(
+        capsys,
+        ["simulate", "renewal", "--dist", "pareto:1.5,1e-300", "--s", "1", "--reps", "2", "--seed", "1"],
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: path would exceed 1000000000 draws") and err.count("\n") == 1
+
+
+_COLD_START = """
+import contextlib, io, sys
+from renewlim import cli
+from renewlim.subordinator import parse_subordinator
+
+argvs = [
+    ["simulate", "renewal", "--dist", "pareto:1.5,1.0", "--s", "50", "--reps", "20", "--seed", "1"],
+    ["simulate", "passage", "--sub", "cp:rate=1.0,jump=exp:1.0", "--s", "50", "--reps", "20", "--seed", "1"],
+    ["simulate", "passage", "--sub", "gamma:shape=1.0,rate=1.0,grid=0.1", "--s", "50", "--reps", "20", "--seed", "1"],
+    ["converge", "--side", "renewal", "--case", "a3", "--dist", "pareto:1.5,1.0", "--ell", "const:1",
+     "--s-grid", "10,100", "--reps", "20", "--seed", "1", "--csv", sys.argv[1]],
+    ["limit", "--case", "a3", "--mu", "3", "--alpha", "1.5"],
+    ["scaling", "--alpha", "1.5", "--ell", "const:1", "--x", "64"],
+]
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == 0, argv
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.run(["moment", "--alpha", "1.5", "--r", "1", "--method", "closed,quadrature"]) == 0
+assert "quadrature" in out.getvalue(), out.getvalue()
+tail = parse_subordinator("gamma:shape=2.0,rate=4.0,grid=0.01").levy_tail(0.5)
+assert abs(tail - 2.0 * 0.048900510708061118) < 1e-12, tail  # 2 * E1(2)
+print("cold start ok")
+"""
+
+
+def test_cold_start_commands_never_import_scipy(tmp_path):
+    src = os.path.dirname(os.path.dirname(renewal.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path / "table.csv")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "cold start ok\n"
 
 
 @pytest.mark.parametrize(
@@ -362,7 +421,9 @@ def test_bad_sizes_exit_2_with_one_line(capsys, argv, field):
 def test_broken_invariant_exits_1(capsys, monkeypatch):
     # NaN increments make the crossing bookkeeping fail on the first path
     monkeypatch.setattr(
-        distributions.Exponential, "sample", lambda self, rng, size=None: np.full(size, np.nan)
+        distributions.Exponential,
+        "sample",
+        lambda self, rng, size=None, out=None: np.full(len(out), np.nan),
     )
     code, out, err = run_capture(
         capsys, ["simulate", "renewal", "--dist", "exp:1.0", "--s", "5", "--reps", "4", "--seed", "1"]

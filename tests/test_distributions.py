@@ -111,6 +111,22 @@ def test_truncated_sample_mean_within_4se(spec):
         assert abs(mc - exact) <= 4.0 * se
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ZOO + [Exponential(2.5), Exponential(0.3), Uniform(0.5, 3.0), Pareto(1.2, 0.7), Pareto(2.0, 3.0)],
+    ids=lambda s: s.spec_string(),
+)
+def test_sample_in_place_matches_sized_draws(spec):
+    # the crossing walk draws into a slice of a dirty, longer buffer
+    n = 1000
+    buf = np.full(n + 17, np.nan)
+    got = spec.sample(rng_for(8), out=buf[:n])
+    want = spec.sample(rng_for(8), size=n)
+    assert got.base is buf
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.isnan(buf[n:]).all()
+
+
 def test_exponential_tail_bernoulli():
     draws = Exponential(1.0).sample(rng_for(12), size=10**6)
     p_hat = float((draws > 1.0).mean())

@@ -1,4 +1,8 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -115,9 +119,10 @@ def test_first_crossing_refills_match_direct_cumsum(level, mean_step, first_chun
     rng = np.random.default_rng(3)
     chunks = []
 
-    def draw(size):
-        chunks.append(rng.integers(1, 4, size=size).astype(float))
-        return chunks[-1]
+    def draw(out):
+        chunks.append(rng.integers(1, 4, size=len(out)).astype(float))
+        out[:] = chunks[-1]
+        return out
 
     n, total = first_crossing(draw, level, mean_step)
     sizes = [len(c) for c in chunks]
@@ -130,4 +135,58 @@ def test_first_crossing_refills_match_direct_cumsum(level, mean_step, first_chun
 
 def test_first_crossing_draw_cap_is_a_domain_error():
     with pytest.raises(DomainError, match="path exceeded 100 draws"):
-        first_crossing(lambda size: np.full(size, 1e-9), 1.0, mean_step=1.0, max_draws=100)
+        first_crossing(lambda out: np.full(len(out), 1e-9), 1.0, mean_step=1.0, max_draws=100)
+
+
+def test_first_crossing_rejects_a_hopeless_path_before_drawing():
+    def draw(out):
+        raise AssertionError("drew a step")
+
+    with pytest.raises(DomainError, match="path would exceed 100 draws"):
+        first_crossing(draw, 1.0, mean_step=1e-3, max_draws=100)
+
+
+def _walks(specs_levels, seed):
+    """(n, S_n) of each walk in turn on this thread: through the scratch
+    buffer, and through fresh arrays that leave the buffer untouched."""
+    base = stream_base(seed)
+    got, want = [], []
+    for rep, (spec, level) in enumerate(specs_levels):
+        into_buffer = partial(spec.sample, replication_rng(base, rep))
+        got.append(first_crossing(into_buffer, level, spec.mean()))
+        rng = replication_rng(base, rep)
+        want.append(first_crossing(lambda out: spec.sample(rng, size=len(out)), level, spec.mean()))
+    return got, want
+
+
+def test_first_crossing_reuses_and_grows_the_thread_buffer():
+    # a fresh thread starts with no buffer: the first walk allocates it, the
+    # short walk overwrites a dirty prefix, the third reuses it at full length
+    walks = [
+        (parse_interarrival(text), level)
+        for text in ("pareto:1.5,1.0", "exp:1.0")
+        for level in (1e5, 10.0, 1e5)
+    ]
+    result = {}
+    worker = threading.Thread(target=lambda: result.update(walks=_walks(walks, 5)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    got, want = result["walks"]
+    assert got == want
+
+
+def test_first_crossing_buffers_are_per_thread():
+    # more threads than cores, switching often, each interleaving long and
+    # short walks: a shared buffer would corrupt another thread's sums
+    walks = [(parse_interarrival("exp:1.0"), level) for level in (3e4, 5.0, 2e4, 50.0) * 3]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(_walks, walks, seed) for seed in range(8)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in results:
+        assert got == want
