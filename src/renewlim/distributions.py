@@ -54,13 +54,24 @@ class Interarrival(ABC):
         """Exact E[min(X, k)], used for light-tailed sampling checks."""
 
     @abstractmethod
+    def raw_fill(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        """Fill the float64 array ``out`` in place with the law's generator
+        draws, before ``finish``, and return it."""
+
+    @abstractmethod
+    def finish(self, out: np.ndarray) -> np.ndarray:
+        """Turn the raw draws in ``out`` into draws of the law, in place and
+        element by element, and return it; any array shape works."""
+
+    @abstractmethod
     def sample(
         self, rng: np.random.Generator, size: int | None = None, out: np.ndarray | None = None
     ):
         """Draw from the law; scalar for size=None, else an ndarray.
 
         With ``out`` (a float64 array) given, fill it in place with the
-        values ``size=len(out)`` would return and return it.
+        values ``size=len(out)`` would return, as ``finish(raw_fill(rng,
+        out))``, and return it.
         """
 
     @abstractmethod
@@ -118,12 +129,17 @@ class Exponential(Interarrival):
             return 0.0
         return -math.expm1(-self.rate * k) / self.rate
 
+    def raw_fill(self, rng, out):
+        return rng.standard_exponential(out=out)
+
+    def finish(self, out):
+        out *= 1.0 / self.rate
+        return out
+
     def sample(self, rng, size=None, out=None):
         if out is None:
             return rng.exponential(1.0 / self.rate, size=size)
-        rng.standard_exponential(out=out)
-        out *= 1.0 / self.rate
-        return out
+        return self.finish(self.raw_fill(rng, out))
 
     def spec_string(self):
         return f"exp:{self.rate!r}"
@@ -154,10 +170,16 @@ class Deterministic(Interarrival):
     def truncated_mean(self, k):
         return min(self.d, k) if k > 0.0 else 0.0
 
+    def raw_fill(self, rng, out):
+        return out  # a point mass draws nothing
+
+    def finish(self, out):
+        out.fill(self.d)
+        return out
+
     def sample(self, rng, size=None, out=None):
         if out is not None:
-            out.fill(self.d)
-            return out
+            return self.finish(self.raw_fill(rng, out))
         if size is None:
             return self.d
         return np.full(size, self.d)
@@ -207,13 +229,18 @@ class Uniform(Interarrival):
         w = self.b - self.a
         return (k * k - self.a**2) / (2.0 * w) + k * (self.b - k) / w
 
-    def sample(self, rng, size=None, out=None):
-        if out is None:
-            return self.a + (self.b - self.a) * rng.random(size)
-        rng.random(out=out)
+    def raw_fill(self, rng, out):
+        return rng.random(out=out)
+
+    def finish(self, out):
         out *= self.b - self.a
         out += self.a
         return out
+
+    def sample(self, rng, size=None, out=None):
+        if out is None:
+            return self.a + (self.b - self.a) * rng.random(size)
+        return self.finish(self.raw_fill(rng, out))
 
     def spec_string(self):
         return f"unif:{self.a!r},{self.b!r}"
@@ -261,8 +288,16 @@ class Pareto(Interarrival):
         a, m = self.alpha, self.x_min
         return (a * m - m**a * k ** (1.0 - a)) / (a - 1.0)
 
+    def raw_fill(self, rng, out):
+        return rng.random(out=out)
+
+    def finish(self, out):
+        return _inverse_power(out, self.x_min, -1.0 / self.alpha)
+
     def sample(self, rng, size=None, out=None):
-        return _inverse_power(rng, self.x_min, -1.0 / self.alpha, size, out)
+        if out is None:
+            return self.x_min * (1.0 - rng.random(size)) ** (-1.0 / self.alpha)
+        return self.finish(self.raw_fill(rng, out))
 
     def moment_regime(self):
         return "a2" if self.alpha == 2.0 else "a3"
@@ -306,8 +341,16 @@ class ParetoBoundary(Interarrival):
             return max(k, 0.0)
         return 2.0 * self.x_min - self.x_min**2 / k
 
+    def raw_fill(self, rng, out):
+        return rng.random(out=out)
+
+    def finish(self, out):
+        return _inverse_power(out, self.x_min, -0.5)
+
     def sample(self, rng, size=None, out=None):
-        return _inverse_power(rng, self.x_min, -0.5, size, out)
+        if out is None:
+            return self.x_min * (1.0 - rng.random(size)) ** -0.5
+        return self.finish(self.raw_fill(rng, out))
 
     def moment_regime(self):
         return "a2"
@@ -316,12 +359,10 @@ class ParetoBoundary(Interarrival):
         return f"pareto2:{self.x_min!r}"
 
 
-def _inverse_power(rng, x_min, exponent, size, out):
-    """Pareto draws x_min * (1 - U)**exponent by inversion, in ``out`` when
-    given; 1 - U lies in (0, 1], so the power never overflows."""
-    if out is None:
-        return x_min * (1.0 - rng.random(size)) ** exponent
-    rng.random(out=out)
+def _inverse_power(out, x_min, exponent):
+    """Pareto draws x_min * (1 - U)**exponent by inversion, in place over the
+    uniforms U in ``out``; 1 - U lies in (0, 1], so the power never
+    overflows."""
     np.subtract(1.0, out, out=out)
     out **= exponent
     out *= x_min

@@ -1,11 +1,12 @@
 """Reproducible Monte Carlo plumbing: counter-based streams, the chunked
-first-crossing walk shared by every simulated path, and estimates.
+first-crossing walk shared by every simulated path, its block form for
+short paths, and estimates.
 
 Every replication draws from its own Philox stream keyed by
 (master seed, replication index).  Results therefore do not depend on how
-replications are distributed over worker threads, and the final reduction
-uses exactly rounded summation so merged estimates are bit-identical for
-any thread count.
+replications are distributed over worker threads or blocks, and the final
+reduction uses exactly rounded summation so merged estimates are
+bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +27,9 @@ THREAD_ENV_VAR = "RL_THREADS"
 
 _MAX_DRAWS_PER_PATH = 10**9
 _MAX_CHUNK = 2**21
+_BLOCK_DOUBLES = 2**16  # block scratch per thread: 512 KiB
+_MAX_BLOCK_ROWS = 256
+_MIN_BLOCK_ROWS = 32
 
 
 def thread_count(explicit: int | None = None) -> int:
@@ -189,6 +194,71 @@ def first_crossing(
         chunk = max(64, chunk // 4)
 
 
+def block_rows(level: float, mean_step: float) -> int:
+    """Replications per block of ``block_crossings``: as many first chunks
+    of a walk to ``level`` as fit in the block scratch, at most 256.
+
+    Fewer than 32 give 1, which means walk one replication at a time: from
+    about 2000 expected steps on (first chunks of 2048 doubles hold 32 rows)
+    a path's cost is its draws, which worker threads share, and a block on
+    one thread is slower than two threads of single walks.
+    """
+    rows = min(_MAX_BLOCK_ROWS, _BLOCK_DOUBLES // _chunk_size(level / mean_step))
+    return rows if rows >= _MIN_BLOCK_ROWS else 1
+
+
+def block_crossings(
+    raw_fill: Callable[[np.random.Generator, np.ndarray], np.ndarray],
+    finish: Callable[[np.ndarray], np.ndarray],
+    level: float,
+    mean_step: float,
+    n_reps: int,
+    master_seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``first_crossing`` of every replication, ``block_rows`` at a time on
+    the calling thread: arrays of N (as floats) and S_N, indexed by rep.
+
+    The steps are ``finish(raw_fill(rng, out))`` on replication ``rep``'s
+    stream.  Each replication's first chunk is drawn into one row of a block
+    matrix, and the transform, the running sums and the crossing search then
+    run once over the whole block.  Every row sees the same elementwise
+    operations in the same order as its own walk, so N and S_N equal
+    ``first_crossing``'s bit for bit.  A row still at or below the level
+    after its first chunk replays its stream through ``first_crossing``.
+    """
+    chunk = _chunk_size(level / mean_step)
+    rows = block_rows(level, mean_step)
+    streams = replication_streams(stream_base(master_seed))
+    counts = np.empty(n_reps)
+    totals = np.empty(n_reps)
+    for lo in range(0, n_reps, rows):
+        hi = min(lo + rows, n_reps)
+        block = _scratch_buffer(rows * chunk)[: (hi - lo) * chunk].reshape(hi - lo, chunk)
+        for rep, row in zip(range(lo, hi), block):
+            raw_fill(streams(rep), row)
+        sums = finish(block)
+        np.add.accumulate(sums, axis=1, out=sums)
+        idx = np.count_nonzero(sums <= level, axis=1)  # the crossing index of each row
+        at = (np.arange(hi - lo), np.minimum(idx, chunk - 1))
+        total = sums[at]
+        before = np.where(idx > 0, sums[at[0], at[1] - 1], 0.0)
+        crossed = idx < chunk
+        broken = crossed & ~((total > level) & (level >= before))
+        if broken.any():
+            i = int(np.argmax(broken))
+            raise InvariantError(
+                f"crossing bookkeeping violated: {before[i]} <= {level} < {total[i]} fails"
+            )
+        counts[lo:hi] = idx + 1
+        totals[lo:hi] = total
+        for i in np.flatnonzero(~crossed).tolist():
+            rng = streams(lo + i)
+            counts[lo + i], totals[lo + i] = first_crossing(
+                lambda out: finish(raw_fill(rng, out)), level, mean_step
+            )
+    return counts, totals
+
+
 @dataclass(frozen=True)
 class MCEstimate:
     """Monte Carlo point estimate with its standard error.
@@ -203,12 +273,23 @@ class MCEstimate:
     master_seed: int
 
 
+def _as_floats(values: np.ndarray, step: int = 4096):
+    """The values as Python floats, converted a slice at a time so no list
+    of all of them is ever held."""
+    return chain.from_iterable(values[i : i + step].tolist() for i in range(0, len(values), step))
+
+
 def estimate_from_values(values: np.ndarray, master_seed: int) -> MCEstimate:
-    """Exactly rounded mean/SE reduction (order-independent via fsum)."""
+    """Exactly rounded mean/SE reduction (order-independent via fsum).
+
+    Each squared deviation is libm's pow(d, 2), as Python's ``d ** 2``
+    gives it; numpy's ``d * d`` differs from it in the last bit for about
+    one value in a thousand, so the squares are not vectorised.
+    """
     n = len(values)
-    mean = math.fsum(values) / n
+    mean = math.fsum(_as_floats(values)) / n
     if n > 1:
-        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+        var = math.fsum(map(math.pow, _as_floats(values - mean), repeat(2.0))) / (n - 1)
         se = math.sqrt(var / n)
     else:
         se = 0.0

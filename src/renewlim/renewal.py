@@ -21,7 +21,15 @@ import numpy as np
 from .distributions import Interarrival
 from .errors import CaseMismatchError, DomainError
 from .limits import LimitCase, limit_constant
-from .montecarlo import MCEstimate, estimate_from_values, first_crossing, map_replications
+from .montecarlo import (
+    MCEstimate,
+    block_crossings,
+    block_rows,
+    estimate_from_values,
+    first_crossing,
+    map_replications,
+    thread_count,
+)
 from .scaling import SlowlyVarying, solve_c
 from .subordinator import Subordinator, mc_passage_abs_deviation
 
@@ -87,15 +95,31 @@ def renewal_estimates(
     threads: int | None = None,
 ) -> RenewalEstimates:
     """Walk each replication once and reduce its (count, overshoot) pair
-    into all three renewal estimates."""
+    into all three renewal estimates.
+
+    Short paths (``block_rows`` > 1) walk a block of replications at a time
+    on the calling thread: per replication, re-keying and a small fill hold
+    the GIL, so worker threads would only contend for it.  Long paths walk
+    one replication at a time over ``threads`` workers.  Both give the same
+    bytes.
+    """
     if n_reps < 2:
         raise DomainError(f"n_reps must be >= 2, got {n_reps}")
+    if not s > 0.0:
+        raise DomainError(f"s must be positive, got {s}")
+    thread_count(threads)  # a bad worker count fails on either walk
+    if block_rows(s, spec.mean()) > 1:
+        counts, totals = block_crossings(
+            spec.raw_fill, spec.finish, s, spec.mean(), n_reps, master_seed
+        )
+        overshoots = totals - s
+    else:
 
-    def one(rng: np.random.Generator) -> tuple[float, float]:
-        obs = simulate_renewal(spec, s, rng)
-        return (float(obs.n_of_t), obs.overshoot)
+        def one(rng: np.random.Generator) -> tuple[float, float]:
+            obs = simulate_renewal(spec, s, rng)
+            return (float(obs.n_of_t), obs.overshoot)
 
-    counts, overshoots = map_replications(one, 2, n_reps, master_seed, threads)
+        counts, overshoots = map_replications(one, 2, n_reps, master_seed, threads)
     diffs = estimate_from_values((s + overshoots) - spec.mean() * counts, master_seed)
     if diffs.std_error == 0.0:
         wald = 0.0 if diffs.mean == 0.0 else math.copysign(math.inf, diffs.mean)

@@ -419,12 +419,13 @@ def test_bad_sizes_exit_2_with_one_line(capsys, argv, field):
 
 
 def test_broken_invariant_exits_1(capsys, monkeypatch):
-    # NaN increments make the crossing bookkeeping fail on the first path
-    monkeypatch.setattr(
-        distributions.Exponential,
-        "sample",
-        lambda self, rng, size=None, out=None: np.full(len(out), np.nan),
-    )
+    # NaN increments make the crossing bookkeeping fail on the first path;
+    # every walk turns its raw draws into increments through ``finish``
+    def nan_steps(self, out):
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(distributions.Exponential, "finish", nan_steps)
     code, out, err = run_capture(
         capsys, ["simulate", "renewal", "--dist", "exp:1.0", "--s", "5", "--reps", "4", "--seed", "1"]
     )

@@ -125,6 +125,13 @@ def test_sample_in_place_matches_sized_draws(spec):
     assert got.base is buf
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.isnan(buf[n:]).all()
+    # the block walk fills each row raw, then finishes the whole matrix at once
+    block = np.full((2, n), np.nan)
+    for rep, row in enumerate(block):
+        assert spec.raw_fill(rng_for(8, rep), row) is row
+    assert spec.finish(block) is block
+    assert np.array_equal(block[0].view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(block[1].view(np.uint64), spec.sample(rng_for(8, 1), size=n).view(np.uint64))
 
 
 def test_exponential_tail_bernoulli():

@@ -7,8 +7,18 @@ from functools import partial
 import numpy as np
 import pytest
 
-from renewlim import ConfigError, DomainError, MCEstimate, StableParams, parse_interarrival
+from renewlim import (
+    ConfigError,
+    DomainError,
+    InvariantError,
+    MCEstimate,
+    StableParams,
+    parse_interarrival,
+)
+from renewlim import montecarlo
 from renewlim.montecarlo import (
+    block_crossings,
+    block_rows,
     estimate_from_values,
     first_crossing,
     map_replications,
@@ -75,6 +85,35 @@ def test_estimate_from_values():
     assert est == MCEstimate(mean=2.5, std_error=math.sqrt((5.0 / 3.0) / 4.0), n_reps=4, master_seed=9)
     single = estimate_from_values(np.array([7.0]), master_seed=0)
     assert single.std_error == 0.0
+
+
+def _generator_estimate(values, master_seed):
+    """The reference reduction: fsum over numpy scalars, each square d ** 2."""
+    n = len(values)
+    mean = math.fsum(values) / n
+    se = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1) / n) if n > 1 else 0.0
+    return MCEstimate(mean=mean, std_error=se, n_reps=n, master_seed=master_seed)
+
+
+def _bits(est):
+    return np.array([est.mean, est.std_error]).view(np.uint64).tolist(), est.n_reps
+
+
+def test_estimate_from_values_is_bit_equal_to_the_generator_form():
+    rng = np.random.default_rng(17)
+    samples = [
+        rng.normal(size=12_000),
+        parse_interarrival("pareto:1.1,1.0").sample(rng, size=12_000),
+        np.array([rng.normal()]),
+        # pow(d, 2) and d * d differ in the last bit for about one d in a
+        # thousand; with n = 2 every such d shows in the standard error
+        *rng.normal(size=(5000, 2)) * 1e3,
+    ]
+    for values in samples:
+        assert _bits(estimate_from_values(values, 4)) == _bits(_generator_estimate(values, 4))
+    assert any(
+        float(np.square(d)) != d**2 for v in samples[3:] for d in v - math.fsum(v) / 2
+    )  # the n = 2 samples include such a d
 
 
 def test_estimate_exact_for_constant_values():
@@ -190,3 +229,70 @@ def test_first_crossing_buffers_are_per_thread():
         sys.setswitchinterval(interval)
     for got, want in results:
         assert got == want
+
+
+# the zoo and the other laws of test_sample_in_place_matches_sized_draws, and
+# a tail so heavy that many rows do not cross within their first chunk
+WALK_LAWS = [
+    parse_interarrival(text)
+    for text in (
+        "exp:1.0", "det:2.0", "unif:0,1", "pareto:1.5,1.0", "pareto2:1.0", "exp:2.5",
+        "exp:0.3", "unif:0.5,3", "pareto:1.2,0.7", "pareto:2,3", "pareto:1.05,1.0",
+    )
+]
+
+
+def _per_replication_walks(spec, level, n_reps, seed):
+    base = stream_base(seed)
+    walks = [
+        first_crossing(partial(spec.sample, replication_rng(base, rep)), level, spec.mean())
+        for rep in range(n_reps)
+    ]
+    return np.array([float(n) for n, _ in walks]), np.array([total for _, total in walks])
+
+
+def _assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "steps,n_reps,rows",
+    # the last block of each is partial; from about 2000 steps a path is
+    # walked alone, though block_crossings still walks it correctly
+    [(40, 300, 256), (1000, 60, 53), (3000, 10, 1)],
+)
+@pytest.mark.parametrize("spec", WALK_LAWS, ids=lambda s: s.spec_string())
+def test_block_crossings_match_first_crossing(spec, steps, n_reps, rows):
+    level = steps * spec.mean()
+    assert block_rows(level, spec.mean()) == rows
+    got = block_crossings(spec.raw_fill, spec.finish, level, spec.mean(), n_reps, 31)
+    _assert_same_bits(got, _per_replication_walks(spec, level, n_reps, 31))
+    if spec.spec_string() == "pareto:1.05,1.0" and rows > 1:
+        assert (got[0] > montecarlo._chunk_size(steps)).sum() > n_reps // 4
+
+
+@pytest.mark.parametrize("spec", WALK_LAWS, ids=lambda s: s.spec_string())
+def test_block_rows_past_their_first_chunk_replay_their_stream(monkeypatch, spec):
+    # a first chunk of half the expected path sends nearly every row through
+    # first_crossing's refills
+    monkeypatch.setattr(montecarlo, "_chunk_size", lambda target: max(4, int(target) // 2))
+    level = 60.0 * spec.mean()
+    got = block_crossings(spec.raw_fill, spec.finish, level, spec.mean(), 300, 8)
+    assert (got[0] > 30).sum() > 150
+    _assert_same_bits(got, _per_replication_walks(spec, level, 300, 8))
+
+
+@pytest.mark.parametrize(
+    "steps,broken",
+    # a sum past the level before the crossing; a NaN crossing sum
+    [([5.0, 6.0, 1.0, -9.0], "11.0 <= 10.0 < 12.0"), ([1.0, math.nan], "1.0 <= 10.0 < nan")],
+)
+def test_block_crossings_bookkeeping_check_fires(steps, broken):
+    def finish(out):
+        out[...] = 100.0
+        out[:, : len(steps)] = steps
+        return out
+
+    with pytest.raises(InvariantError, match=f"bookkeeping violated: {broken} fails"):
+        block_crossings(lambda rng, out: out, finish, 10.0, 2.0, 5, 1)

@@ -21,7 +21,7 @@ from renewlim import (
     simulate_renewal,
     wald_residual,
 )
-from renewlim.montecarlo import estimate_from_values, replication_rng, stream_base
+from renewlim.montecarlo import block_rows, estimate_from_values, replication_rng, stream_base
 
 SEED = 20260808
 
@@ -215,11 +215,40 @@ def test_estimates_deterministic_and_thread_independent(monkeypatch):
     assert c.mean != a.mean
 
 
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize(
+    "spec,s,n_reps",
+    # block walks at s = 40, per-replication walks over the thread pool at 1e4
+    [
+        (Exponential(1.0), 40.0, 700),
+        (Pareto(1.5, 1.0), 40.0, 700),
+        (Exponential(1.0), 1e4, 60),
+        (Pareto(1.5, 1.0), 1e4, 60),
+    ],
+)
+def test_both_walks_give_the_reference_bytes(monkeypatch, threads, spec, s, n_reps):
+    monkeypatch.setenv("RL_THREADS", threads)
+    assert (block_rows(s, spec.mean()) > 1) == (s == 40.0)
+    est = renewal_estimates(spec, s, n_reps, SEED)
+    paths = [simulate_renewal(spec, s, rng_for(SEED, rep)) for rep in range(n_reps)]
+    counts = np.array([float(p.n_of_t) for p in paths])
+    overshoots = np.array([p.overshoot for p in paths])
+    dev = estimate_from_values(np.abs(counts - s / spec.mean()), SEED)
+    over = estimate_from_values(overshoots, SEED)
+    diffs = estimate_from_values((s + overshoots) - spec.mean() * counts, SEED)
+    want = [dev.mean, dev.std_error, over.mean, over.std_error, diffs.mean / diffs.std_error]
+    got = [est.deviation.mean, est.deviation.std_error, est.overshoot.mean,
+           est.overshoot.std_error, est.wald]
+    assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+
 def test_n_reps_validation():
     with pytest.raises(DomainError):
         mc_abs_deviation(Exponential(1.0), 10.0, 1, SEED)
     with pytest.raises(DomainError):
         simulate_renewal(Exponential(1.0), 0.0, rng_for(0))
+    with pytest.raises(DomainError, match="s must be positive"):
+        renewal_estimates(Exponential(1.0), 0.0, 10, SEED)
 
 
 @pytest.mark.parametrize("spec", [Exponential(1.0), Pareto(1.5, 1.0), Deterministic(1.0)])

@@ -1,0 +1,123 @@
+"""Diff the CLI's outputs between two source trees.
+
+Runs a fixed list of ``renewlim`` commands once with ``PYTHONPATH=OLD_SRC``
+and once with ``PYTHONPATH=NEW_SRC``, each at ``RL_THREADS=1`` and
+``RL_THREADS=2``, and compares the exit code, stdout, stderr and the bytes of
+the CSV file a command writes.  It prints one line per command and thread
+count (``same``, or ``DIFF`` and the fields that differ) and a summary, and
+exits 1 if anything differs.  A change that keeps the output
+contract (the same argv and seed give the same bytes) reports zero
+differences.
+
+The list covers:
+  - the README commands, with ``--reps`` cut where a run would take minutes;
+  - every zoo law through ``simulate renewal`` at s = 3, 100, 1000 and 1e4;
+  - ``selfcheck`` at its default seed and at ``--seed 7``;
+  - the operation shapes of the four benchmark workloads (the argv is
+    written here, so the benchmark is not imported);
+  - a few bad inputs, whose exit code and message must not move either.
+
+Usage (about 6 minutes on a 2-core box; not part of the test suite):
+
+    python tools/compare_outputs.py OLD_TREE/src NEW_TREE/src
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CSV = "{csv}"  # stands for a fresh CSV path in argv
+ZOO = ("exp:1.0", "det:2.0", "unif:0,1", "pareto:1.5,1.0", "pareto2:1.0")
+
+
+def _renewal(dist: str, s: str, reps: int, seed: str = "11") -> tuple[str, ...]:
+    return ("simulate", "renewal", "--dist", dist, "--s", s, "--reps", str(reps), "--seed", seed)
+
+
+def _passage(sub: str, s: str, reps: int, seed: str) -> tuple[str, ...]:
+    return ("simulate", "passage", "--sub", sub, "--s", s, "--reps", str(reps), "--seed", seed)
+
+
+COMMANDS: list[tuple[str, ...]] = [
+    # README
+    ("limit", "--case", "a1", "--mu", "1", "--sigma", "1"),
+    ("moment", "--alpha", "1.5", "--r", "1", "--method", "closed,quadrature"),
+    ("scaling", "--alpha", "1.5", "--ell", "const:1", "--x", "64"),
+    _renewal("exp:1.0", "10000", 5000, "1"),
+    _passage("cp:rate=1.0,jump=exp:1.0", "1000", 10000, "1"),
+    ("converge", "--side", "renewal", "--case", "a3", "--dist", "pareto:1.5,1.0",
+     "--ell", "const:1", "--s-grid", "1000,10000,100000,1000000", "--reps", "200",
+     "--seed", "1", "--csv", CSV),
+    ("selfcheck",),
+    ("selfcheck", "--seed", "7"),
+    # every zoo law, from a path of a few steps to one of about 1e4 steps
+    *(
+        _renewal(dist, s, reps)
+        for dist in ZOO
+        for s, reps in (("3", 3000), ("100", 3000), ("1000", 1000), ("1e4", 300))
+    ),
+    ("converge", "--side", "renewal", "--case", "a1", "--dist", "unif:0,1",
+     "--s-grid", "3,100,1e4,1e5", "--reps", "300", "--seed", "5", "--csv", CSV),
+    # benchmark shapes: renewal-short, converge-heavy, passage-mix, oracle-cli
+    _renewal("exp:1.0", "100", 12000, "1234"),
+    _renewal("pareto:1.5,1.0", "100", 12000, "5678"),
+    ("converge", "--side", "renewal", "--case", "a3", "--dist", "pareto:1.5,1.0",
+     "--ell", "const:1", "--s-grid", "1e3,1e4,1e5,1e6", "--reps", "600", "--seed", "99",
+     "--csv", CSV),
+    _passage("cp:rate=1.0,jump=exp:1.0", "1000", 2500, "21"),
+    _passage("cp:rate=5.0,jump=pareto:1.5,1.0", "1000", 2500, "22"),
+    _passage("gamma:shape=1.0,rate=1.0,grid=0.01", "1000", 250, "23"),
+    ("moment", "--alpha", "1.4321", "--r", "0.5", "--method", "closed,quadrature,mc",
+     "--n", "20000", "--seed", "31"),
+    ("scaling", "--alpha", "2", "--ell", "logshift:2,2.718281828459045", "--x", "123456"),
+    ("limit", "--case", "a1", "--mu", "1.25", "--sigma", "0.75"),
+    # bad inputs
+    _renewal("exp:1.0", "0", 100),
+    _renewal("exp:1.0", "-5", 100),
+    _renewal("exp:1.0", "nan", 100),
+    _renewal("exp:1.0", "100", 1),
+    _renewal("pareto:0.5,1.0", "100", 100),
+    _renewal("exp:1e-12", "1e3", 10),
+]
+
+
+def run(src: str, argv: tuple[str, ...], threads: str, tmp: Path) -> tuple:
+    """(exit code, stdout, stderr, CSV bytes or None) of one CLI call."""
+    csv = tmp / "out.csv"
+    csv.unlink(missing_ok=True)
+    argv = tuple(str(csv) if a == CSV else a for a in argv)
+    env = dict(os.environ, PYTHONPATH=src, RL_THREADS=threads)
+    res = subprocess.run(
+        [sys.executable, "-m", "renewlim.cli", *argv], env=env, capture_output=True, timeout=900
+    )
+    return res.returncode, res.stdout, res.stderr, csv.read_bytes() if csv.exists() else None
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", help="src directory of the reference tree")
+    parser.add_argument("new_src", help="src directory of the tree under test")
+    args = parser.parse_args()
+    fields = ("exit code", "stdout", "stderr", "csv")
+    differences = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in COMMANDS:
+            for threads in ("1", "2"):
+                old = run(args.old_src, argv, threads, Path(tmp))
+                new = run(args.new_src, argv, threads, Path(tmp))
+                bad = [f for f, a, b in zip(fields, old, new) if a != b]
+                differences += len(bad)
+                label = f"RL_THREADS={threads} renewlim {' '.join(argv)}"
+                print(f"{'DIFF ' + ','.join(bad) if bad else 'same'}: {label}", flush=True)
+    runs = 2 * len(COMMANDS)
+    print(f"{len(COMMANDS)} commands x 2 thread counts ({runs} pairs): {differences} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
