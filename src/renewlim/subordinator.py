@@ -87,6 +87,43 @@ class CompoundPoisson(Subordinator):
         return f"cp:rate={self.rate!r},jump={self.jump.spec_string()}"
 
 
+#: past this x, e^-x (and so E1(x) < e^-x / x) underflows to 0.0
+_EXP_UNDERFLOW = 745.2
+
+
+def _exp1(x: float) -> float:
+    """The exponential integral E1(x) = int_x^inf e^-t / t dt for x > 0.
+
+    For x <= 1 the series -gamma - ln x - sum_k (-x)^k / (k k!) converges
+    fast.  For x > 1 the continued fraction
+    E1(x) = e^-x / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...))) is evaluated by the
+    modified Lentz method.
+    """
+    if x <= 1.0:
+        total, term, k = 0.0, 1.0, 0
+        while True:
+            k += 1
+            term *= -x / k
+            total += term / k
+            if abs(term) <= 1e-17 * k * abs(total):
+                return -np.euler_gamma - math.log(x) - total
+    if x > _EXP_UNDERFLOW:
+        return 0.0
+    b = x + 1.0
+    c, d = 1e300, 1.0 / b  # Lentz's start: C = 1/tiny, D = 1/b_1
+    h = d
+    for i in range(1, 1000):
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        step = c * d
+        h *= step
+        if abs(step - 1.0) <= 1e-16:
+            return h * math.exp(-x)
+    raise InvariantError(f"E1 continued fraction did not converge at x={x}")
+
+
 @dataclass(frozen=True)
 class GammaSubordinator(Subordinator):
     """Gamma process: S(t) ~ Gamma(shape*t, rate), simulated on a grid.
@@ -115,11 +152,12 @@ class GammaSubordinator(Subordinator):
 
     def levy_tail(self, x):
         # Levy density shape * x**-1 * exp(-rate*x) integrates to shape*E1(rate*x)
-        if x <= 0.0:
+        y = self.rate * x
+        if y <= 0.0:  # x <= 0, or rate * x underflowed: the tail diverges at 0
             return math.inf
-        from scipy.special import exp1  # on demand: scipy costs most of the start-up
-
-        return self.shape * float(exp1(self.rate * x))
+        if math.isnan(y):
+            return math.nan
+        return self.shape * _exp1(y)
 
     def moment_regime(self):
         return "b1"

@@ -1,9 +1,11 @@
+import ast
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,17 +374,19 @@ argvs = [
      "--s-grid", "10,100", "--reps", "20", "--seed", "1", "--csv", sys.argv[1]],
     ["limit", "--case", "a3", "--mu", "3", "--alpha", "1.5"],
     ["scaling", "--alpha", "1.5", "--ell", "const:1", "--x", "64"],
+    ["moment", "--alpha", "1.5", "--r", "1", "--method", "closed,quadrature,mc", "--n", "1000"],
+    ["selfcheck"],
 ]
-for argv in argvs:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.run(argv) == 0, argv
-assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 out = io.StringIO()
-with contextlib.redirect_stdout(out):
-    assert cli.run(["moment", "--alpha", "1.5", "--r", "1", "--method", "closed,quadrature"]) == 0
+for argv in argvs:
+    with contextlib.redirect_stdout(out):
+        assert cli.run(argv) == 0, argv
 assert "quadrature" in out.getvalue(), out.getvalue()
+assert "ok moment-closed-vs-quadrature" in out.getvalue(), out.getvalue()
 tail = parse_subordinator("gamma:shape=2.0,rate=4.0,grid=0.01").levy_tail(0.5)
 assert abs(tail - 2.0 * 0.048900510708061118) < 1e-12, tail  # 2 * E1(2)
+scipy_modules = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not scipy_modules, scipy_modules
 print("cold start ok")
 """
 
@@ -399,6 +403,16 @@ def test_cold_start_commands_never_import_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "cold start ok\n"
+    # and no module of the package imports scipy, on any path
+    for path in Path(renewal.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0] == "scipy"], (path.name, node.lineno)
 
 
 @pytest.mark.parametrize(

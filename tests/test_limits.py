@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from renewlim import (
     DomainError,
@@ -11,14 +12,23 @@ from renewlim import (
     ParameterMismatchError,
     PoleError,
     StableParams,
+    ToleranceNotMetError,
     gamma_fn,
     limit_constant,
     stable_abs_moment,
     stable_abs_moment_quadrature,
 )
+from renewlim.limits import _abs_moment_quadrature
 from renewlim.montecarlo import replication_rng, stream_base
 
 GRID = [(a, r) for a in (1.1, 1.5, 1.9) for r in (0.25, 0.5, 1.0)]
+# wider than GRID: alpha close to both ends, r up to 0.95 * alpha
+WIDE_GRID = [
+    (a, r)
+    for a in (1.01, 1.05, 1.1, 1.5, 1.9, 1.99)
+    for r in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 0.95 * a)
+    if r <= 0.95 * a
+]
 
 
 def test_gamma_values():
@@ -76,6 +86,62 @@ def test_closed_form_vs_quadrature(alpha, r):
     closed = stable_abs_moment(alpha, r)
     quad = stable_abs_moment_quadrature(alpha, r, tol=1e-9)
     assert abs(closed - quad) / closed <= 1e-6
+
+
+def _scipy_quad_reference(alpha, r, tol):
+    """The QUADPACK formulation of the quadrature oracle: the same integral
+    split at u = 1, with the series near u = 0 and an infinite upper limit."""
+    p = StableParams.from_alpha(alpha)
+    z = complex(p.B, p.C)
+    rho = r / alpha
+    lead = 2.0 * gamma_fn(r + 1.0) * math.sin(r * math.pi / 2.0) / (math.pi * alpha)
+    inv_q = 1.0 / (1.0 - rho)
+
+    def h(u):
+        if u < 1e-4:
+            zu = z * u
+            acc = z * (1.0 - zu / 2.0 * (1.0 - zu / 3.0 * (1.0 - zu / 4.0 * (1.0 - zu / 5.0))))
+            return acc.real
+        return (1.0 - math.exp(-z.real * u) * math.cos(z.imag * u)) / u
+
+    low, err_low = integrate.quad(
+        lambda w: h(w**inv_q), 0.0, 1.0, epsabs=tol / (4.0 * lead * inv_q), epsrel=1e-13, limit=200
+    )
+    high, err_high = integrate.quad(
+        lambda u: h(u) * u**-rho, 1.0, np.inf, epsabs=tol / (4.0 * lead), epsrel=1e-13, limit=200
+    )
+    assert lead * (inv_q * err_low + err_high) <= tol
+    return lead * (inv_q * low + high)
+
+
+@pytest.mark.parametrize("alpha,r", WIDE_GRID)
+def test_quadrature_meets_tol_and_bounds_its_error(alpha, r):
+    closed = stable_abs_moment(alpha, r)
+    value, error = _abs_moment_quadrature(alpha, r, 1e-9)
+    assert abs(value - closed) <= 1e-9
+    # the reported bound is never smaller than the true error
+    assert abs(value - closed) <= error <= 1e-9
+    assert stable_abs_moment_quadrature(alpha, r, 1e-9) == value
+
+
+# QUADPACK with limit=200 misses tol = 1e-9 at alpha = 1.01, where the
+# numpy oracle still meets it (test above)
+@pytest.mark.parametrize("alpha,r", [(a, r) for a, r in WIDE_GRID if a > 1.01])
+def test_quadrature_matches_quadpack(alpha, r):
+    tol = 1e-9
+    ref = _scipy_quad_reference(alpha, r, tol)
+    assert abs(stable_abs_moment_quadrature(alpha, r, tol) - ref) <= 2.0 * tol
+
+
+def test_quadrature_unreachable_tol_raises():
+    with pytest.raises(ToleranceNotMetError):
+        stable_abs_moment_quadrature(1.5, 0.5, tol=1e-300)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+def test_quadrature_rejects_nonpositive_tol(tol):
+    with pytest.raises(DomainError):
+        stable_abs_moment_quadrature(1.5, 0.5, tol=tol)
 
 
 def test_quadrature_re_cf_identity():

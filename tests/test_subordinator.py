@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from renewlim import (
     CaseMismatchError,
@@ -57,6 +57,20 @@ def test_gamma_moment_accessors():
     val, err = integrate.quad(lambda y: 2.0 * math.exp(-4.0 * y) / y, 0.5, np.inf)
     assert err < 1e-10
     assert g.levy_tail(0.5) == pytest.approx(val, rel=1e-10)
+
+
+def test_gamma_levy_tail_matches_exp1():
+    # shape = rate = 1, so levy_tail(x) is E1(x) itself
+    g = GammaSubordinator(1.0, 1.0, 1e-3)
+    for x in np.logspace(-8.0, math.log10(700.0), 400):
+        assert g.levy_tail(float(x)) == pytest.approx(float(special.exp1(x)), rel=1e-13)
+    # both sides of the switch from the series (x <= 1) to the continued fraction
+    below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
+    for x in (0.9, 0.999, below, 1.0, above, 1.001, 1.1):
+        assert g.levy_tail(float(x)) == pytest.approx(float(special.exp1(x)), rel=1e-13)
+    assert g.levy_tail(800.0) == 0.0  # past underflow
+    assert g.levy_tail(0.0) == math.inf
+    assert math.isnan(g.levy_tail(math.nan))
 
 
 def test_b3_hypothesis_check():

@@ -4,7 +4,8 @@ Runs a fixed list of ``renewlim`` commands once with ``PYTHONPATH=OLD_SRC``
 and once with ``PYTHONPATH=NEW_SRC``, each at ``RL_THREADS=1`` and
 ``RL_THREADS=2``, and compares the exit code, stdout, stderr and the bytes of
 the CSV file a command writes.  It prints one line per command and thread
-count (``same``, or ``DIFF`` and the fields that differ) and a summary, and
+count (``same``, or ``DIFF`` and the fields that differ, followed by each
+removed ``-`` and added ``+`` line of stdout and stderr) and a summary, and
 exits 1 if anything differs.  A change that keeps the output
 contract (the same argv and seed give the same bytes) reports zero
 differences.
@@ -25,6 +26,7 @@ Usage (about 6 minutes on a 2-core box; not part of the test suite):
 from __future__ import annotations
 
 import argparse
+import difflib
 import os
 import subprocess
 import sys
@@ -98,6 +100,17 @@ def run(src: str, argv: tuple[str, ...], threads: str, tmp: Path) -> tuple:
     return res.returncode, res.stdout, res.stderr, csv.read_bytes() if csv.exists() else None
 
 
+def _changed_lines(old: bytes, new: bytes) -> list[str]:
+    """The removed (-) and added (+) lines between two outputs."""
+    diff = difflib.unified_diff(
+        old.decode(errors="replace").splitlines(),
+        new.decode(errors="replace").splitlines(),
+        lineterm="",
+        n=0,
+    )
+    return [line for line in diff if line[:1] in "-+" and line[:3] not in ("---", "+++")]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", help="src directory of the reference tree")
@@ -114,6 +127,9 @@ def main() -> int:
                 differences += len(bad)
                 label = f"RL_THREADS={threads} renewlim {' '.join(argv)}"
                 print(f"{'DIFF ' + ','.join(bad) if bad else 'same'}: {label}", flush=True)
+                for a, b in zip(old[1:3], new[1:3]):
+                    for line in _changed_lines(a, b):
+                        print(f"    {line}", flush=True)
     runs = 2 * len(COMMANDS)
     print(f"{len(COMMANDS)} commands x 2 thread counts ({runs} pairs): {differences} differences")
     return 1 if differences else 0
