@@ -7,7 +7,6 @@ from .distributions import (
     Exponential,
     Interarrival,
     Pareto,
-    ParetoBoundary,
     StableParams,
     Uniform,
     parse_interarrival,
@@ -29,6 +28,7 @@ from .limits import (
     gamma_fn,
     limit_constant,
     stable_abs_moment,
+    stable_abs_moment_mc,
     stable_abs_moment_quadrature,
 )
 from .montecarlo import MCEstimate, replication_rng, stream_base, thread_count
@@ -39,10 +39,8 @@ from .renewal import (
     convergence_table,
     exact_abs_deviation_poisson,
     mc_abs_deviation,
-    mc_overshoot_mean,
     renewal_estimates,
     simulate_renewal,
-    wald_residual,
 )
 from .scaling import (
     Constant,
@@ -55,13 +53,11 @@ from .scaling import (
 from .subordinator import (
     CompoundPoisson,
     GammaSubordinator,
-    PassageObservation,
     Subordinator,
     coupling_check,
     mc_passage,
     mc_passage_abs_deviation,
     parse_subordinator,
-    simulate_passage,
 )
 
 __version__ = "0.1.0"

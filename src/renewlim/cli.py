@@ -2,7 +2,9 @@
 
 Every command accepts ``--config PATH`` pointing at a JSON object whose keys
 mirror the long flag names (dashes as underscores); explicit flags override
-file values.  All floats are printed with 17 significant digits so output is
+file values.  One table per command lists its options, and ``resolve``
+checks a value from the file with the same validator as the flag's string.
+All floats are printed with 17 significant digits so output is
 byte-reproducible, and the worker count (RL_THREADS env var, else
 ``--threads``, else available parallelism) never changes numeric output.
 
@@ -12,21 +14,15 @@ Exit codes: 0 success, 1 invariant/acceptance failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import astuple, dataclass, replace
 
 from . import distributions, limits, renewal, scaling, subordinator
-from .errors import (
-    ConfigError,
-    InvariantError,
-    NoBracketError,
-    RenewlimError,
-    SpecParseError,
-    ToleranceNotMetError,
-)
-from .montecarlo import replication_rng, stream_base
+from .errors import ConfigError, RenewlimError
 
 _METHODS = ("closed", "quadrature", "mc")
 
@@ -35,103 +31,174 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _require(mapping: dict, field: str):
-    if mapping.get(field) is None:
-        raise ConfigError(f"{field}: required but not supplied")
-    return mapping[field]
+def _csv_field(value) -> str:
+    return str(value) if isinstance(value, int) else _fmt(value)
 
 
-def _positive(mapping: dict, field: str, kind=float):
-    value = _require(mapping, field)
-    try:
-        value = kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field}: expected {kind.__name__}, got {value!r}") from None
+# ---------------------------------------------------------------------------
+# validators: each takes a flag's string or a JSON value from --config and
+# returns the checked value, or raises ValueError with a message that
+# ``resolve`` prefixes with the field name
+# ---------------------------------------------------------------------------
+
+
+def _number(kind: type) -> Callable[[object], float]:
+    """A validator for ``kind``, int or float, taking a numeric string or a
+    JSON number.  Booleans are not numbers, and an int field does not take
+    a float, so 10.7 is not truncated."""
+    accepted = (str, int, float) if kind is float else (str, int)
+
+    def check(raw):
+        if isinstance(raw, accepted) and not isinstance(raw, bool):
+            try:
+                return kind(raw)
+            except (ValueError, OverflowError):
+                pass
+        raise ValueError(f"expected {kind.__name__}, got {raw!r}")
+
+    return check
+
+
+_real, _integer = _number(float), _number(int)
+
+
+def _positive(raw) -> float:
+    value = _real(raw)
     if not value > 0:
-        raise ConfigError(f"{field}: must be positive, got {value}")
+        raise ValueError(f"must be positive, got {value}")
     if value == math.inf:
-        raise ConfigError(f"{field}: must be finite, got {value}")
+        raise ValueError(f"must be finite, got {value}")
     return value
 
 
-def _case(mapping: dict) -> str:
-    case = str(_require(mapping, "case")).strip().lower()
-    if case not in limits.CASES:
-        raise ConfigError(f"case: must be one of {limits.CASES}, got {case!r}")
-    return case
+def _at_least(low: int) -> Callable[[object], int]:
+    def check(raw) -> int:
+        value = _integer(raw)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+
+    return check
 
 
-def _seed(mapping: dict, field: str = "seed") -> int:
-    value = _require(mapping, field)
-    try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field}: expected integer, got {value!r}") from None
-    if value < 0:
-        raise ConfigError(f"{field}: must be >= 0, got {value}")
-    return value
+def _one_of(choices: tuple[str, ...]) -> Callable[[object], str]:
+    def check(raw) -> str:
+        value = str(raw).strip().lower()
+        if value not in choices:
+            raise ValueError(f"must be one of {choices}, got {value!r}")
+        return value
+
+    return check
 
 
-@dataclass(frozen=True)
-class MomentConfig:
-    alpha: float
-    r: float
-    method: str = "closed"
-    n: int | None = None
-    seed: int | None = None
-    tol: float = 1e-9
-
-    def methods(self) -> list[str]:
-        out = []
-        for token in str(self.method).split(","):
-            token = token.strip().lower()
-            if token not in _METHODS:
-                raise ConfigError(f"method: must be from {_METHODS}, got {token!r}")
-            if token not in out:
-                out.append(token)
-        if not out:
-            raise ConfigError("method: at least one method required")
-        return out
+def _methods(raw) -> list[str]:
+    """A comma list of moment routes, each kept once, in the order given."""
+    return list(dict.fromkeys(map(_one_of(_METHODS), str(raw).split(","))))
 
 
-@dataclass(frozen=True)
-class LimitConfig:
-    case: str
-    mu: float
-    sigma: float | None = None
-    alpha: float | None = None
+def _s_grid(raw) -> tuple:
+    """Levels from a comma list, a JSON array or one number; the grid itself
+    is checked by ``renewal.convergence_table``."""
+    if isinstance(raw, str):
+        raw = [p for p in raw.split(",") if p.strip()]
+    return tuple(map(_real, raw if isinstance(raw, list) else [raw]))
+
+
+# ---------------------------------------------------------------------------
+# command tables
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ScalingConfig:
-    alpha: float
-    ell: str
-    x: float
-    tol: float = scaling.DEFAULT_RESIDUAL_TOL
+class Option:
+    """One row of a command table.
+
+    The first flag names the config key (dashes as underscores); later flags
+    are aliases.  ``check`` validates a flag's string and a config value
+    alike.  An option given by neither resolves to ``default``, or fails
+    when it is ``required``.
+    """
+
+    flags: tuple[str, ...]
+    check: Callable[[object], object]
+    default: object = None
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def key(self) -> str:
+        return self.flags[0][2:].replace("-", "_")
 
 
-@dataclass(frozen=True)
-class SimulateConfig:
-    target: str  # "renewal" or "passage"
-    spec: str  # distribution or subordinator spec string
-    s: float
-    reps: int
-    seed: int
-    csv: str | None = None
-    threads: int | None = None
+_CASE = Option(("--case",), _one_of(limits.CASES), required=True, help="a1,a2,a3,b1,b2,b3")
+_LEVEL = Option(("--s",), _positive, required=True, help="level s")
+_REPS = Option(("--reps",), _at_least(1), required=True, help="replications")
+_SEED = Option(("--seed",), _at_least(0), required=True, help="master seed")
+_THREADS = Option(("--threads",), _integer, help="worker count when RL_THREADS is unset")
+_DIST = Option(("--dist",), str, help="inter-arrival spec, e.g. exp:1.0")
+_SUB = Option(("--sub",), str, help="subordinator spec, e.g. cp:rate=1.0,jump=exp:1.0")
+_CSV = Option(("--csv",), str, help="output path; stdout when omitted")
+
+TABLES: dict[str, tuple[Option, ...]] = {
+    "moment": (
+        Option(("--alpha",), _positive, required=True, help="stable index in (1, 2)"),
+        Option(("--r",), _positive, required=True, help="moment order"),
+        Option(("--n",), _at_least(1), default=10**5, help="sample count for --method mc"),
+        Option(("--seed",), _at_least(0), default=0, help="master seed for --method mc"),
+        Option(("--tol",), _positive, default=1e-9, help="absolute error bound of quadrature"),
+        Option(("--method",), _methods, default=("closed",), help="e.g. closed,quadrature,mc"),
+    ),
+    "limit": (
+        _CASE,
+        Option(("--mu", "--m"), _positive, required=True, help="mean inter-arrival time, or m"),
+        Option(("--sigma", "--b"), _real, help="standard deviation, or b (cases a1/b1)"),
+        Option(("--alpha",), _real, help="tail index (cases a3/b3)"),
+    ),
+    "scaling": (
+        Option(("--alpha",), _positive, required=True, help="regular-variation index"),
+        Option(("--ell",), str, required=True, help="slowly varying spec, e.g. const:1.0"),
+        Option(("--x",), _positive, required=True, help="point at which c(x) is solved"),
+        Option(("--tol",), _positive, default=scaling.DEFAULT_RESIDUAL_TOL, help="residual bound"),
+    ),
+    "simulate renewal": (replace(_DIST, required=True), _LEVEL, _REPS, _SEED, _CSV, _THREADS),
+    "simulate passage": (replace(_SUB, required=True), _LEVEL, _REPS, _SEED, _CSV, _THREADS),
+    "converge": (
+        Option(("--side",), _one_of(("renewal", "passage")), required=True, help="renewal|passage"),
+        _CASE,
+        _DIST,
+        _SUB,
+        Option(("--ell",), str, help="slowly varying spec for c(s) (cases a2/a3/b2/b3)"),
+        Option(("--s-grid",), _s_grid, required=True, help="comma list of increasing levels"),
+        _REPS,
+        _SEED,
+        replace(_CSV, required=True, help="output path"),
+        _THREADS,
+    ),
+    "selfcheck": (Option(("--seed",), _at_least(0), default=20240801, help="master seed"),),
+}
 
 
-@dataclass(frozen=True)
-class ConvergeConfig:
-    side: str
-    case: str
-    spec: str
-    s_grid: tuple
-    reps: int
-    seed: int
-    csv: str
-    ell: str | None = None
-    threads: int | None = None
+def resolve(command: str, args: argparse.Namespace, config: dict) -> dict:
+    """The checked value of every option of ``command``: the flag's value,
+    else the config file's, else the default.  Unknown config keys, missing
+    required options and values failing their row's validator raise
+    ConfigError."""
+    table = TABLES[command]
+    unknown = set(config) - {opt.key for opt in table}
+    if unknown:
+        raise ConfigError(f"{sorted(unknown)[0]}: unknown config key for this command")
+    resolved = {}
+    for opt in table:
+        raw = getattr(args, opt.key)
+        if raw is None:
+            raw = config.get(opt.key)
+        if raw is None and opt.required:
+            raise ConfigError(f"{opt.key}: required but not supplied")
+        try:
+            resolved[opt.key] = opt.default if raw is None else opt.check(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{opt.key}: {exc}") from None
+    return resolved
 
 
 def _load_config(path: str | None) -> dict:
@@ -149,19 +216,10 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _merge(args: argparse.Namespace, config: dict, keys: list[str]) -> dict:
-    """Flags override config-file values; absent values stay None."""
-    unknown = set(config) - set(keys)
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown config key for this command")
-    merged = {}
-    for key in keys:
-        cli_value = getattr(args, key, None)
-        merged[key] = cli_value if cli_value is not None else config.get(key)
-    return merged
-
-
-def _write_csv(path: str | None, lines: list[str]) -> None:
+def _write_csv(path: str | None, header: str, rows) -> None:
+    """The header, then one line per row: ints as they are, floats to 17
+    significant digits; to stdout when ``path`` is None."""
+    lines = [header] + [",".join(map(_csv_field, row)) for row in rows]
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -170,207 +228,87 @@ def _write_csv(path: str | None, lines: list[str]) -> None:
             fh.write(text)
 
 
-def _parse_s_grid(raw) -> tuple:
-    if raw is None:
-        raise ConfigError("s_grid: required but not supplied")
-    if isinstance(raw, str):
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-    elif isinstance(raw, (list, tuple)):
-        parts = list(raw)
-    else:
-        raise ConfigError(f"s_grid: expected comma list or array, got {raw!r}")
-    try:
-        grid = tuple(float(p) for p in parts)
-    except (TypeError, ValueError):
-        raise ConfigError(f"s_grid: non-numeric entry in {raw!r}") from None
-    if not grid:
-        raise ConfigError("s_grid: must be nonempty")
-    if not all(map(math.isfinite, grid)):
-        raise ConfigError(f"s_grid: entries must be finite, got {grid}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"s_grid: must be strictly increasing, got {grid}")
-    return grid
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
 
-def _cmd_moment(args: argparse.Namespace) -> int:
-    mapping = _merge(args, _load_config(args.config), ["alpha", "r", "method", "n", "seed", "tol"])
-    cfg = MomentConfig(
-        alpha=_positive(mapping, "alpha"),
-        r=_positive(mapping, "r"),
-        method=mapping.get("method") or "closed",
-        n=_positive(mapping, "n", kind=int) if mapping.get("n") is not None else None,
-        seed=_seed(mapping) if mapping.get("seed") is not None else None,
-        tol=_positive(mapping, "tol") if mapping.get("tol") is not None else 1e-9,
-    )
-    methods = cfg.methods()
-    values: dict[str, float] = {}
-    for method in methods:
-        if method == "closed":
-            values[method] = limits.stable_abs_moment(cfg.alpha, cfg.r)
-        elif method == "quadrature":
-            values[method] = limits.stable_abs_moment_quadrature(cfg.alpha, cfg.r, cfg.tol)
-        else:
-            n = cfg.n if cfg.n is not None else 10**5
-            seed = cfg.seed if cfg.seed is not None else 0
-            params = distributions.StableParams.from_alpha(cfg.alpha)
-            draws = params.sample(replication_rng(stream_base(seed), 0), size=n)
-            values[method] = float(
-                sum(abs(float(w)) ** cfg.r for w in draws) / n
-            )
-    for method in methods:
-        print(f"{method} {_fmt(values[method])}")
-    for i, ma in enumerate(methods):
-        for mb in methods[i + 1 :]:
-            ref = values[ma]
-            rel = abs(values[ma] - values[mb]) / abs(ref) if ref else math.inf
-            print(f"rel_discrepancy {ma}/{mb} {_fmt(rel)}")
+def _cmd_moment(cfg: dict) -> int:
+    alpha, r = cfg["alpha"], cfg["r"]
+    routes = {
+        "closed": lambda: limits.stable_abs_moment(alpha, r),
+        "quadrature": lambda: limits.stable_abs_moment_quadrature(alpha, r, cfg["tol"]),
+        "mc": lambda: limits.stable_abs_moment_mc(alpha, r, cfg["n"], cfg["seed"]).mean,
+    }
+    values = {method: routes[method]() for method in cfg["method"]}
+    for method, value in values.items():
+        print(f"{method} {_fmt(value)}")
+    for ma, mb in itertools.combinations(values, 2):
+        ref = values[ma]
+        rel = abs(values[ma] - values[mb]) / abs(ref) if ref else math.inf
+        print(f"rel_discrepancy {ma}/{mb} {_fmt(rel)}")
     return 0
 
 
-def _cmd_limit(args: argparse.Namespace) -> int:
-    mapping = _merge(args, _load_config(args.config), ["case", "mu", "sigma", "alpha"])
-    cfg = LimitConfig(
-        case=_case(mapping),
-        mu=_positive(mapping, "mu"),
-        sigma=float(mapping["sigma"]) if mapping.get("sigma") is not None else None,
-        alpha=float(mapping["alpha"]) if mapping.get("alpha") is not None else None,
-    )
+def _cmd_limit(cfg: dict) -> int:
     value = limits.limit_constant(
-        limits.LimitCase(cfg.case, cfg.mu, sigma=cfg.sigma, alpha=cfg.alpha)
+        limits.LimitCase(cfg["case"], cfg["mu"], sigma=cfg["sigma"], alpha=cfg["alpha"])
     )
     print(_fmt(value))
     return 0
 
 
-def _cmd_scaling(args: argparse.Namespace) -> int:
-    mapping = _merge(args, _load_config(args.config), ["alpha", "ell", "x", "tol"])
-    cfg = ScalingConfig(
-        alpha=_positive(mapping, "alpha"),
-        ell=str(_require(mapping, "ell")),
-        x=_positive(mapping, "x"),
-        tol=_positive(mapping, "tol") if mapping.get("tol") is not None else scaling.DEFAULT_RESIDUAL_TOL,
-    )
-    ell = scaling.parse_slowly_varying(cfg.ell)
-    c = scaling.solve_c(cfg.alpha, ell, cfg.x, cfg.tol)
-    residual = cfg.x * ell(c) / c**cfg.alpha - 1.0
+def _cmd_scaling(cfg: dict) -> int:
+    ell = scaling.parse_slowly_varying(cfg["ell"])
+    alpha, x = cfg["alpha"], cfg["x"]
+    c = scaling.solve_c(alpha, ell, x, cfg["tol"])
+    residual = x * ell(c) / c**alpha - 1.0
     print(f"c {_fmt(c)}")
     print(f"residual {_fmt(residual)}")
     return 0
 
 
-def _simulate_config(args: argparse.Namespace, target: str, spec_flag: str) -> SimulateConfig:
-    keys = [spec_flag, "s", "reps", "seed", "csv", "threads"]
-    mapping = _merge(args, _load_config(args.config), keys)
-    return SimulateConfig(
-        target=target,
-        spec=str(_require(mapping, spec_flag)),
-        s=_positive(mapping, "s"),
-        reps=int(_positive(mapping, "reps", kind=int)),
-        seed=_seed(mapping),
-        csv=mapping.get("csv"),
-        threads=int(mapping["threads"]) if mapping.get("threads") is not None else None,
-    )
-
-
-def _cmd_simulate_renewal(args: argparse.Namespace) -> int:
-    cfg = _simulate_config(args, "renewal", "dist")
-    spec = distributions.parse_interarrival(cfg.spec)
-    est = renewal.renewal_estimates(spec, cfg.s, cfg.reps, cfg.seed, cfg.threads)
-    lines = [
-        "s,n_reps,seed,estimate,stderr,overshoot_mean,overshoot_stderr,wald_residual",
-        ",".join(
-            [
-                _fmt(cfg.s),
-                str(cfg.reps),
-                str(cfg.seed),
-                _fmt(est.deviation.mean),
-                _fmt(est.deviation.std_error),
-                _fmt(est.overshoot.mean),
-                _fmt(est.overshoot.std_error),
-                _fmt(est.wald),
-            ]
-        ),
-    ]
-    _write_csv(cfg.csv, lines)
+def _cmd_simulate_renewal(cfg: dict) -> int:
+    spec = distributions.parse_interarrival(cfg["dist"])
+    est = renewal.renewal_estimates(spec, cfg["s"], cfg["reps"], cfg["seed"], cfg["threads"])
+    dev, over = est.deviation, est.overshoot
+    row = (cfg["s"], cfg["reps"], cfg["seed"], dev.mean, dev.std_error, over.mean, over.std_error)
+    header = "s,n_reps,seed,estimate,stderr,overshoot_mean,overshoot_stderr,wald_residual"
+    _write_csv(cfg["csv"], header, [(*row, est.wald)])
     return 0
 
 
-def _cmd_simulate_passage(args: argparse.Namespace) -> int:
-    cfg = _simulate_config(args, "passage", "sub")
-    spec = subordinator.parse_subordinator(cfg.spec)
-    dev, violations = subordinator.mc_passage(spec, cfg.s, cfg.reps, cfg.seed, cfg.threads)
-    lines = [
-        "s,n_reps,seed,estimate,stderr,coupling_violation_fraction",
-        ",".join(
-            [
-                _fmt(cfg.s),
-                str(cfg.reps),
-                str(cfg.seed),
-                _fmt(dev.mean),
-                _fmt(dev.std_error),
-                _fmt(violations),
-            ]
-        ),
-    ]
-    _write_csv(cfg.csv, lines)
+def _cmd_simulate_passage(cfg: dict) -> int:
+    spec = subordinator.parse_subordinator(cfg["sub"])
+    dev, violations = subordinator.mc_passage(
+        spec, cfg["s"], cfg["reps"], cfg["seed"], cfg["threads"]
+    )
+    row = (cfg["s"], cfg["reps"], cfg["seed"], dev.mean, dev.std_error, violations)
+    header = "s,n_reps,seed,estimate,stderr,coupling_violation_fraction"
+    _write_csv(cfg["csv"], header, [row])
     return 0
 
 
-def _cmd_converge(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    side = (getattr(args, "side", None) or config.get("side") or "").strip().lower()
-    if side not in ("renewal", "passage"):
-        raise ConfigError(f"side: must be renewal or passage, got {side!r}")
-    spec_flag = "dist" if side == "renewal" else "sub"
-    keys = ["side", "case", spec_flag, "ell", "s_grid", "reps", "seed", "csv", "threads"]
-    mapping = _merge(args, config, keys)
-    cfg = ConvergeConfig(
-        side=side,
-        case=_case(mapping),
-        spec=str(_require(mapping, spec_flag)),
-        ell=str(mapping["ell"]) if mapping.get("ell") is not None else None,
-        s_grid=_parse_s_grid(mapping.get("s_grid")),
-        reps=int(_positive(mapping, "reps", kind=int)),
-        seed=_seed(mapping),
-        csv=str(_require(mapping, "csv")),
-        threads=int(mapping["threads"]) if mapping.get("threads") is not None else None,
-    )
-    ell = scaling.parse_slowly_varying(cfg.ell) if cfg.ell is not None else None
-    if side == "renewal":
-        spec = distributions.parse_interarrival(cfg.spec)
+def _cmd_converge(cfg: dict) -> int:
+    # the side picks which spec option is read; the other one is ignored
+    if cfg["side"] == "renewal":
+        spec_key, parse = "dist", distributions.parse_interarrival
     else:
-        spec = subordinator.parse_subordinator(cfg.spec)
+        spec_key, parse = "sub", subordinator.parse_subordinator
+    if cfg[spec_key] is None:
+        raise ConfigError(f"{spec_key}: required but not supplied")
+    ell = scaling.parse_slowly_varying(cfg["ell"]) if cfg["ell"] is not None else None
+    spec = parse(cfg[spec_key])
     rows = renewal.convergence_table(
-        spec, cfg.case, ell, cfg.s_grid, cfg.reps, cfg.seed, cfg.threads
+        spec, cfg["case"], ell, cfg["s_grid"], cfg["reps"], cfg["seed"], cfg["threads"]
     )
-    lines = [renewal.CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row.s),
-                    str(row.n_reps),
-                    _fmt(row.estimate),
-                    _fmt(row.stderr),
-                    _fmt(row.normalizer),
-                    _fmt(row.ratio),
-                    _fmt(row.limit),
-                    _fmt(row.rel_gap),
-                ]
-            )
-        )
-    _write_csv(cfg.csv, lines)
+    # the fields of a row are the CSV columns, in order
+    _write_csv(cfg["csv"], renewal.CSV_HEADER, map(astuple, rows))
     return 0
 
 
-def _cmd_selfcheck(args: argparse.Namespace) -> int:
-    mapping = _merge(args, _load_config(args.config), ["seed"])
-    seed = _seed(mapping) if mapping.get("seed") is not None else 20240801
+def _cmd_selfcheck(cfg: dict) -> int:
+    seed = cfg["seed"]
     failures = 0
 
     def report(name: str, ok: bool, detail: str) -> None:
@@ -389,14 +327,8 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
     report("moment-closed-vs-quadrature", worst <= 1e-6, f"max rel diff {_fmt(worst)}")
 
     # Monte Carlo side of the triangle at alpha = 1.5, r = 0.5
-    alpha, r, n = 1.5, 0.5, 200_000
-    params = distributions.StableParams.from_alpha(alpha)
-    draws = params.sample(replication_rng(stream_base(seed), 0), size=n)
-    powered = abs(draws) ** r
-    mc_mean = float(powered.mean())
-    mc_se = float(powered.std(ddof=1)) / math.sqrt(n)
-    closed = limits.stable_abs_moment(alpha, r)
-    z = abs(mc_mean - closed) / mc_se
+    mc = limits.stable_abs_moment_mc(1.5, 0.5, 200_000, seed)
+    z = abs(mc.mean - limits.stable_abs_moment(1.5, 0.5)) / mc.std_error
     report("moment-monte-carlo", z <= 4.0, f"|z| = {_fmt(z)}")
 
     # coupling invariant on exact paths
@@ -421,11 +353,8 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
     report("poisson-oracle-vs-mc", z <= 4.0, f"|z| = {_fmt(z)}")
     asym = renewal.exact_abs_deviation_poisson(1e4) / math.sqrt(1e4)
     target = math.sqrt(2.0 / math.pi)
-    report(
-        "poisson-oracle-asymptote",
-        abs(asym / target - 1.0) <= 0.01,
-        f"value {_fmt(asym)} vs {_fmt(target)}",
-    )
+    ok = abs(asym / target - 1.0) <= 0.01
+    report("poisson-oracle-asymptote", ok, f"value {_fmt(asym)} vs {_fmt(target)}")
 
     # scaling solver residual invariant
     ell = scaling.LogShifted(2.0, math.e)
@@ -443,86 +372,39 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
 # parser construction
 # ---------------------------------------------------------------------------
 
+#: (help, body) per command; a two-word name is a subcommand of the first word
+COMMANDS: dict[str, tuple[str, Callable[[dict], int]]] = {
+    "moment": ("fractional absolute moment of the stable limit law", _cmd_moment),
+    "limit": ("print the limit constant for a convergence case", _cmd_limit),
+    "scaling": ("solve the scaling-function equation at one point", _cmd_scaling),
+    "simulate renewal": ("renewal counting process at level s", _cmd_simulate_renewal),
+    "simulate passage": ("subordinator first passage of level s", _cmd_simulate_passage),
+    "converge": ("convergence table against the case limit", _cmd_converge),
+    "selfcheck": ("run the built-in oracle and invariant checks", _cmd_selfcheck),
+}
+_GROUP_HELP = {"simulate": "Monte Carlo simulation runs"}
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse front end of ``TABLES``: every option is a plain string
+    here, and ``resolve`` checks it."""
     parser = argparse.ArgumentParser(
         prog="renewlim",
         description="Simulation and numerical verification toolkit for renewal "
         "counting and subordinator first-passage limit behaviour.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_config(p: argparse.ArgumentParser) -> None:
+    groups = {}
+    for name, (help_text, _) in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group and group not in groups:
+            p = sub.add_parser(group, help=_GROUP_HELP[group])
+            groups[group] = p.add_subparsers(dest="target", required=True)
+        p = (groups[group] if group else sub).add_parser(leaf, help=help_text)
+        for opt in TABLES[name]:
+            p.add_argument(*opt.flags, dest=opt.key, help=opt.help)
         p.add_argument("--config", help="JSON config file; flags override its values")
-
-    p = sub.add_parser("moment", help="fractional absolute moment of the stable limit law")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--method", help="comma list from closed,quadrature,mc")
-    p.add_argument("--n", type=int, help="Monte Carlo sample count for --method mc")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float, help="absolute tolerance for the quadrature route")
-    add_config(p)
-    p.set_defaults(func=_cmd_moment)
-
-    p = sub.add_parser("limit", help="print the limit constant for a convergence case")
-    p.add_argument("--case", choices=limits.CASES)
-    p.add_argument("--mu", "--m", dest="mu", type=float)
-    p.add_argument("--sigma", "--b", dest="sigma", type=float)
-    p.add_argument("--alpha", type=float)
-    add_config(p)
-    p.set_defaults(func=_cmd_limit)
-
-    p = sub.add_parser("scaling", help="solve the scaling-function equation at one point")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--ell", help="slowly varying spec, e.g. const:1.0")
-    p.add_argument("--x", type=float)
-    p.add_argument("--tol", type=float)
-    add_config(p)
-    p.set_defaults(func=_cmd_scaling)
-
-    p = sub.add_parser("simulate", help="Monte Carlo simulation runs")
-    sim_sub = p.add_subparsers(dest="target", required=True)
-
-    ps = sim_sub.add_parser("renewal", help="renewal counting process at level s")
-    ps.add_argument("--dist", help="inter-arrival spec, e.g. exp:1.0")
-    ps.add_argument("--s", type=float)
-    ps.add_argument("--reps", type=int)
-    ps.add_argument("--seed", type=int)
-    ps.add_argument("--csv", help="output path; stdout when omitted")
-    ps.add_argument("--threads", type=int)
-    add_config(ps)
-    ps.set_defaults(func=_cmd_simulate_renewal)
-
-    ps = sim_sub.add_parser("passage", help="subordinator first passage of level s")
-    ps.add_argument("--sub", help="subordinator spec, e.g. cp:rate=1.0,jump=exp:1.0")
-    ps.add_argument("--s", type=float)
-    ps.add_argument("--reps", type=int)
-    ps.add_argument("--seed", type=int)
-    ps.add_argument("--csv", help="output path; stdout when omitted")
-    ps.add_argument("--threads", type=int)
-    add_config(ps)
-    ps.set_defaults(func=_cmd_simulate_passage)
-
-    p = sub.add_parser("converge", help="convergence table against the case limit")
-    p.add_argument("--side", choices=("renewal", "passage"))
-    p.add_argument("--case", choices=limits.CASES)
-    p.add_argument("--dist", help="inter-arrival spec (side renewal)")
-    p.add_argument("--sub", help="subordinator spec (side passage)")
-    p.add_argument("--ell", help="slowly varying spec for c(s) (cases a2/a3/b2/b3)")
-    p.add_argument("--s-grid", dest="s_grid", help="comma list of increasing levels")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--csv")
-    p.add_argument("--threads", type=int)
-    add_config(p)
-    p.set_defaults(func=_cmd_converge)
-
-    p = sub.add_parser("selfcheck", help="run the built-in oracle and invariant checks")
-    p.add_argument("--seed", type=int)
-    add_config(p)
-    p.set_defaults(func=_cmd_selfcheck)
-
+        p.set_defaults(command_name=name)
     return parser
 
 
@@ -533,16 +415,13 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (ConfigError, SpecParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvariantError, NoBracketError, ToleranceNotMetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        cfg = resolve(args.command_name, args, _load_config(args.config))
+        return COMMANDS[args.command_name][1](cfg)
     except RenewlimError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # failed checks (InvariantError, NoBracketError, ToleranceNotMetError)
+        # are RuntimeErrors and exit 1; bad input is a ValueError and exits 2
+        return 1 if isinstance(exc, RuntimeError) else 2
 
 
 def main() -> None:

@@ -24,7 +24,6 @@ __all__ = [
     "Deterministic",
     "Uniform",
     "Pareto",
-    "ParetoBoundary",
     "StableParams",
     "parse_interarrival",
 ]
@@ -81,10 +80,6 @@ class Interarrival(ABC):
     def second_moment(self) -> float:
         v = self.variance()
         return math.inf if math.isinf(v) else v + self.mean() ** 2
-
-    def lattice_span(self) -> float | None:
-        """Span d for lattice laws, None for non-lattice laws."""
-        return None
 
     def moment_regime(self) -> str | None:
         """Which convergence case the law belongs to.
@@ -184,9 +179,6 @@ class Deterministic(Interarrival):
             return self.d
         return np.full(size, self.d)
 
-    def lattice_span(self):
-        return self.d
-
     def spec_string(self):
         return f"det:{self.d!r}"
 
@@ -251,7 +243,9 @@ class Pareto(Interarrival):
     """Pareto law on [x_min, inf) with tail (x_min/x)**alpha, alpha in (1, 2].
 
     The mean is finite, the variance is infinite throughout the allowed
-    alpha range.  alpha = 2 coincides with ParetoBoundary.
+    alpha range.  alpha = 2 is the boundary law, density 2*x_min**2 * y**-3,
+    whose truncated second moment 2*x_min**2*log(x/x_min) is slowly varying;
+    the spec ``pareto2:XMIN`` is short for ``pareto:2,XMIN``.
     """
 
     alpha: float
@@ -304,59 +298,6 @@ class Pareto(Interarrival):
 
     def spec_string(self):
         return f"pareto:{self.alpha!r},{self.x_min!r}"
-
-
-@dataclass(frozen=True)
-class ParetoBoundary(Interarrival):
-    """Density 2*x_min**2 * y**-3 on [x_min, inf): tail exactly (x_min/x)**2.
-
-    The boundary law: infinite variance, but the truncated second moment
-    2*x_min**2*log(x/x_min) is slowly varying.
-    """
-
-    x_min: float
-
-    def __post_init__(self):
-        if not self.x_min > 0.0:
-            raise DomainError(f"ParetoBoundary x_min must be positive, got {self.x_min}")
-
-    def mean(self):
-        return 2.0 * self.x_min
-
-    def variance(self):
-        return math.inf
-
-    def tail(self, x):
-        if x <= self.x_min:
-            return 1.0
-        return (self.x_min / x) ** 2
-
-    def truncated_second_moment(self, x):
-        if x <= self.x_min:
-            return 0.0
-        return 2.0 * self.x_min**2 * math.log(x / self.x_min)
-
-    def truncated_mean(self, k):
-        if k <= self.x_min:
-            return max(k, 0.0)
-        return 2.0 * self.x_min - self.x_min**2 / k
-
-    def raw_fill(self, rng, out):
-        return rng.random(out=out)
-
-    def finish(self, out):
-        return _inverse_power(out, self.x_min, -0.5)
-
-    def sample(self, rng, size=None, out=None):
-        if out is None:
-            return self.x_min * (1.0 - rng.random(size)) ** -0.5
-        return self.finish(self.raw_fill(rng, out))
-
-    def moment_regime(self):
-        return "a2"
-
-    def spec_string(self):
-        return f"pareto2:{self.x_min!r}"
 
 
 def _inverse_power(out, x_min, exponent):
@@ -471,7 +412,8 @@ _ARITY = {"exp": 1, "det": 1, "unif": 2, "pareto": 2, "pareto2": 1}
 
 def parse_interarrival(text: str) -> Interarrival:
     """Parse ``exp:1.0``, ``det:2.0``, ``unif:0,1``, ``pareto:1.5,1.0``,
-    ``pareto2:1.0``.  Unknown names and wrong arity are errors."""
+    ``pareto2:1.0`` (the same law as ``pareto:2,1.0``).  Unknown names and
+    wrong arity are errors."""
     name, sep, argtext = text.strip().partition(":")
     name = name.strip().lower()
     if not sep or name not in _ARITY:
@@ -496,6 +438,6 @@ def parse_interarrival(text: str) -> Interarrival:
             return Uniform(args[0], args[1])
         if name == "pareto":
             return Pareto(args[0], args[1])
-        return ParetoBoundary(args[0])
+        return Pareto(2.0, args[0])
     except DomainError as exc:
         raise SpecParseError(f"invalid distribution spec {text!r}: {exc}") from None

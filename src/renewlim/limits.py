@@ -31,11 +31,13 @@ import numpy as np
 
 from .distributions import StableParams
 from .errors import DomainError, ParameterMismatchError, PoleError, ToleranceNotMetError
+from .montecarlo import MCEstimate, replication_rng, stream_base
 
 __all__ = [
     "gamma_fn",
     "stable_abs_moment",
     "stable_abs_moment_quadrature",
+    "stable_abs_moment_mc",
     "CASES",
     "LimitCase",
     "limit_constant",
@@ -219,6 +221,23 @@ def stable_abs_moment_quadrature(alpha: float, r: float, tol: float = 1e-9) -> f
             f"quadrature error {error:.3e} exceeds tol {tol:.3e} at alpha={alpha}, r={r}"
         )
     return value
+
+
+def stable_abs_moment_mc(alpha: float, r: float, n: int, master_seed: int) -> MCEstimate:
+    """Monte Carlo estimate of E|W|^r, 0 < r < alpha, from n exact draws of W.
+
+    The draws come from ``StableParams.sample`` on replication 0's stream of
+    ``master_seed``.  The mean and the standard error std(ddof=1)/sqrt(n) of
+    |W|^r are numpy reductions.  The standard error is valid only when
+    |W|^r has a finite variance, that is for 2r < alpha.  One draw gives a
+    standard error of 0.0, as in ``montecarlo.estimate_from_values``.
+    """
+    _validate_moment_args(alpha, r)
+    rng = replication_rng(stream_base(master_seed), 0)
+    draws = StableParams.from_alpha(alpha).sample(rng, size=n)
+    powered = abs(draws) ** r
+    se = float(powered.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    return MCEstimate(mean=float(powered.mean()), std_error=se, n_reps=n, master_seed=master_seed)
 
 
 #: the six convergence cases: a* for renewal counts, b* for passage times

@@ -39,8 +39,6 @@ __all__ = [
     "RenewalEstimates",
     "renewal_estimates",
     "mc_abs_deviation",
-    "mc_overshoot_mean",
-    "wald_residual",
     "exact_abs_deviation_poisson",
     "ConvergenceRow",
     "convergence_table",
@@ -77,9 +75,15 @@ def simulate_renewal(
 class RenewalEstimates:
     """Every renewal estimate at one level, from one walk per replication.
 
-    ``deviation`` estimates E|N(s) - s/mu|, ``overshoot`` the mean
-    overshoot E(S_{N(s)} - s), and ``wald`` is the coupled studentized
-    residual of E S_{N(s)} = mu * E N(s) (see ``wald_residual``).
+    ``deviation`` estimates E|N(s) - s/mu| and ``overshoot`` the mean
+    overshoot E(S_{N(s)} - s).
+
+    ``wald`` is the coupled studentized residual of E S_{N(s)} = mu * E N(s).
+    Both expectations are estimated on the same replications, so the
+    identity holds exactly path by path up to Monte Carlo noise and the
+    value is (mean difference) / (SE of the difference), a standard normal
+    deviate for a correct implementation.  It is 0.0 for degenerate
+    (zero-variance) differences.
     """
 
     deviation: MCEstimate
@@ -141,35 +145,6 @@ def mc_abs_deviation(
 ) -> MCEstimate:
     """Monte Carlo estimate of E|N(s) - s/mu|."""
     return renewal_estimates(spec, s, n_reps, master_seed, threads).deviation
-
-
-def mc_overshoot_mean(
-    spec: Interarrival,
-    s: float,
-    n_reps: int,
-    master_seed: int,
-    threads: int | None = None,
-) -> MCEstimate:
-    """Monte Carlo estimate of the mean overshoot E(S_{N(s)} - s)."""
-    return renewal_estimates(spec, s, n_reps, master_seed, threads).overshoot
-
-
-def wald_residual(
-    spec: Interarrival,
-    t: float,
-    n_reps: int,
-    master_seed: int,
-    threads: int | None = None,
-) -> float:
-    """Coupled studentized residual of E S_{N(t)} = mu * E N(t).
-
-    Both expectations are estimated on the same replications, so the
-    identity holds exactly path by path up to Monte Carlo noise and the
-    returned value is (mean difference) / (SE of the difference), a
-    standard normal deviate for a correct implementation.  Returns 0.0
-    for degenerate (zero-variance) differences.
-    """
-    return renewal_estimates(spec, t, n_reps, master_seed, threads).wald
 
 
 def exact_abs_deviation_poisson(s: float) -> float:
@@ -266,8 +241,9 @@ def convergence_table(
     """
     case = case.strip().lower()
     grid = [float(s) for s in s_grid]
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError(f"s_grid must be nonempty and strictly increasing, got {s_grid}")
+    finite = all(map(math.isfinite, grid))
+    if not grid or not finite or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise DomainError(f"s_grid: must be nonempty, finite and strictly increasing, got {s_grid}")
     lc = _limit_case(spec, case, ell)
     limit = limit_constant(lc)
     estimate = mc_passage_abs_deviation if isinstance(spec, Subordinator) else mc_abs_deviation

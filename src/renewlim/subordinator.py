@@ -24,8 +24,6 @@ __all__ = [
     "Subordinator",
     "CompoundPoisson",
     "GammaSubordinator",
-    "PassageObservation",
-    "simulate_passage",
     "mc_passage_abs_deviation",
     "mc_passage",
     "coupling_check",
@@ -166,19 +164,6 @@ class GammaSubordinator(Subordinator):
         return f"gamma:shape={self.shape!r},rate={self.rate!r},grid={self.grid_step!r}"
 
 
-@dataclass(frozen=True)
-class PassageObservation:
-    """First passage of level s together with the integer-skeleton count.
-
-    For exact (compound Poisson) paths, n_star - t_passage lies in [0, 1]
-    and S jumps above s exactly at t_passage.
-    """
-
-    t_passage: float
-    n_star: int
-    s_level: float
-
-
 def _simulate_cp_path(
     spec: CompoundPoisson, s: float, rng: np.random.Generator, want_n_star: bool
 ) -> tuple[float, int]:
@@ -237,24 +222,6 @@ def _simulate_gamma_path(
         ks = np.arange(1, math.floor(t_passage) + 2)
         n_star = 1 + int(np.count_nonzero(np.floor(ks / h + 0.5) <= k_star - 1))
     return t_passage, n_star
-
-
-def simulate_passage(
-    spec: Subordinator, s: float, rng: np.random.Generator
-) -> PassageObservation:
-    """First-passage observation of level s, with the skeleton count."""
-    if not s > 0.0:
-        raise DomainError(f"s must be positive, got {s}")
-    if isinstance(spec, CompoundPoisson):
-        t_passage, n_star = _simulate_cp_path(spec, s, rng, want_n_star=True)
-        coupling = n_star - t_passage
-        if not 0.0 <= coupling <= 1.0:
-            raise InvariantError(
-                f"coupling violated: N*-T = {coupling}; spec={spec.spec_string()}, s={s}"
-            )
-    else:
-        t_passage, n_star = _simulate_gamma_path(spec, s, rng, want_n_star=True)
-    return PassageObservation(t_passage=t_passage, n_star=n_star, s_level=s)
 
 
 def _walk_passages(

@@ -506,3 +506,70 @@ def test_argv_fuzz_never_leaks_a_traceback(tmp_path, capsys, argv):
     code, _, err = run_capture(capsys, argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+def _config_value(text: str):
+    """A drawn flag value as a config file holds it: a number whose JSON
+    spelling is the flag's text becomes a JSON number, anything else stays
+    a JSON string."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return text
+    return value if type(value) in (int, float) and json.dumps(value) == text else text
+
+
+@given(argv=_argvs())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_config_file_agrees_with_argv(tmp_path, capsys, argv):
+    command = argv[:2] if argv[0] == "simulate" else argv[:1]
+    pairs = list(zip(argv[len(command) :: 2], argv[len(command) + 1 :: 2]))
+    # --flag=value, so that argparse hands a value such as -inf to the validator
+    argv = [*command, *(f"{flag}={value}" for flag, value in pairs)]
+    config = {flag[2:].replace("-", "_"): _config_value(value) for flag, value in pairs}
+    csvs = [tmp_path / "argv.csv", tmp_path / "config.csv"]
+    for csv in csvs:
+        csv.unlink(missing_ok=True)
+    if argv[0] == "converge":
+        argv = argv + ["--csv", str(csvs[0])]
+        config["csv"] = str(csvs[1])
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(config))
+    results = []
+    for form in (argv, [*command, "--config", str(path)]):
+        code, out, err = run_capture(capsys, form)
+        assert "Traceback" not in err
+        assert code in (0, 1, 2)
+        results.append((code, out, err.splitlines()[:1]))
+    assert results[0] == results[1], (argv, config)
+    written = [csv.read_bytes() if csv.exists() else None for csv in csvs]
+    assert written[0] == written[1]
+
+
+_SIMULATE = ["simulate", "renewal", "--dist", "exp:1.0", "--s", "10"]
+
+
+@pytest.mark.parametrize(
+    "argv,field,value",
+    [
+        (["limit", "--case", "a1", "--mu", "1"], "sigma", "abc"),
+        (["limit", "--case", "a1", "--mu", "1"], "sigma", [1]),
+        (["limit", "--case", "a3", "--mu", "1"], "alpha", "abc"),
+        (["moment", "--r", "0.5"], "alpha", "abc"),
+        ([*_SIMULATE, "--reps", "10", "--seed", "1"], "threads", "abc"),
+        ([*_SIMULATE, "--seed", "1"], "reps", 10.7),
+        ([*_SIMULATE, "--seed", "1"], "reps", True),
+        (["moment", "--alpha", "1.5", "--r", "0.5", "--method", "mc"], "n", 10.7),
+        (["moment", "--alpha", "1.5", "--r", "0.5", "--method", "mc"], "n", True),
+        ([*_SIMULATE, "--reps", "10"], "seed", 1.9),
+    ],
+)
+def test_bad_config_values_exit_2_with_one_line(tmp_path, capsys, argv, field, value):
+    # the file value and the same value as a flag fail the same validator
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({field: value}))
+    for form in (argv + ["--config", str(path)], argv + [f"--{field}", str(value)]):
+        code, out, err = run_capture(capsys, form)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field}: expected ") and err.count("\n") == 1

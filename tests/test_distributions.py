@@ -12,7 +12,6 @@ from renewlim import (
     DomainError,
     Exponential,
     Pareto,
-    ParetoBoundary,
     SpecParseError,
     StableParams,
     Uniform,
@@ -21,13 +20,8 @@ from renewlim import (
 )
 from renewlim.montecarlo import replication_rng, stream_base
 
-ZOO = [
-    Exponential(1.0),
-    Deterministic(2.0),
-    Uniform(0.0, 1.0),
-    Pareto(1.5, 1.0),
-    ParetoBoundary(1.0),
-]
+# spec strings; pareto2:1.0 is the boundary law Pareto(2.0, 1.0) by its alias
+ZOO = ["exp:1.0", "det:2.0", "unif:0.0,1.0", "pareto:1.5,1.0", "pareto2:1.0"]
 
 
 def rng_for(seed, rep=0):
@@ -39,13 +33,13 @@ def test_means():
     assert Pareto(1.5, 1.0).mean() == 3.0
     assert Deterministic(2.0).mean() == 2.0
     assert Uniform(0.0, 1.0).mean() == 0.5
-    assert ParetoBoundary(1.0).mean() == 2.0
+    assert Pareto(2.0, 1.0).mean() == 2.0
 
 
 def test_variances():
     assert Exponential(1.0).variance() == 1.0
     assert math.isinf(Pareto(1.5, 1.0).variance())
-    assert math.isinf(ParetoBoundary(1.0).variance())
+    assert math.isinf(Pareto(2.0, 1.0).variance())
     assert Uniform(0.0, 1.0).variance() == pytest.approx(1.0 / 12.0, rel=1e-15)
     assert Deterministic(2.0).variance() == 0.0
 
@@ -60,25 +54,26 @@ def test_tails():
 
 def test_truncated_second_moment_closed_forms():
     # boundary law: integral of y^2 * 2 y^-3 over [1, x] is exactly 2 log x
-    pb = ParetoBoundary(1.0)
+    pb = Pareto(2.0, 1.0)
     for x in (1.5, 4.0, 100.0):
         assert pb.truncated_second_moment(x) == pytest.approx(2.0 * math.log(x), rel=1e-14)
     assert Deterministic(2.0).truncated_second_moment(1.0) == 0.0
     assert Deterministic(2.0).truncated_second_moment(3.0) == 4.0
 
 
-@pytest.mark.parametrize("spec", ZOO, ids=lambda s: s.spec_string())
-def test_truncated_second_moment_vs_quadrature(spec):
+@pytest.mark.parametrize("text", ZOO)
+def test_truncated_second_moment_vs_quadrature(text):
     # independent oracle: adaptive quadrature of y^2 against the density
+    spec = parse_interarrival(text)
     if isinstance(spec, Deterministic):
         pytest.skip("atomic law has no density")
     grids = {
-        Exponential: (0.0, 3.0, lambda y: math.exp(-y)),
-        Uniform: (0.0, 0.8, lambda y: 1.0),
-        Pareto: (1.0, 4.0, lambda y: 1.5 * y**-2.5),
-        ParetoBoundary: (1.0, 4.0, lambda y: 2.0 * y**-3.0),
+        "exp:1.0": (0.0, 3.0, lambda y: math.exp(-y)),
+        "unif:0.0,1.0": (0.0, 0.8, lambda y: 1.0),
+        "pareto:1.5,1.0": (1.0, 4.0, lambda y: 1.5 * y**-2.5),
+        "pareto2:1.0": (1.0, 4.0, lambda y: 2.0 * y**-3.0),
     }
-    lo, x, density = grids[type(spec)]
+    lo, x, density = grids[text]
     val, err = integrate.quad(lambda y: y * y * density(y), lo, x, epsabs=1e-13)
     assert err < 1e-9
     assert spec.truncated_second_moment(x) == pytest.approx(val, abs=1e-10)
@@ -97,9 +92,10 @@ def test_deterministic_sampling():
     assert np.all(spec.sample(rng_for(0), size=10) == 2.0)
 
 
-@pytest.mark.parametrize("spec", ZOO, ids=lambda s: s.spec_string())
-def test_truncated_sample_mean_within_4se(spec):
+@pytest.mark.parametrize("text", ZOO)
+def test_truncated_sample_mean_within_4se(text):
     # light-tailed statistic even for the heavy-tail members
+    spec = parse_interarrival(text)
     k = 3.0 * spec.mean()
     draws = np.minimum(spec.sample(rng_for(11, rep=hash(spec.spec_string()) % 100), size=10**6), k)
     mc = draws.mean()
@@ -112,12 +108,11 @@ def test_truncated_sample_mean_within_4se(spec):
 
 
 @pytest.mark.parametrize(
-    "spec",
-    ZOO + [Exponential(2.5), Exponential(0.3), Uniform(0.5, 3.0), Pareto(1.2, 0.7), Pareto(2.0, 3.0)],
-    ids=lambda s: s.spec_string(),
+    "text", ZOO + ["exp:2.5", "exp:0.3", "unif:0.5,3.0", "pareto:1.2,0.7", "pareto:2.0,3.0"]
 )
-def test_sample_in_place_matches_sized_draws(spec):
+def test_sample_in_place_matches_sized_draws(text):
     # the crossing walk draws into a slice of a dirty, longer buffer
+    spec = parse_interarrival(text)
     n = 1000
     buf = np.full(n + 17, np.nan)
     got = spec.sample(rng_for(8), out=buf[:n])
@@ -268,8 +263,9 @@ def test_stable_from_alpha_rejects_outside_interval():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("spec", ZOO, ids=lambda s: s.spec_string())
-def test_grammar_round_trip(spec):
+@pytest.mark.parametrize("text", ZOO)
+def test_grammar_round_trip(text):
+    spec = parse_interarrival(text)
     assert parse_interarrival(spec.spec_string()) == spec
 
 
@@ -280,6 +276,12 @@ def test_grammar_round_trip(spec):
 def test_grammar_parses(text):
     spec = parse_interarrival(text)
     assert spec.spec_string()
+
+
+def test_pareto2_is_pareto_with_alpha_2():
+    spec = parse_interarrival("pareto2:1.5")
+    assert spec == Pareto(2.0, 1.5)
+    assert spec.spec_string() == "pareto:2.0,1.5"
 
 
 @pytest.mark.parametrize(
@@ -297,14 +299,6 @@ def test_moment_regimes():
     assert Deterministic(1.0).moment_regime() is None
     assert Pareto(1.5, 1.0).moment_regime() == "a3"
     assert Pareto(2.0, 1.0).moment_regime() == "a2"
-    assert ParetoBoundary(1.0).moment_regime() == "a2"
-
-
-def test_lattice_span():
-    assert Deterministic(2.0).lattice_span() == 2.0
-    for spec in ZOO:
-        if not isinstance(spec, Deterministic):
-            assert spec.lattice_span() is None
 
 
 def test_domain_validation():
@@ -315,4 +309,4 @@ def test_domain_validation():
     with pytest.raises(DomainError):
         Pareto(2.5, 1.0)
     with pytest.raises(DomainError):
-        ParetoBoundary(-1.0)
+        Pareto(2.0, -1.0)

@@ -16,6 +16,7 @@ from renewlim import (
     gamma_fn,
     limit_constant,
     stable_abs_moment,
+    stable_abs_moment_mc,
     stable_abs_moment_quadrature,
 )
 from renewlim.limits import _abs_moment_quadrature
@@ -166,6 +167,8 @@ def test_moment_domain_errors():
         stable_abs_moment(2.0, 1.0)
     with pytest.raises(DomainError):
         stable_abs_moment_quadrature(1.5, 1.5, 1e-9)
+    with pytest.raises(DomainError):
+        stable_abs_moment_mc(1.5, 1.5, 10, 0)
 
 
 def test_moment_positive_and_continuous_in_r():
@@ -193,11 +196,14 @@ def test_moment_blows_up_at_alpha():
 
 def test_monte_carlo_three_way_consistency():
     alpha, r, n = 1.5, 0.5, 200_000
+    est = stable_abs_moment_mc(alpha, r, n, 31)
+    # the estimator is the numpy mean and SE of |W|^r over replication 0's stream
     p = StableParams.from_alpha(alpha)
     vals = np.abs(p.sample(replication_rng(stream_base(31), 0), size=n)) ** r
     se = vals.std(ddof=1) / math.sqrt(n)
+    assert (est.mean, est.std_error, est.n_reps) == (float(vals.mean()), float(se), n)
     quad = stable_abs_moment_quadrature(alpha, r, tol=1e-9)
-    assert abs(float(vals.mean()) - quad) <= 4.0 * se
+    assert abs(est.mean - quad) <= 4.0 * est.std_error
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,12 @@ from renewlim import (
     Exponential,
     LogPower,
     Pareto,
-    ParetoBoundary,
     Uniform,
     convergence_table,
     exact_abs_deviation_poisson,
     mc_abs_deviation,
-    mc_overshoot_mean,
     renewal_estimates,
     simulate_renewal,
-    wald_residual,
 )
 from renewlim.montecarlo import block_rows, estimate_from_values, replication_rng, stream_base
 
@@ -78,7 +75,7 @@ def test_poisson_count_gof():
 
 
 def test_exponential_overshoot_memoryless():
-    est = mc_overshoot_mean(Exponential(1.0), 50.0, 20_000, SEED)
+    est = renewal_estimates(Exponential(1.0), 50.0, 20_000, SEED).overshoot
     assert abs(est.mean - 1.0) <= 3.0 * est.std_error
 
 
@@ -86,7 +83,7 @@ def test_deterministic_abs_deviation_and_overshoot():
     est = mc_abs_deviation(Deterministic(1.0), 2.5, 100, SEED)
     assert est.mean == 0.5
     assert est.std_error == 0.0
-    est = mc_overshoot_mean(Deterministic(1.0), 2.5, 100, SEED)
+    est = renewal_estimates(Deterministic(1.0), 2.5, 100, SEED).overshoot
     assert est.mean == 0.5
     assert est.std_error == 0.0
 
@@ -129,15 +126,15 @@ def test_oracle_vs_monte_carlo_at_s100():
 
 
 def test_wald_exponential():
-    assert abs(wald_residual(Exponential(1.0), 100.0, 100_000, SEED)) <= 4.0
+    assert abs(renewal_estimates(Exponential(1.0), 100.0, 100_000, SEED).wald) <= 4.0
 
 
 def test_wald_deterministic_exact_zero():
-    assert wald_residual(Deterministic(1.0), 2.5, 100, SEED) == 0.0
+    assert renewal_estimates(Deterministic(1.0), 2.5, 100, SEED).wald == 0.0
 
 
 def test_wald_heavy_tail():
-    assert abs(wald_residual(Pareto(1.5, 1.0), 1000.0, 100_000, SEED)) <= 4.0
+    assert abs(renewal_estimates(Pareto(1.5, 1.0), 1000.0, 100_000, SEED).wald) <= 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +147,8 @@ def test_overshoot_growth_heavy_tail():
     # the summands have an infinite second moment so the sample size must
     # be large for the ratio test to resolve the trend
     means = [
-        mc_overshoot_mean(Pareto(1.5, 1.0), s, 100_000, SEED).mean for s in (1e3, 1e4, 1e5)
+        renewal_estimates(Pareto(1.5, 1.0), s, 100_000, SEED).overshoot.mean
+        for s in (1e3, 1e4, 1e5)
     ]
     assert means[0] < means[1] < means[2]
     for ratio in (means[1] / means[0], means[2] / means[1]):
@@ -180,7 +178,7 @@ def test_table_case_mismatch():
     with pytest.raises(CaseMismatchError):
         convergence_table(Pareto(1.5, 1.0), "a2", LogPower(2.0, 1.0), [10.0], 10, SEED)
     with pytest.raises(CaseMismatchError):
-        convergence_table(ParetoBoundary(1.0), "a2", None, [10.0], 10, SEED)  # no ell
+        convergence_table(Pareto(2.0, 1.0), "a2", None, [10.0], 10, SEED)  # no ell
 
 
 def test_table_grid_validation():
@@ -188,10 +186,12 @@ def test_table_grid_validation():
         convergence_table(Exponential(1.0), "a1", None, [], 10, SEED)
     with pytest.raises(DomainError):
         convergence_table(Exponential(1.0), "a1", None, [10.0, 5.0], 10, SEED)
+    with pytest.raises(DomainError, match="s_grid: must be nonempty, finite and"):
+        convergence_table(Exponential(1.0), "a1", None, [10.0, math.inf], 10, SEED)
 
 
 def test_table_small_a2_structure():
-    rows = convergence_table(ParetoBoundary(1.0), "a2", LogPower(2.0, 1.0), [50.0, 500.0], 2000, SEED)
+    rows = convergence_table(Pareto(2.0, 1.0), "a2", LogPower(2.0, 1.0), [50.0, 500.0], 2000, SEED)
     for row in rows:
         c = row.normalizer
         assert abs(row.s * 2.0 * math.log(c) / c**2 - 1.0) <= 1e-10
@@ -255,8 +255,6 @@ def test_n_reps_validation():
 def test_collector_equals_standalone_estimators(spec):
     est = renewal_estimates(spec, 40.0, 300, SEED)
     assert est.deviation == mc_abs_deviation(spec, 40.0, 300, SEED)
-    assert est.overshoot == mc_overshoot_mean(spec, 40.0, 300, SEED)
-    assert est.wald == wald_residual(spec, 40.0, 300, SEED)
     # reference: one fresh generator per replication, one reduction per estimate
     paths = [simulate_renewal(spec, 40.0, rng_for(SEED, rep)) for rep in range(300)]
     counts = np.array([float(p.n_of_t) for p in paths])

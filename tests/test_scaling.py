@@ -17,7 +17,6 @@ from renewlim import (
     NoBracketError,
     ParameterMismatchError,
     Pareto,
-    ParetoBoundary,
     SpecParseError,
     convergence_table,
     limit_constant,
@@ -189,7 +188,7 @@ def test_normalizer_parameter_mismatch():
     with pytest.raises(ParameterMismatchError):
         LimitCase("zz", 1.0)
     with pytest.raises(CaseMismatchError, match="needs a slowly varying ell"):
-        _row(ParetoBoundary(1.0), "a2", None, 100.0)
+        _row(Pareto(2.0, 1.0), "a2", None, 100.0)
 
 
 # ---------------------------------------------------------------------------

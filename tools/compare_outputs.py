@@ -11,14 +11,20 @@ contract (the same argv and seed give the same bytes) reports zero
 differences.
 
 The list covers:
-  - the README commands, with ``--reps`` cut where a run would take minutes;
+  - the README commands, with ``--reps`` cut where a run would take minutes,
+    and each of them again with its flags moved into a ``--config`` file;
   - every zoo law through ``simulate renewal`` at s = 3, 100, 1000 and 1e4;
   - ``selfcheck`` at its default seed and at ``--seed 7``;
   - the operation shapes of the four benchmark workloads (the argv is
     written here, so the benchmark is not imported);
-  - a few bad inputs, whose exit code and message must not move either.
+  - a few bad inputs, whose exit code and message must not move either,
+    and bad values in a config file.
 
-Usage (about 6 minutes on a 2-core box; not part of the test suite):
+For each README command it also checks, on each tree, that the config file
+gives the bytes of the flags: a ``MISMATCH`` line names the fields that
+differ.
+
+Usage (about 7 minutes on a 2-core box; not part of the test suite):
 
     python tools/compare_outputs.py OLD_TREE/src NEW_TREE/src
 """
@@ -27,13 +33,15 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-CSV = "{csv}"  # stands for a fresh CSV path in argv
+CSV = "{csv}"  # stands for a fresh CSV path in argv or in a config file
+CONFIG = "{config}"  # followed by JSON: stands for a file holding that JSON
 ZOO = ("exp:1.0", "det:2.0", "unif:0,1", "pareto:1.5,1.0", "pareto2:1.0")
 
 
@@ -45,8 +53,30 @@ def _passage(sub: str, s: str, reps: int, seed: str) -> tuple[str, ...]:
     return ("simulate", "passage", "--sub", sub, "--s", s, "--reps", str(reps), "--seed", seed)
 
 
-COMMANDS: list[tuple[str, ...]] = [
-    # README
+def _config(words: tuple[str, ...], values: dict) -> tuple[str, ...]:
+    """The command ``words`` reading ``values`` from a config file."""
+    return (*words, "--config", CONFIG + json.dumps(values))
+
+
+def _config_value(text: str):
+    """A number whose JSON spelling is ``text``, else ``text`` itself."""
+    try:
+        value = json.loads(text)
+    except ValueError:
+        return text
+    return value if type(value) in (int, float) and json.dumps(value) == text else text
+
+
+def _via_config(argv: tuple[str, ...]) -> tuple[str, ...]:
+    """``argv`` with all of its flags moved into a config file."""
+    words = argv[:2] if argv[0] == "simulate" else argv[:1]
+    flags = argv[len(words) :]
+    keys = [flag[2:].replace("-", "_") for flag in flags[::2]]
+    return _config(words, dict(zip(keys, map(_config_value, flags[1::2]))))
+
+
+SIMULATE = ("simulate", "renewal")
+README: list[tuple[str, ...]] = [
     ("limit", "--case", "a1", "--mu", "1", "--sigma", "1"),
     ("moment", "--alpha", "1.5", "--r", "1", "--method", "closed,quadrature"),
     ("scaling", "--alpha", "1.5", "--ell", "const:1", "--x", "64"),
@@ -55,8 +85,14 @@ COMMANDS: list[tuple[str, ...]] = [
     ("converge", "--side", "renewal", "--case", "a3", "--dist", "pareto:1.5,1.0",
      "--ell", "const:1", "--s-grid", "1000,10000,100000,1000000", "--reps", "200",
      "--seed", "1", "--csv", CSV),
-    ("selfcheck",),
     ("selfcheck", "--seed", "7"),
+]
+TWINS = [(argv, _via_config(argv)) for argv in README]
+
+COMMANDS: list[tuple[str, ...]] = [
+    *README,
+    ("selfcheck",),
+    *(twin for _, twin in TWINS),
     # every zoo law, from a path of a few steps to one of about 1e4 steps
     *(
         _renewal(dist, s, reps)
@@ -65,6 +101,10 @@ COMMANDS: list[tuple[str, ...]] = [
     ),
     ("converge", "--side", "renewal", "--case", "a1", "--dist", "unif:0,1",
      "--s-grid", "3,100,1e4,1e5", "--reps", "300", "--seed", "5", "--csv", CSV),
+    # pareto2:XMIN is pareto:2,XMIN: the a2 table and a cp jump law
+    ("converge", "--side", "renewal", "--case", "a2", "--dist", "pareto2:1.0",
+     "--ell", "logpow:2,1", "--s-grid", "100,1e4", "--reps", "300", "--seed", "3", "--csv", CSV),
+    _passage("cp:rate=1.0,jump=pareto2:1.0", "1000", 1000, "4"),
     # benchmark shapes: renewal-short, converge-heavy, passage-mix, oracle-cli
     _renewal("exp:1.0", "100", 12000, "1234"),
     _renewal("pareto:1.5,1.0", "100", 12000, "5678"),
@@ -85,14 +125,27 @@ COMMANDS: list[tuple[str, ...]] = [
     _renewal("exp:1.0", "100", 1),
     _renewal("pareto:0.5,1.0", "100", 100),
     _renewal("exp:1e-12", "1e3", 10),
+    # bad config values: strings, fractions, booleans and arrays for numbers
+    _config(("limit",), {"case": "a1", "mu": 1, "sigma": "abc"}),
+    _config(("limit",), {"case": "a1", "mu": 1, "sigma": [1]}),
+    _config(("moment",), {"alpha": "abc", "r": 0.5}),
+    _config(("moment",), {"alpha": 1.5, "r": 0.5, "method": "mc", "n": 10.7}),
+    _config(("moment",), {"alpha": 1.5, "r": 0.5, "method": "mc", "n": True}),
+    _config(SIMULATE, {"dist": "exp:1.0", "s": 10, "reps": 10, "seed": 1, "threads": "abc"}),
+    _config(SIMULATE, {"dist": "exp:1.0", "s": 10, "reps": 10.7, "seed": 1}),
+    _config(SIMULATE, {"dist": "exp:1.0", "s": 10, "reps": True, "seed": 1}),
+    _config(SIMULATE, {"dist": "exp:1.0", "s": 10, "reps": 10, "seed": 1.9}),
 ]
 
 
 def run(src: str, argv: tuple[str, ...], threads: str, tmp: Path) -> tuple:
     """(exit code, stdout, stderr, CSV bytes or None) of one CLI call."""
-    csv = tmp / "out.csv"
+    csv, config = tmp / "out.csv", tmp / "config.json"
     csv.unlink(missing_ok=True)
     argv = tuple(str(csv) if a == CSV else a for a in argv)
+    if argv[-1].startswith(CONFIG):
+        config.write_text(argv[-1][len(CONFIG) :].replace(CSV, json.dumps(str(csv))[1:-1]))
+        argv = (*argv[:-1], str(config))
     env = dict(os.environ, PYTHONPATH=src, RL_THREADS=threads)
     res = subprocess.run(
         [sys.executable, "-m", "renewlim.cli", *argv], env=env, capture_output=True, timeout=900
@@ -117,12 +170,14 @@ def main() -> int:
     parser.add_argument("new_src", help="src directory of the tree under test")
     args = parser.parse_args()
     fields = ("exit code", "stdout", "stderr", "csv")
-    differences = 0
+    differences = mismatches = 0
+    results = {}
     with tempfile.TemporaryDirectory() as tmp:
         for argv in COMMANDS:
             for threads in ("1", "2"):
                 old = run(args.old_src, argv, threads, Path(tmp))
                 new = run(args.new_src, argv, threads, Path(tmp))
+                results[argv, threads] = old, new
                 bad = [f for f, a, b in zip(fields, old, new) if a != b]
                 differences += len(bad)
                 label = f"RL_THREADS={threads} renewlim {' '.join(argv)}"
@@ -130,9 +185,18 @@ def main() -> int:
                 for a, b in zip(old[1:3], new[1:3]):
                     for line in _changed_lines(a, b):
                         print(f"    {line}", flush=True)
+    for tree, src in enumerate((args.old_src, args.new_src)):
+        for argv, twin in TWINS:
+            for threads in ("1", "2"):
+                flag, file = results[argv, threads][tree], results[twin, threads][tree]
+                bad = [f for f, a, b in zip(fields, flag, file) if a != b]
+                mismatches += len(bad)
+                label = f"{src} RL_THREADS={threads} renewlim {' '.join(argv)}"
+                print(f"{'MISMATCH ' + ','.join(bad) if bad else 'config = flags'}: {label}")
     runs = 2 * len(COMMANDS)
     print(f"{len(COMMANDS)} commands x 2 thread counts ({runs} pairs): {differences} differences")
-    return 1 if differences else 0
+    print(f"{len(TWINS)} config twins x 2 thread counts x 2 trees: {mismatches} mismatches")
+    return 1 if differences or mismatches else 0
 
 
 if __name__ == "__main__":
