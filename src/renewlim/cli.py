@@ -5,10 +5,12 @@ mirror the long flag names (dashes as underscores); explicit flags override
 file values.  One table per command lists its options, and ``resolve``
 checks a value from the file with the same validator as the flag's string.
 All floats are printed with 17 significant digits so output is
-byte-reproducible, and the worker count (RL_THREADS env var, else
-``--threads``, else available parallelism) never changes numeric output.
+byte-reproducible.  The worker count is the RL_THREADS env var, else the
+available parallelism; it is no option, since it never changes numeric
+output.
 
-Exit codes: 0 success, 1 invariant/acceptance failure, 2 usage/config error.
+Exit codes: 0 success, 1 invariant/acceptance failure, 2 usage/config error,
+each error on one ``error: ...`` line of stderr.
 """
 
 from __future__ import annotations
@@ -134,7 +136,6 @@ _CASE = Option(("--case",), _one_of(limits.CASES), required=True, help="a1,a2,a3
 _LEVEL = Option(("--s",), _positive, required=True, help="level s")
 _REPS = Option(("--reps",), _at_least(1), required=True, help="replications")
 _SEED = Option(("--seed",), _at_least(0), required=True, help="master seed")
-_THREADS = Option(("--threads",), _integer, help="worker count when RL_THREADS is unset")
 _DIST = Option(("--dist",), str, help="inter-arrival spec, e.g. exp:1.0")
 _SUB = Option(("--sub",), str, help="subordinator spec, e.g. cp:rate=1.0,jump=exp:1.0")
 _CSV = Option(("--csv",), str, help="output path; stdout when omitted")
@@ -160,8 +161,8 @@ TABLES: dict[str, tuple[Option, ...]] = {
         Option(("--x",), _positive, required=True, help="point at which c(x) is solved"),
         Option(("--tol",), _positive, default=scaling.DEFAULT_RESIDUAL_TOL, help="residual bound"),
     ),
-    "simulate renewal": (replace(_DIST, required=True), _LEVEL, _REPS, _SEED, _CSV, _THREADS),
-    "simulate passage": (replace(_SUB, required=True), _LEVEL, _REPS, _SEED, _CSV, _THREADS),
+    "simulate renewal": (replace(_DIST, required=True), _LEVEL, _REPS, _SEED, _CSV),
+    "simulate passage": (replace(_SUB, required=True), _LEVEL, _REPS, _SEED, _CSV),
     "converge": (
         Option(("--side",), _one_of(("renewal", "passage")), required=True, help="renewal|passage"),
         _CASE,
@@ -172,7 +173,6 @@ TABLES: dict[str, tuple[Option, ...]] = {
         _REPS,
         _SEED,
         replace(_CSV, required=True, help="output path"),
-        _THREADS,
     ),
     "selfcheck": (Option(("--seed",), _at_least(0), default=20240801, help="master seed"),),
 }
@@ -270,7 +270,7 @@ def _cmd_scaling(cfg: dict) -> int:
 
 def _cmd_simulate_renewal(cfg: dict) -> int:
     spec = distributions.parse_interarrival(cfg["dist"])
-    est = renewal.renewal_estimates(spec, cfg["s"], cfg["reps"], cfg["seed"], cfg["threads"])
+    est = renewal.renewal_estimates(spec, cfg["s"], cfg["reps"], cfg["seed"])
     dev, over = est.deviation, est.overshoot
     row = (cfg["s"], cfg["reps"], cfg["seed"], dev.mean, dev.std_error, over.mean, over.std_error)
     header = "s,n_reps,seed,estimate,stderr,overshoot_mean,overshoot_stderr,wald_residual"
@@ -280,9 +280,7 @@ def _cmd_simulate_renewal(cfg: dict) -> int:
 
 def _cmd_simulate_passage(cfg: dict) -> int:
     spec = subordinator.parse_subordinator(cfg["sub"])
-    dev, violations = subordinator.mc_passage(
-        spec, cfg["s"], cfg["reps"], cfg["seed"], cfg["threads"]
-    )
+    dev, violations = subordinator.mc_passage(spec, cfg["s"], cfg["reps"], cfg["seed"])
     row = (cfg["s"], cfg["reps"], cfg["seed"], dev.mean, dev.std_error, violations)
     header = "s,n_reps,seed,estimate,stderr,coupling_violation_fraction"
     _write_csv(cfg["csv"], header, [row])
@@ -299,9 +297,7 @@ def _cmd_converge(cfg: dict) -> int:
         raise ConfigError(f"{spec_key}: required but not supplied")
     ell = scaling.parse_slowly_varying(cfg["ell"]) if cfg["ell"] is not None else None
     spec = parse(cfg[spec_key])
-    rows = renewal.convergence_table(
-        spec, cfg["case"], ell, cfg["s_grid"], cfg["reps"], cfg["seed"], cfg["threads"]
-    )
+    rows = renewal.convergence_table(spec, cfg["case"], ell, cfg["s_grid"], cfg["reps"], cfg["seed"])
     # the fields of a row are the CSV columns, in order
     _write_csv(cfg["csv"], renewal.CSV_HEADER, map(astuple, rows))
     return 0
@@ -385,10 +381,19 @@ COMMANDS: dict[str, tuple[str, Callable[[dict], int]]] = {
 _GROUP_HELP = {"simulate": "Monte Carlo simulation runs"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors (an unknown flag, a missing
+    subcommand or flag value) raise ConfigError, so ``run`` prints them on
+    one line like any other bad input; subparsers inherit the class."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse front end of ``TABLES``: every option is a plain string
     here, and ``resolve`` checks it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="renewlim",
         description="Simulation and numerical verification toolkit for renewal "
         "counting and subordinator first-passage limit behaviour.",
@@ -409,12 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         cfg = resolve(args.command_name, args, _load_config(args.config))
         return COMMANDS[args.command_name][1](cfg)
     except RenewlimError as exc:
@@ -422,6 +423,8 @@ def run(argv: list[str] | None = None) -> int:
         # failed checks (InvariantError, NoBracketError, ToleranceNotMetError)
         # are RuntimeErrors and exit 1; bad input is a ValueError and exits 2
         return 1 if isinstance(exc, RuntimeError) else 2
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
 
 
 def main() -> None:

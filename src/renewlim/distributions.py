@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "Uniform",
     "Pareto",
     "StableParams",
+    "parse_spec",
     "parse_interarrival",
 ]
 
@@ -407,37 +409,42 @@ def _cms_standard(alpha: float, beta: float, v: np.ndarray, w: np.ndarray) -> np
 # Spec-string grammar
 # ---------------------------------------------------------------------------
 
-_ARITY = {"exp": 1, "det": 1, "unif": 2, "pareto": 2, "pareto2": 1}
+def parse_spec(text: str, noun: str, makers: dict) -> object:
+    """Read a ``name:arg,arg`` spec: ``makers`` maps each lower-case name to
+    (arity, constructor), and the constructor gets the arguments as finite
+    floats.  Unknown names, wrong arity, empty, non-numeric or non-finite
+    arguments and a DomainError from the constructor raise SpecParseError
+    naming the spec as a ``noun`` spec."""
+    name, sep, argtext = text.strip().partition(":")
+    name = name.strip().lower()
+    if not sep or name not in makers:
+        raise SpecParseError(f"unknown {noun} spec {text!r}")
+    arity, make = makers[name]
+    parts = [p.strip() for p in argtext.split(",")]
+    if len(parts) != arity or not all(parts):
+        raise SpecParseError(f"{noun} {name!r} takes {arity} argument(s), got {argtext!r}")
+    try:
+        args = [float(p) for p in parts]
+    except ValueError:
+        raise SpecParseError(f"non-numeric argument in {noun} spec {text!r}") from None
+    if not all(map(math.isfinite, args)):
+        raise SpecParseError(f"non-finite argument in {noun} spec {text!r}")
+    try:
+        return make(*args)
+    except DomainError as exc:
+        raise SpecParseError(f"invalid {noun} spec {text!r}: {exc}") from None
+
+
+_LAWS = {
+    "exp": (1, Exponential),
+    "det": (1, Deterministic),
+    "unif": (2, Uniform),
+    "pareto": (2, Pareto),
+    "pareto2": (1, partial(Pareto, 2.0)),
+}
 
 
 def parse_interarrival(text: str) -> Interarrival:
     """Parse ``exp:1.0``, ``det:2.0``, ``unif:0,1``, ``pareto:1.5,1.0``,
-    ``pareto2:1.0`` (the same law as ``pareto:2,1.0``).  Unknown names and
-    wrong arity are errors."""
-    name, sep, argtext = text.strip().partition(":")
-    name = name.strip().lower()
-    if not sep or name not in _ARITY:
-        raise SpecParseError(f"unknown distribution spec {text!r}")
-    parts = [p.strip() for p in argtext.split(",")]
-    if len(parts) != _ARITY[name] or not all(parts):
-        raise SpecParseError(
-            f"distribution {name!r} takes {_ARITY[name]} argument(s), got {argtext!r}"
-        )
-    try:
-        args = [float(p) for p in parts]
-    except ValueError:
-        raise SpecParseError(f"non-numeric argument in distribution spec {text!r}") from None
-    if not all(map(math.isfinite, args)):
-        raise SpecParseError(f"non-finite argument in distribution spec {text!r}")
-    try:
-        if name == "exp":
-            return Exponential(args[0])
-        if name == "det":
-            return Deterministic(args[0])
-        if name == "unif":
-            return Uniform(args[0], args[1])
-        if name == "pareto":
-            return Pareto(args[0], args[1])
-        return Pareto(2.0, args[0])
-    except DomainError as exc:
-        raise SpecParseError(f"invalid distribution spec {text!r}: {exc}") from None
+    ``pareto2:1.0`` (the same law as ``pareto:2,1.0``)."""
+    return parse_spec(text, "distribution", _LAWS)

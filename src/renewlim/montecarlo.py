@@ -32,9 +32,10 @@ _MAX_BLOCK_ROWS = 256
 _MIN_BLOCK_ROWS = 32
 
 
-def thread_count(explicit: int | None = None) -> int:
-    """Resolve the worker count: RL_THREADS env var wins, then the explicit
-    argument, then the machine's available parallelism."""
+def thread_count() -> int:
+    """The worker count: the RL_THREADS env var, else the machine's
+    available parallelism.  It never changes a result, so it is a
+    deployment setting with no parameter of its own."""
     env = os.environ.get(THREAD_ENV_VAR)
     if env is not None and env.strip():
         try:
@@ -44,10 +45,6 @@ def thread_count(explicit: int | None = None) -> int:
         if k < 1:
             raise ConfigError(f"{THREAD_ENV_VAR}: must be >= 1, got {k}")
         return k
-    if explicit is not None:
-        if explicit < 1:
-            raise ConfigError(f"threads: must be >= 1, got {explicit}")
-        return explicit
     return os.cpu_count() or 1
 
 
@@ -88,7 +85,6 @@ def map_replications(
     n_outputs: int,
     n_reps: int,
     master_seed: int,
-    threads: int | None = None,
 ) -> np.ndarray:
     """Run ``fn(rng)`` once per replication and collect its outputs.
 
@@ -109,7 +105,7 @@ def map_replications(
             for j in range(n_outputs):
                 out[j, rep] = vals[j]
 
-    workers = min(thread_count(threads), n_reps)
+    workers = min(thread_count(), n_reps)
     if workers == 1:
         run_block(0, n_reps)
     else:

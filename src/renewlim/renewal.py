@@ -96,7 +96,6 @@ def renewal_estimates(
     s: float,
     n_reps: int,
     master_seed: int,
-    threads: int | None = None,
 ) -> RenewalEstimates:
     """Walk each replication once and reduce its (count, overshoot) pair
     into all three renewal estimates.
@@ -104,14 +103,14 @@ def renewal_estimates(
     Short paths (``block_rows`` > 1) walk a block of replications at a time
     on the calling thread: per replication, re-keying and a small fill hold
     the GIL, so worker threads would only contend for it.  Long paths walk
-    one replication at a time over ``threads`` workers.  Both give the same
-    bytes.
+    one replication at a time over ``thread_count()`` workers.  Both give
+    the same bytes.
     """
     if n_reps < 2:
         raise DomainError(f"n_reps must be >= 2, got {n_reps}")
     if not s > 0.0:
         raise DomainError(f"s must be positive, got {s}")
-    thread_count(threads)  # a bad worker count fails on either walk
+    thread_count()  # a bad RL_THREADS fails on either walk
     if block_rows(s, spec.mean()) > 1:
         counts, totals = block_crossings(
             spec.raw_fill, spec.finish, s, spec.mean(), n_reps, master_seed
@@ -123,7 +122,7 @@ def renewal_estimates(
             obs = simulate_renewal(spec, s, rng)
             return (float(obs.n_of_t), obs.overshoot)
 
-        counts, overshoots = map_replications(one, 2, n_reps, master_seed, threads)
+        counts, overshoots = map_replications(one, 2, n_reps, master_seed)
     diffs = estimate_from_values((s + overshoots) - spec.mean() * counts, master_seed)
     if diffs.std_error == 0.0:
         wald = 0.0 if diffs.mean == 0.0 else math.copysign(math.inf, diffs.mean)
@@ -141,10 +140,9 @@ def mc_abs_deviation(
     s: float,
     n_reps: int,
     master_seed: int,
-    threads: int | None = None,
 ) -> MCEstimate:
     """Monte Carlo estimate of E|N(s) - s/mu|."""
-    return renewal_estimates(spec, s, n_reps, master_seed, threads).deviation
+    return renewal_estimates(spec, s, n_reps, master_seed).deviation
 
 
 def exact_abs_deviation_poisson(s: float) -> float:
@@ -230,7 +228,6 @@ def convergence_table(
     s_grid: Sequence[float],
     n_reps: int,
     master_seed: int,
-    threads: int | None = None,
 ) -> list[ConvergenceRow]:
     """One row per grid point comparing the scaled estimate to its limit.
 
@@ -249,7 +246,7 @@ def convergence_table(
     estimate = mc_passage_abs_deviation if isinstance(spec, Subordinator) else mc_abs_deviation
     rows = []
     for s in grid:
-        est = estimate(spec, s, n_reps, master_seed, threads)
+        est = estimate(spec, s, n_reps, master_seed)
         denom = math.sqrt(s) if lc.sigma is not None else solve_c(lc.alpha or 2.0, ell, s)
         ratio = est.mean / denom
         rows.append(

@@ -13,7 +13,8 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from .errors import DomainError, NoBracketError, SpecParseError, ToleranceNotMetError
+from .distributions import parse_spec
+from .errors import DomainError, NoBracketError, ToleranceNotMetError
 
 __all__ = [
     "SlowlyVarying",
@@ -164,31 +165,9 @@ def solve_c(
     raise ToleranceNotMetError(f"bisection stalled above residual tolerance {tol} at x={x}")
 
 
-_ELL_ARITY = {"const": 1, "logpow": 2, "logshift": 2}
+_ELLS = {"const": (1, Constant), "logpow": (2, LogPower), "logshift": (2, LogShifted)}
 
 
 def parse_slowly_varying(text: str) -> SlowlyVarying:
     """Parse ``const:1.0``, ``logpow:2.0,1.0``, ``logshift:2.0,2.718...``."""
-    name, sep, argtext = text.strip().partition(":")
-    name = name.strip().lower()
-    if not sep or name not in _ELL_ARITY:
-        raise SpecParseError(f"unknown slowly varying spec {text!r}")
-    parts = [p.strip() for p in argtext.split(",")]
-    if len(parts) != _ELL_ARITY[name] or not all(parts):
-        raise SpecParseError(
-            f"slowly varying {name!r} takes {_ELL_ARITY[name]} argument(s), got {argtext!r}"
-        )
-    try:
-        args = [float(p) for p in parts]
-    except ValueError:
-        raise SpecParseError(f"non-numeric argument in slowly varying spec {text!r}") from None
-    if not all(map(math.isfinite, args)):
-        raise SpecParseError(f"non-finite argument in slowly varying spec {text!r}")
-    try:
-        if name == "const":
-            return Constant(args[0])
-        if name == "logpow":
-            return LogPower(args[0], args[1])
-        return LogShifted(args[0], args[1])
-    except DomainError as exc:
-        raise SpecParseError(f"invalid slowly varying spec {text!r}: {exc}") from None
+    return parse_spec(text, "slowly varying", _ELLS)

@@ -229,7 +229,6 @@ def _walk_passages(
     s: float,
     n_reps: int,
     master_seed: int,
-    threads: int | None,
     want_n_star: bool,
 ) -> tuple[MCEstimate, np.ndarray]:
     """Walk each replication once: the estimate of E|T(s) - s/m| and every
@@ -245,7 +244,7 @@ def _walk_passages(
         t_passage, n_star = walk(spec, s, rng, want_n_star=want_n_star)
         return (abs(t_passage - center), n_star - t_passage)
 
-    values, couplings = map_replications(one, 2, n_reps, master_seed, threads)
+    values, couplings = map_replications(one, 2, n_reps, master_seed)
     return estimate_from_values(values, master_seed), couplings
 
 
@@ -254,10 +253,9 @@ def mc_passage_abs_deviation(
     s: float,
     n_reps: int,
     master_seed: int,
-    threads: int | None = None,
 ) -> MCEstimate:
     """Monte Carlo estimate of E|T(s) - s/m|; the walks skip the N* rebuild."""
-    return _walk_passages(spec, s, n_reps, master_seed, threads, want_n_star=False)[0]
+    return _walk_passages(spec, s, n_reps, master_seed, want_n_star=False)[0]
 
 
 def mc_passage(
@@ -265,7 +263,6 @@ def mc_passage(
     s: float,
     n_reps: int,
     master_seed: int,
-    threads: int | None = None,
 ) -> tuple[MCEstimate, float]:
     """Estimate of E|T(s) - s/m| and the fraction of replications violating
     N*(s) - T(s) in [0, 1], from one walk per replication.
@@ -274,7 +271,7 @@ def mc_passage(
     excluded from the exact coupling.
     """
     exact = isinstance(spec, CompoundPoisson)
-    est, couplings = _walk_passages(spec, s, n_reps, master_seed, threads, want_n_star=exact)
+    est, couplings = _walk_passages(spec, s, n_reps, master_seed, want_n_star=exact)
     if not exact:
         return est, math.nan
     return est, np.count_nonzero(~((couplings >= 0.0) & (couplings <= 1.0))) / n_reps
@@ -285,7 +282,6 @@ def coupling_check(
     s: float,
     n_reps: int,
     master_seed: int,
-    threads: int | None = None,
 ) -> float:
     """Fraction of replications violating N*(s) - T(s) in [0, 1].
 
@@ -297,7 +293,7 @@ def coupling_check(
             "coupling check requires exact compound Poisson paths, got "
             f"{spec.spec_string()}"
         )
-    return mc_passage(spec, s, n_reps, master_seed, threads)[1]
+    return mc_passage(spec, s, n_reps, master_seed)[1]
 
 
 def parse_subordinator(text: str) -> Subordinator:

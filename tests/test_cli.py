@@ -163,19 +163,6 @@ def test_converge_thread_count_does_not_change_bytes(tmp_path, capsys, monkeypat
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_threads_flag_does_not_change_bytes(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("RL_THREADS", raising=False)
-    argv = lambda p, k: [
-        "simulate", "renewal", "--dist", "exp:1.0", "--s", "200", "--reps", "400",
-        "--seed", "5", "--csv", p, "--threads", k,
-    ]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run(argv(str(a), "1")) == 0
-    assert run(argv(str(b), "2")) == 0
-    capsys.readouterr()
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_converge_case_mismatch_no_partial_csv(tmp_path, capsys):
     out_path = tmp_path / "bad.csv"
     code, _, err = run_capture(
@@ -201,6 +188,54 @@ def test_bad_usage_exit_2(capsys):
     code = run(["converge", "--side", "nowhere"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "renewal", "--dist", "exp:1.0", "--s", "10", "--reps", "10", "--seed", "1",
+         "--threads", "2"],
+        ["limit", "--case", "a1", "--mu", "1", "--sigma", "1", "--bogus"],
+        [],
+        ["simulate"],
+        ["simulate", "bogus"],
+        ["scaling", "--alpha", "1.5", "--ell", "const:1", "--x", "-inf"],
+        ["converge", "--side"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-command",
+)
+def test_usage_errors_print_one_line(capsys, argv):
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run_capture(capsys, ["simulate", "renewal", "--help"])
+    assert code == 0
+    assert out.startswith("usage: renewlim simulate renewal")
+    assert err == ""
+
+
+@pytest.mark.parametrize("env", [None, "2"])
+def test_worker_count_is_no_option(tmp_path, capsys, monkeypatch, env):
+    # RL_THREADS alone sets the worker count: neither a flag nor a config
+    # key is read, whether or not the variable is set
+    if env is None:
+        monkeypatch.delenv("RL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("RL_THREADS", env)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"threads": 2}))
+    for extra, line in [
+        (["--threads", "2"], "unrecognized arguments: --threads 2"),
+        (["--threads", "0"], "unrecognized arguments: --threads 0"),
+        (["--threads=-7"], "unrecognized arguments: --threads=-7"),
+        (["--config", str(path)], "threads: unknown config key for this command"),
+    ]:
+        code, out, err = run_capture(capsys, [*_SIMULATE, "--reps", "10", "--seed", "1", *extra])
+        assert (code, out, err) == (2, "", f"error: {line}\n")
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -453,7 +488,6 @@ _NUMBER = (["1.5", "1", "0.5"], ["0", "-5", "2", "3", "inf", "-inf", "nan", "1e4
 _SIZE = (["2", "3"], ["0", "-5", "1", "inf", "nan", "1e400", "abc"])
 _SEED = (["0", "7"], ["-5", "inf", "abc"])
 _LEVEL = (["0.5", "3", "20"], ["0", "-5", "inf", "-inf", "nan", "1e400", "abc"])
-_THREADS = (["1", "2"], ["0", "-1", "abc"])
 _DIST = (
     ["exp:1.0", "pareto:1.5,1.0", "unif:0,2", "det:1.0", "pareto2:1.0"],
     ["exp:inf", "exp:nan", "unif:0,inf", "det:1e400", "exp:-1", "pareto:3,1", "wat:1", "exp"],
@@ -476,10 +510,8 @@ _FLAGS = {
     ("limit",): {"--case": _CASE, "--mu": _NUMBER, "--sigma": _NUMBER, "--alpha": _NUMBER},
     ("scaling",): {"--alpha": _NUMBER, "--ell": _ELL, "--x": (["3", "64", "1e300"], _NUMBER[1]),
                    "--tol": (["1e-10"], ["0", "inf", "nan"])},
-    ("simulate", "renewal"): {"--dist": _DIST, "--s": _LEVEL, "--reps": _SIZE,
-                              "--seed": _SEED, "--threads": _THREADS},
-    ("simulate", "passage"): {"--sub": _SUB, "--s": _LEVEL, "--reps": _SIZE,
-                              "--seed": _SEED, "--threads": _THREADS},
+    ("simulate", "renewal"): {"--dist": _DIST, "--s": _LEVEL, "--reps": _SIZE, "--seed": _SEED},
+    ("simulate", "passage"): {"--sub": _SUB, "--s": _LEVEL, "--reps": _SIZE, "--seed": _SEED},
     ("converge",): {"--side": (["renewal", "passage"], ["up"]), "--case": _CASE,
                     "--dist": _DIST, "--sub": _SUB, "--ell": _ELL,
                     "--s-grid": (["3,20", "20"], ["20,3", "0,3", "3,inf", "nan", "", "abc"]),
@@ -556,7 +588,7 @@ _SIMULATE = ["simulate", "renewal", "--dist", "exp:1.0", "--s", "10"]
         (["limit", "--case", "a1", "--mu", "1"], "sigma", [1]),
         (["limit", "--case", "a3", "--mu", "1"], "alpha", "abc"),
         (["moment", "--r", "0.5"], "alpha", "abc"),
-        ([*_SIMULATE, "--reps", "10", "--seed", "1"], "threads", "abc"),
+        ([*_SIMULATE, "--reps", "10"], "seed", True),
         ([*_SIMULATE, "--seed", "1"], "reps", 10.7),
         ([*_SIMULATE, "--seed", "1"], "reps", True),
         (["moment", "--alpha", "1.5", "--r", "0.5", "--method", "mc"], "n", 10.7),

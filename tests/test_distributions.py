@@ -16,6 +16,8 @@ from renewlim import (
     StableParams,
     Uniform,
     parse_interarrival,
+    parse_slowly_varying,
+    parse_subordinator,
     stable_abs_moment,
 )
 from renewlim.montecarlo import replication_rng, stream_base
@@ -97,7 +99,7 @@ def test_truncated_sample_mean_within_4se(text):
     # light-tailed statistic even for the heavy-tail members
     spec = parse_interarrival(text)
     k = 3.0 * spec.mean()
-    draws = np.minimum(spec.sample(rng_for(11, rep=hash(spec.spec_string()) % 100), size=10**6), k)
+    draws = np.minimum(spec.sample(rng_for(11, rep=ZOO.index(text)), size=10**6), k)
     mc = draws.mean()
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     exact = spec.truncated_mean(k)
@@ -291,6 +293,52 @@ def test_pareto2_is_pareto_with_alpha_2():
 def test_grammar_rejects(text):
     with pytest.raises(SpecParseError):
         parse_interarrival(text)
+
+
+_BAD_SPECS = [
+    # the inter-arrival grammar
+    (parse_interarrival, "nope:1", "unknown distribution spec 'nope:1'"),
+    (parse_interarrival, "exp", "unknown distribution spec 'exp'"),
+    (parse_interarrival, "exp:1,2", "distribution 'exp' takes 1 argument(s), got '1,2'"),
+    (parse_interarrival, " UNIF:1 ", "distribution 'unif' takes 2 argument(s), got '1'"),
+    (parse_interarrival, "exp:", "distribution 'exp' takes 1 argument(s), got ''"),
+    (parse_interarrival, "unif:0, ", "distribution 'unif' takes 2 argument(s), got '0,'"),
+    (parse_interarrival, "exp:abc", "non-numeric argument in distribution spec 'exp:abc'"),
+    (parse_interarrival, "unif:0,nan", "non-finite argument in distribution spec 'unif:0,nan'"),
+    (parse_interarrival, "exp:inf", "non-finite argument in distribution spec 'exp:inf'"),
+    (parse_interarrival, "pareto:0.5,1",
+     "invalid distribution spec 'pareto:0.5,1': Pareto alpha must lie in (1, 2], got 0.5"),
+    (parse_interarrival, "det:-1",
+     "invalid distribution spec 'det:-1': Deterministic value must be positive, got -1.0"),
+    (parse_interarrival, "pareto2:1,2", "distribution 'pareto2' takes 1 argument(s), got '1,2'"),
+    (parse_interarrival, "pareto2:-1",
+     "invalid distribution spec 'pareto2:-1': Pareto x_min must be positive, got -1.0"),
+    # a jump spec inside cp: goes through the same grammar
+    (parse_subordinator, "cp:rate=1.0,jump=wat:1", "unknown distribution spec 'wat:1'"),
+    (parse_subordinator, "cp:rate=1.0,jump=exp:-1",
+     "invalid distribution spec 'exp:-1': Exponential rate must be positive, got -1.0"),
+    # the slowly varying grammar
+    (parse_slowly_varying, "wat:1", "unknown slowly varying spec 'wat:1'"),
+    (parse_slowly_varying, "const", "unknown slowly varying spec 'const'"),
+    (parse_slowly_varying, "logpow:2.0", "slowly varying 'logpow' takes 2 argument(s), got '2.0'"),
+    (parse_slowly_varying, "const:", "slowly varying 'const' takes 1 argument(s), got ''"),
+    (parse_slowly_varying, "const:abc", "non-numeric argument in slowly varying spec 'const:abc'"),
+    (parse_slowly_varying, "logshift:1,inf",
+     "non-finite argument in slowly varying spec 'logshift:1,inf'"),
+    (parse_slowly_varying, "const:-1",
+     "invalid slowly varying spec 'const:-1': "
+     "Constant slowly varying value must be positive, got -1.0"),
+    (parse_slowly_varying, "logpow:1,0",
+     "invalid slowly varying spec 'logpow:1,0': "
+     "LogPower exponent must be nonzero (use Constant instead)"),
+]
+
+
+@pytest.mark.parametrize("parse,text,message", _BAD_SPECS, ids=[t for _, t, _ in _BAD_SPECS])
+def test_spec_parse_error_messages(parse, text, message):
+    with pytest.raises(SpecParseError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 def test_moment_regimes():

@@ -56,10 +56,8 @@ def test_stream_base_rejects_negative():
 
 
 def test_thread_count_resolution(monkeypatch):
-    monkeypatch.delenv("RL_THREADS", raising=False)
-    assert thread_count(3) == 3
     monkeypatch.setenv("RL_THREADS", "2")
-    assert thread_count(8) == 2  # env wins
+    assert thread_count() == 2
     monkeypatch.setenv("RL_THREADS", "zero")
     with pytest.raises(ConfigError):
         thread_count()

@@ -18,7 +18,9 @@ The list covers:
   - the operation shapes of the four benchmark workloads (the argv is
     written here, so the benchmark is not imported);
   - a few bad inputs, whose exit code and message must not move either,
-    and bad values in a config file.
+    bad values in a config file, and usage errors: an unknown flag, a
+    missing subcommand or flag value, and a ``threads`` flag or config key
+    (the worker count is ``RL_THREADS`` alone).
 
 For each README command it also checks, on each tree, that the config file
 gives the bytes of the flags: a ``MISMATCH`` line names the fields that
@@ -135,6 +137,12 @@ COMMANDS: list[tuple[str, ...]] = [
     _config(SIMULATE, {"dist": "exp:1.0", "s": 10, "reps": 10.7, "seed": 1}),
     _config(SIMULATE, {"dist": "exp:1.0", "s": 10, "reps": True, "seed": 1}),
     _config(SIMULATE, {"dist": "exp:1.0", "s": 10, "reps": 10, "seed": 1.9}),
+    # usage errors
+    (*_renewal("exp:1.0", "10", 10, "1"), "--threads", "2"),
+    _config(SIMULATE, {"dist": "exp:1.0", "s": 10, "reps": 10, "seed": 1, "threads": 2}),
+    ("limit", "--case", "a1", "--mu", "1", "--sigma", "1", "--bogus"),
+    ("simulate",),
+    ("scaling", "--alpha", "1.5", "--ell", "const:1", "--x", "-inf"),
 ]
 
 
