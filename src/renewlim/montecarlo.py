@@ -85,6 +85,7 @@ def map_replications(
     n_outputs: int,
     n_reps: int,
     master_seed: int,
+    threaded: bool = True,
 ) -> np.ndarray:
     """Run ``fn(rng)`` once per replication and collect its outputs.
 
@@ -92,6 +93,9 @@ def map_replications(
     function of (master_seed, rep), so the result is identical for every
     thread count.  Each worker block re-keys one generator per replication
     (``replication_streams``), so ``fn`` must not keep it after returning.
+    ``threaded=False`` runs every replication on the calling thread, for
+    paths so short that re-keying and small fills, which hold the GIL, are
+    most of their cost.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
@@ -105,8 +109,8 @@ def map_replications(
             for j in range(n_outputs):
                 out[j, rep] = vals[j]
 
-    workers = min(thread_count(), n_reps)
-    if workers == 1:
+    workers = min(thread_count(), n_reps)  # a bad RL_THREADS fails either way
+    if workers == 1 or not threaded:
         run_block(0, n_reps)
     else:
         block = -(-n_reps // (workers * 4))
@@ -140,21 +144,21 @@ def first_crossing(
     level: float,
     mean_step: float,
     max_draws: int = _MAX_DRAWS_PER_PATH,
-) -> tuple[int, float]:
-    """First n with S_n > level, and S_n, where S_n sums the positive steps
-    that ``draw(out=...)`` yields in order.
+) -> tuple[int, float, float]:
+    """First n with S_n > level, S_n and S_{n-1} (S_0 = 0), where S_n sums
+    the positive steps that ``draw(out=...)`` yields in order.
 
     ``draw`` fills the float64 array ``out`` in place with the next len(out)
     steps and returns it, or returns a new array of that length; the
     running sums are then taken in that array.  ``out`` is a slice of one
     scratch buffer per thread, so a walk allocates nothing per chunk.
 
-    The first chunk is sized from level/mean_step so a path costs
-    O(level/mean_step) vectorized work; later chunks are a quarter of the
-    previous one (at least 64).  A path whose expected length
-    level/mean_step exceeds ``max_draws`` raises DomainError before its
-    first draw, and a path still below the level after ``max_draws`` steps
-    raises it too.
+    Each chunk is sized from the expected number of steps still to go,
+    (level - S) / mean_step, and holds at least 64 draws, so a path costs
+    O(level/mean_step) vectorized work however long it is.  A path whose
+    expected length level/mean_step exceeds ``max_draws`` raises DomainError
+    before its first draw, and a path still below the level after
+    ``max_draws`` steps raises it too.
     """
     expected = level / mean_step
     if expected > max_draws:
@@ -163,11 +167,10 @@ def first_crossing(
             f"it needs {expected:.6g} steps of mean {mean_step} on average"
         )
     chunk = _chunk_size(expected)
-    buf = _scratch_buffer(chunk)
     count = 0
     carried = 0.0
     while True:
-        sums = draw(out=buf[:chunk])
+        sums = draw(out=_scratch_buffer(chunk)[:chunk])
         np.add.accumulate(sums, out=sums)  # np.cumsum, without its wrapper's cost
         if carried:
             sums += carried
@@ -179,7 +182,7 @@ def first_crossing(
                 raise InvariantError(
                     f"crossing bookkeeping violated: {before} <= {level} < {total} fails"
                 )
-            return count + idx + 1, total
+            return count + idx + 1, total, before
         count += chunk
         carried = float(sums[-1])
         if count > max_draws:
@@ -187,7 +190,7 @@ def first_crossing(
                 f"path exceeded {max_draws} draws before crossing level {level}; "
                 f"running sum={carried}"
             )
-        chunk = max(64, chunk // 4)
+        chunk = max(64, _chunk_size((level - carried) / mean_step))
 
 
 def block_rows(level: float, mean_step: float) -> int:
@@ -249,7 +252,7 @@ def block_crossings(
         totals[lo:hi] = total
         for i in np.flatnonzero(~crossed).tolist():
             rng = streams(lo + i)
-            counts[lo + i], totals[lo + i] = first_crossing(
+            counts[lo + i], totals[lo + i], _ = first_crossing(
                 lambda out: finish(raw_fill(rng, out)), level, mean_step
             )
     return counts, totals

@@ -18,7 +18,13 @@ import numpy as np
 
 from .distributions import Interarrival, parse_interarrival
 from .errors import DomainError, InvariantError, ParameterMismatchError, SpecParseError
-from .montecarlo import MCEstimate, estimate_from_values, first_crossing, map_replications
+from .montecarlo import (
+    MCEstimate,
+    block_rows,
+    estimate_from_values,
+    first_crossing,
+    map_replications,
+)
 
 __all__ = [
     "Subordinator",
@@ -184,7 +190,7 @@ def _simulate_cp_path(
             chunks.append(out.copy())
         return out
 
-    n_jumps, _ = first_crossing(draw, s, spec.jump.mean())
+    n_jumps, _, _ = first_crossing(draw, s, spec.jump.mean())
     gaps = rng.exponential(1.0 / spec.rate, size=n_jumps)
     epochs = np.cumsum(gaps)
     t_passage = float(epochs[-1])
@@ -202,19 +208,42 @@ def _simulate_cp_path(
 def _simulate_gamma_path(
     spec: GammaSubordinator, s: float, rng: np.random.Generator, want_n_star: bool
 ) -> tuple[float, int]:
-    """Grid-approximated gamma path: T(s) is the first grid time above s.
+    """Grid-approximated gamma path: T(s) = k* h, the first grid time above s.
+
+    The walk draws coarse steps of K = 2**round(log2(1/h)) grid steps (about
+    one time unit, and K = 1 from h = 2**-0.5 up), each Gamma(shape K h,
+    rate), until one crosses s.  Given its two ends, the path inside that
+    coarse step is a gamma bridge: the sum at an interior grid index splits
+    the increment by a Beta draw.  Bisecting with it, and keeping the half
+    whose ends still bracket s, narrows the crossing to one grid step in
+    log2(K) Beta draws.  k* has exactly the law it has when every grid
+    increment is drawn, so the grid bias is unchanged: T(s) lies at most
+    one grid step above the continuous first-passage time.
 
     A path still at or below s after 1e9 time units raises DomainError.
     The grid path never decreases, so S(k) <= s at integer time k exactly
     when its grid index floor(k/h + 0.5) lies below the crossing index k*.
     """
     h = spec.grid_step
-    k_star, _ = first_crossing(
-        lambda out: rng.gamma(spec.shape * h, 1.0 / spec.rate, size=len(out)),
+    per_step = spec.shape * h
+    coarse = 2 ** round(math.log2(1.0 / h))  # grid_step <= 1, so K >= 1
+    j, s_hi, s_lo = first_crossing(
+        lambda out: rng.gamma(per_step * coarse, 1.0 / spec.rate, size=len(out)),
         s,
-        spec.mean_rate() * h,
-        max_draws=int(1e9 / h),
+        spec.mean_rate() * h * coarse,
+        max_draws=int(1e9 / (h * coarse)),
     )
+    lo, hi = (j - 1) * coarse, j * coarse
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        s_mid = s_lo + (s_hi - s_lo) * rng.beta(per_step * (mid - lo), per_step * (hi - mid))
+        if s_mid > s:
+            hi, s_hi = mid, s_mid
+        else:
+            lo, s_lo = mid, s_mid
+    if not s_lo <= s < s_hi:
+        raise InvariantError(f"gamma bridge bracket violated: {s_lo} <= {s} < {s_hi} fails")
+    k_star = hi
     t_passage = k_star * h
 
     n_star = -1
@@ -238,13 +267,16 @@ def _walk_passages(
     if not s > 0.0:
         raise DomainError(f"s must be positive, got {s}")
     center = s / spec.mean_rate()
-    walk = _simulate_cp_path if isinstance(spec, CompoundPoisson) else _simulate_gamma_path
+    exact = isinstance(spec, CompoundPoisson)
+    walk = _simulate_cp_path if exact else _simulate_gamma_path
+    # short cp paths run on the calling thread, by the rule of short renewal paths
+    threaded = not exact or block_rows(s, spec.jump.mean()) == 1
 
     def one(rng):
         t_passage, n_star = walk(spec, s, rng, want_n_star=want_n_star)
         return (abs(t_passage - center), n_star - t_passage)
 
-    values, couplings = map_replications(one, 2, n_reps, master_seed)
+    values, couplings = map_replications(one, 2, n_reps, master_seed, threaded)
     return estimate_from_values(values, master_seed), couplings
 
 

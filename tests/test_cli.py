@@ -277,7 +277,9 @@ def test_selfcheck_passes(capsys):
 
 
 # rows pinned from a build that gave every replication a freshly constructed
-# generator and walked the paths once per estimate; the bytes must not move
+# generator and walked the paths once per estimate; the bytes must not move.
+# The gamma row is pinned at stream layout 2, where the grid crossing is found
+# by a coarse walk and gamma-bridge bisection instead of every grid draw.
 GOLDEN_ROWS = {
     ("renewal", "exp:1.0"): "50,300,13,5.4800000000000004,0.24623995149523276,"
     "0.91187890863492593,0.054067645440857431,0.11321681160526859",
@@ -285,7 +287,7 @@ GOLDEN_ROWS = {
     "18.30696740641131,6.6130045592919338,1.3399707357291035",
     ("passage", "cp:rate=1.0,jump=exp:1.0"): "100,200,13,11.658618397298117,0.63170179726025422,0",
     ("passage", "cp:rate=5.0,jump=pareto:1.5,1.0"): "100,200,13,2.0511527941651844,0.11355127804692301,0",
-    ("passage", "gamma:shape=1.0,rate=1.0,grid=0.01"): "100,200,13,7.7883999999999993,0.43844157796271122,nan",
+    ("passage", "gamma:shape=1.0,rate=1.0,grid=0.01"): "100,200,13,8.16845,0.40548814863187377,nan",
 }
 
 

@@ -148,11 +148,13 @@ def test_map_replications_draws_reference_streams(monkeypatch, threads):
 
 @pytest.mark.parametrize(
     "level,mean_step,first_chunks",
-    [(1000.0, 4.0, [366, 91, 64]), (1000.0, 2e6, [22, 64, 64]), (2.0, 2e6, [22]), (0.5, 2e6, [22])],
+    [(1000.0, 4.0, [366, 136, 64]), (1000.0, 2e6, [22, 64, 64]), (2.0, 2e6, [22]), (0.5, 2e6, [22])],
 )
 def test_first_crossing_refills_match_direct_cumsum(level, mean_step, first_chunks):
     # integer steps of mean 2 keep every partial sum exact, so a sum can tie
-    # the level; a mean step set too high makes the first chunk fall short
+    # the level; a mean step set too high makes the first chunk fall short.
+    # A refill is sized from the expected steps still to go, at least 64,
+    # even on a fresh thread whose scratch buffer holds only the first chunk.
     rng = np.random.default_rng(3)
     chunks = []
 
@@ -161,13 +163,14 @@ def test_first_crossing_refills_match_direct_cumsum(level, mean_step, first_chun
         out[:] = chunks[-1]
         return out
 
-    n, total = first_crossing(draw, level, mean_step)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        n, total, before = pool.submit(first_crossing, draw, level, mean_step).result(timeout=60)
     sizes = [len(c) for c in chunks]
     assert sizes[: len(first_chunks)] == first_chunks
     assert set(sizes[len(first_chunks) :]) <= {64}
-    sums = np.cumsum(np.concatenate(chunks))
+    sums = np.concatenate(([0.0], np.cumsum(np.concatenate(chunks))))
     first = int(np.argmax(sums > level))
-    assert (n, total) == (first + 1, sums[first])
+    assert (n, total, before) == (first, sums[first], sums[first - 1])
 
 
 def test_first_crossing_draw_cap_is_a_domain_error():
@@ -244,7 +247,7 @@ def _per_replication_walks(spec, level, n_reps, seed):
         first_crossing(partial(spec.sample, replication_rng(base, rep)), level, spec.mean())
         for rep in range(n_reps)
     ]
-    return np.array([float(n) for n, _ in walks]), np.array([total for _, total in walks])
+    return np.array([float(n) for n, _, _ in walks]), np.array([total for _, total, _ in walks])
 
 
 def _assert_same_bits(got, want):

@@ -12,6 +12,7 @@ from renewlim import (
     DomainError,
     Exponential,
     GammaSubordinator,
+    InvariantError,
     Pareto,
     ParameterMismatchError,
     SpecParseError,
@@ -22,7 +23,7 @@ from renewlim import (
     parse_subordinator,
 )
 from renewlim import subordinator
-from renewlim.montecarlo import _chunk_size, replication_rng, stream_base
+from renewlim.montecarlo import replication_rng, stream_base
 from renewlim.subordinator import _simulate_cp_path, _simulate_gamma_path
 
 SEED = 20260808
@@ -167,33 +168,16 @@ def test_gamma_passage_sanity():
     assert 99.0 <= float(np.mean(vals)) <= 101.0
 
 
-def _gamma_path_reference(spec, s, rng):
-    """Reference for the vectorised N*: the grid walk stores its path and
-    counts N*(s) one integer time k at a time."""
-    h = spec.grid_step
-    chunk = _chunk_size(s / (spec.mean_rate() * h))
-    values = []
-    carried = 0.0
-    steps_done = 0
-    while True:
-        sums = carried + np.cumsum(rng.gamma(spec.shape * h, 1.0 / spec.rate, size=chunk))
-        idx = int(np.searchsorted(sums, s, side="right"))
-        values.append(sums)
-        if idx < chunk:
-            break
-        carried = float(sums[-1])
-        steps_done += chunk
-        chunk = max(64, chunk // 4)
-    path = np.concatenate(values)
+def _n_star_reference(h, k_star):
+    """Reference for the vectorised N*: count N*(s) one integer time k at a
+    time.  The grid path never decreases and first exceeds s at grid index
+    k*, so S(k) <= s exactly when k's grid index lies below k*."""
     n_star = 1  # k = 0: S(0) = 0 <= s
     k = 1
-    while True:
-        gi = int(math.floor(k / h + 0.5)) - 1  # grid index for time k
-        if gi >= len(path) or not path[gi] <= s:
-            break
+    while int(math.floor(k / h + 0.5)) < k_star:
         n_star += 1
         k += 1
-    return (steps_done + idx + 1) * h, n_star
+    return n_star
 
 
 @pytest.mark.parametrize("h", [1e-3, 0.01, 0.3, 1.0])
@@ -203,8 +187,56 @@ def test_gamma_n_star_matches_per_k_reference(h):
         g = GammaSubordinator(shape, 1.0, h)
         for s in (0.7, 5.0, 50.0):
             for rep in range(15):
-                got = _simulate_gamma_path(g, s, replication_rng(base, rep), True)
-                assert got == _gamma_path_reference(g, s, replication_rng(base, rep))
+                t_passage, n_star = _simulate_gamma_path(g, s, replication_rng(base, rep), True)
+                k_star = round(t_passage / h)
+                assert t_passage == k_star * h
+                assert n_star == _n_star_reference(h, k_star)
+                # the N* rebuild draws nothing: the walk without it agrees
+                assert _simulate_gamma_path(g, s, replication_rng(base, rep), False) == (
+                    t_passage, -1
+                )
+
+
+@pytest.mark.parametrize(
+    "shape,rate,h,s",
+    # K = 128, 8 and 4 grid steps per coarse step; at h = 1 K is 1 and no
+    # bisection runs.  The last two mostly cross inside the first coarse
+    # step (K = 1024 and 128), so there the Beta splits set k* almost alone.
+    [
+        (1.0, 1.0, 0.01, 5.0), (0.05, 1.0, 0.1, 0.7), (2.0, 1.0, 0.3, 20.0), (1.0, 2.0, 1.0, 5.0),
+        (1.0, 1.0, 1e-3, 0.3), (20.0, 1.0, 0.01, 10.0),
+    ],
+)
+def test_gamma_crossing_index_has_the_grid_walk_law(shape, rate, h, s):
+    # the grid walk first exceeds s at k* <= k exactly when S(k h) > s, and
+    # S(k h) ~ Gamma(shape k h, rate): P(k* <= k) = Q(shape k h, rate s),
+    # checked at the first k past each of five fixed quantiles of that law
+    g = GammaSubordinator(shape, rate, h)
+    n = 10_000
+    base = stream_base(SEED)
+    k_star = np.array(
+        [round(_simulate_gamma_path(g, s, replication_rng(base, rep), False)[0] / h) for rep in range(n)]
+    )
+    cdf = special.gammaincc(shape * h * np.arange(1, 100_000), rate * s)
+    for q in (0.1, 0.3, 0.5, 0.7, 0.9):
+        k = int(np.argmax(cdf >= q)) + 1
+        p = float(cdf[k - 1])
+        assert abs(np.count_nonzero(k_star <= k) / n - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def test_gamma_bridge_bracket_check_fires():
+    class NanBeta:
+        """Real coarse steps, and a nan Beta draw that breaks the bracket."""
+
+        def __init__(self, rng):
+            self.gamma = rng.gamma
+
+        def beta(self, a, b):
+            return math.nan
+
+    g = GammaSubordinator(1.0, 1.0, 0.01)
+    with pytest.raises(InvariantError, match=r"bracket violated: nan <= 5.0 < \d"):
+        _simulate_gamma_path(g, 5.0, NanBeta(rng_for(1)), False)
 
 
 def test_gamma_passage_observation():

@@ -17,6 +17,9 @@ The list covers:
   - ``selfcheck`` at its default seed and at ``--seed 7``;
   - the operation shapes of the four benchmark workloads (the argv is
     written here, so the benchmark is not imported);
+  - a gamma-side ``converge`` table and a renewal path longer than the
+    2**21-draw first chunk, the two kinds of output whose bytes stream
+    layout 2 changed (gamma passages, and paths that need a refill);
   - a few bad inputs, whose exit code and message must not move either,
     bad values in a config file, and usage errors: an unknown flag, a
     missing subcommand or flag value, and a ``threads`` flag or config key
@@ -107,6 +110,11 @@ COMMANDS: list[tuple[str, ...]] = [
     ("converge", "--side", "renewal", "--case", "a2", "--dist", "pareto2:1.0",
      "--ell", "logpow:2,1", "--s-grid", "100,1e4", "--reps", "300", "--seed", "3", "--csv", CSV),
     _passage("cp:rate=1.0,jump=pareto2:1.0", "1000", 1000, "4"),
+    # stream layout 2: a gamma passage table, and a path that refills
+    ("converge", "--side", "passage", "--case", "b1", "--sub",
+     "gamma:shape=1.0,rate=1.0,grid=0.01", "--s-grid", "100,1000", "--reps", "200",
+     "--seed", "6", "--csv", CSV),
+    _renewal("exp:1.0", "3e6", 4),
     # benchmark shapes: renewal-short, converge-heavy, passage-mix, oracle-cli
     _renewal("exp:1.0", "100", 12000, "1234"),
     _renewal("pareto:1.5,1.0", "100", 12000, "5678"),
