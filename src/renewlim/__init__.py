@@ -6,6 +6,7 @@ from .distributions import (
     Deterministic,
     Exponential,
     Interarrival,
+    LimitCase,
     Pareto,
     StableParams,
     Uniform,
@@ -24,7 +25,6 @@ from .errors import (
     ToleranceNotMetError,
 )
 from .limits import (
-    LimitCase,
     gamma_fn,
     limit_constant,
     stable_abs_moment,

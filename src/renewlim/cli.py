@@ -132,7 +132,9 @@ class Option:
         return self.flags[0][2:].replace("-", "_")
 
 
-_CASE = Option(("--case",), _one_of(limits.CASES), required=True, help="a1,a2,a3,b1,b2,b3")
+_CASE = Option(
+    ("--case",), _one_of(distributions.CASES), required=True, help=",".join(distributions.CASES)
+)
 _LEVEL = Option(("--s",), _positive, required=True, help="level s")
 _REPS = Option(("--reps",), _at_least(1), required=True, help="replications")
 _SEED = Option(("--seed",), _at_least(0), required=True, help="master seed")
@@ -252,7 +254,7 @@ def _cmd_moment(cfg: dict) -> int:
 
 def _cmd_limit(cfg: dict) -> int:
     value = limits.limit_constant(
-        limits.LimitCase(cfg["case"], cfg["mu"], sigma=cfg["sigma"], alpha=cfg["alpha"])
+        distributions.LimitCase(cfg["case"], cfg["mu"], sigma=cfg["sigma"], alpha=cfg["alpha"])
     )
     print(_fmt(value))
     return 0
@@ -398,13 +400,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulation and numerical verification toolkit for renewal "
         "counting and subordinator first-passage limit behaviour.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the metavars name the choices, not the dest, in a missing-subcommand error
+    words = dict.fromkeys(name.split()[0] for name in COMMANDS)
+    sub = parser.add_subparsers(dest="command", metavar="|".join(words), required=True)
     groups = {}
     for name, (help_text, _) in COMMANDS.items():
         group, _, leaf = name.rpartition(" ")
         if group and group not in groups:
             p = sub.add_parser(group, help=_GROUP_HELP[group])
-            groups[group] = p.add_subparsers(dest="target", required=True)
+            leaves = [n.split()[1] for n in COMMANDS if n.startswith(group + " ")]
+            groups[group] = p.add_subparsers(dest="target", metavar="|".join(leaves), required=True)
         p = (groups[group] if group else sub).add_parser(leaf, help=help_text)
         for opt in TABLES[name]:
             p.add_argument(*opt.flags, dest=opt.key, help=opt.help)

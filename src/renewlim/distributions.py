@@ -1,4 +1,5 @@
-"""Parametric zoo of positive inter-arrival laws and the skewed stable limit family.
+"""Parametric zoo of positive inter-arrival laws, the skewed stable limit
+family, and the convergence cases (``LimitCase``) the laws belong to.
 
 The zoo is closed by design: each law carries exact analytic mean, variance,
 tail and truncated second moment, so every Monte Carlo estimate in the
@@ -17,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, SpecParseError
+from .errors import DomainError, ParameterMismatchError, SpecParseError
 
 __all__ = [
     "Interarrival",
@@ -26,6 +27,8 @@ __all__ = [
     "Uniform",
     "Pareto",
     "StableParams",
+    "CASES",
+    "LimitCase",
     "parse_spec",
     "parse_interarrival",
 ]
@@ -83,17 +86,12 @@ class Interarrival(ABC):
         v = self.variance()
         return math.inf if math.isinf(v) else v + self.mean() ** 2
 
-    def moment_regime(self) -> str | None:
-        """Which convergence case the law belongs to.
-
-        'a1': finite positive variance; 'a2': infinite variance with slowly
-        varying truncated second moment; 'a3': regularly varying tail of
-        index in (1,2).  None for the degenerate (zero-variance) law.
-        """
+    def limit_case(self) -> LimitCase | None:
+        """The law's convergence case: a1, with mu and sigma, for a finite
+        positive variance (the heavy-tail members override it); None for the
+        degenerate (zero-variance) law."""
         v = self.variance()
-        if math.isinf(v):
-            raise NotImplementedError  # overridden by the heavy-tail members
-        return "a1" if v > 0.0 else None
+        return LimitCase("a1", self.mean(), sigma=math.sqrt(v)) if v > 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -295,8 +293,11 @@ class Pareto(Interarrival):
             return self.x_min * (1.0 - rng.random(size)) ** (-1.0 / self.alpha)
         return self.finish(self.raw_fill(rng, out))
 
-    def moment_regime(self):
-        return "a2" if self.alpha == 2.0 else "a3"
+    def limit_case(self):
+        # alpha = 2: the truncated second moment is slowly varying
+        if self.alpha == 2.0:
+            return LimitCase("a2", self.mean())
+        return LimitCase("a3", self.mean(), alpha=self.alpha)
 
     def spec_string(self):
         return f"pareto:{self.alpha!r},{self.x_min!r}"
@@ -403,6 +404,57 @@ def _cms_standard(alpha: float, beta: float, v: np.ndarray, w: np.ndarray) -> np
     core = np.sin(avt) / np.cos(v) ** (1.0 / alpha)
     tail = (np.cos(v - avt) / w) ** ((1.0 - alpha) / alpha)
     return prefactor * core * tail
+
+
+# ---------------------------------------------------------------------------
+# Convergence cases
+# ---------------------------------------------------------------------------
+
+#: the six convergence cases: a* for renewal counts, b* for passage times
+CASES = ("a1", "a2", "a3", "b1", "b2", "b3")
+
+
+@dataclass(frozen=True)
+class LimitCase:
+    """One convergence case with its parameters.
+
+    ``mu`` is the mean inter-arrival time (cases a*) or the mean subordinator
+    slope m (cases b*); ``sigma`` likewise doubles as b.  ``sigma`` is
+    required exactly for a1/b1 and ``alpha`` exactly for a3/b3.
+    """
+
+    case: str
+    mu: float
+    sigma: float | None = None
+    alpha: float | None = None
+
+    def __post_init__(self):
+        kind = self.case.strip().lower()
+        if kind not in CASES:
+            raise ParameterMismatchError(f"unknown case {self.case!r}")
+        object.__setattr__(self, "case", kind)
+        digit, sigma, alpha = kind[1], self.sigma, self.alpha
+        problem = None
+        if not (self.mu > 0.0 and math.isfinite(self.mu)):
+            problem = f"mean parameter must be positive finite, got {self.mu}"
+        elif digit == "1" and (sigma is None or not 0.0 < sigma < math.inf):
+            problem = f"needs finite positive sigma/b, got {sigma}"
+        elif digit == "3" and (alpha is None or not 1.0 < alpha < 2.0):
+            problem = f"needs alpha in (1, 2), got {alpha}"
+        elif digit == "2" and (sigma is not None or alpha is not None):
+            problem = "takes only the mean parameter"
+        elif digit == "3" and sigma is not None:
+            problem = "sigma/b is not a parameter"
+        elif digit == "1" and alpha is not None:
+            problem = "alpha is not a parameter"
+        if problem is not None:
+            raise ParameterMismatchError(f"case {kind}: {problem}")
+
+    @property
+    def scaling_index(self) -> float | None:
+        """The index of the scaling function c(s) that normalizes the case: 2
+        for a2/b2, alpha for a3/b3, None for a1/b1 (normalized by sqrt(s))."""
+        return {"1": None, "2": 2.0}.get(self.case[1], self.alpha)
 
 
 # ---------------------------------------------------------------------------

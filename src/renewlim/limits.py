@@ -25,12 +25,11 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import StableParams
-from .errors import DomainError, ParameterMismatchError, PoleError, ToleranceNotMetError
+from .distributions import LimitCase, StableParams
+from .errors import DomainError, PoleError, ToleranceNotMetError
 from .montecarlo import MCEstimate, replication_rng, stream_base
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "stable_abs_moment",
     "stable_abs_moment_quadrature",
     "stable_abs_moment_mc",
-    "CASES",
-    "LimitCase",
     "limit_constant",
 ]
 
@@ -238,52 +235,6 @@ def stable_abs_moment_mc(alpha: float, r: float, n: int, master_seed: int) -> MC
     powered = abs(draws) ** r
     se = float(powered.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
     return MCEstimate(mean=float(powered.mean()), std_error=se, n_reps=n, master_seed=master_seed)
-
-
-#: the six convergence cases: a* for renewal counts, b* for passage times
-CASES = ("a1", "a2", "a3", "b1", "b2", "b3")
-
-
-@dataclass(frozen=True)
-class LimitCase:
-    """One convergence case with its parameters.
-
-    ``mu`` is the mean inter-arrival time (cases a*) or the mean subordinator
-    slope m (cases b*); ``sigma`` likewise doubles as b.  ``sigma`` is
-    required exactly for a1/b1 and ``alpha`` exactly for a3/b3.
-    """
-
-    case: str
-    mu: float
-    sigma: float | None = None
-    alpha: float | None = None
-
-    def __post_init__(self):
-        kind = self.case.strip().lower()
-        if kind not in CASES:
-            raise ParameterMismatchError(f"unknown case {self.case!r}")
-        object.__setattr__(self, "case", kind)
-        if not (self.mu > 0.0 and math.isfinite(self.mu)):
-            raise ParameterMismatchError(
-                f"case {kind}: mean parameter must be positive finite, got {self.mu}"
-            )
-        if kind in ("a1", "b1"):
-            if self.sigma is None or not (0.0 < self.sigma < math.inf):
-                raise ParameterMismatchError(
-                    f"case {kind}: needs finite positive sigma/b, got {self.sigma}"
-                )
-            if self.alpha is not None:
-                raise ParameterMismatchError(f"case {kind}: alpha is not a parameter")
-        elif kind in ("a3", "b3"):
-            if self.alpha is None or not (1.0 < self.alpha < 2.0):
-                raise ParameterMismatchError(
-                    f"case {kind}: needs alpha in (1, 2), got {self.alpha}"
-                )
-            if self.sigma is not None:
-                raise ParameterMismatchError(f"case {kind}: sigma/b is not a parameter")
-        else:
-            if self.sigma is not None or self.alpha is not None:
-                raise ParameterMismatchError(f"case {kind}: takes only the mean parameter")
 
 
 def limit_constant(case: LimitCase) -> float:

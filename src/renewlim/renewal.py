@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import Interarrival
 from .errors import CaseMismatchError, DomainError
-from .limits import LimitCase, limit_constant
+from .limits import limit_constant
 from .montecarlo import (
     MCEstimate,
     block_crossings,
@@ -194,33 +194,6 @@ class ConvergenceRow:
     rel_gap: float
 
 
-def _limit_case(
-    spec: Interarrival | Subordinator, case: str, ell: SlowlyVarying | None
-) -> LimitCase:
-    """The limit case of ``spec``, after checking that ``case`` is its
-    regime and that a case scaled by c(s) has an ell to solve for it."""
-    regime = spec.moment_regime()
-    if regime is None:
-        raise CaseMismatchError(
-            f"{spec.spec_string()} has zero variance; no convergence case applies"
-        )
-    if case != regime:
-        raise CaseMismatchError(
-            f"case {case} requested but {spec.spec_string()} belongs to case {regime}"
-        )
-    if case[1] != "1" and ell is None:
-        raise CaseMismatchError(f"case {case} needs a slowly varying ell for c(s)")
-    if isinstance(spec, Subordinator):  # b3 arises only from compound Poisson jumps
-        mu, variance, law = spec.mean_rate(), spec.variance_rate(), getattr(spec, "jump", None)
-    else:
-        mu, variance, law = spec.mean(), spec.variance(), spec
-    if case[1] == "1":
-        return LimitCase(case, mu, sigma=math.sqrt(variance))
-    if case[1] == "2":
-        return LimitCase(case, mu)
-    return LimitCase(case, mu, alpha=law.alpha)
-
-
 def convergence_table(
     spec: Interarrival | Subordinator,
     case: str,
@@ -241,13 +214,21 @@ def convergence_table(
     finite = all(map(math.isfinite, grid))
     if not grid or not finite or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError(f"s_grid: must be nonempty, finite and strictly increasing, got {s_grid}")
-    lc = _limit_case(spec, case, ell)
+    lc, name = spec.limit_case(), spec.spec_string()
+    if lc is None:
+        raise CaseMismatchError(f"{name} has zero variance; no convergence case applies")
+    if case != lc.case:
+        raise CaseMismatchError(f"case {case} requested but {name} belongs to case {lc.case}")
+    index = lc.scaling_index
+    if index is not None and ell is None:
+        raise CaseMismatchError(f"case {case} needs a slowly varying ell for c(s)")
+    # every normalizer before the first walk, so a bad ell fails fast
+    denoms = [math.sqrt(s) if index is None else solve_c(index, ell, s) for s in grid]
     limit = limit_constant(lc)
     estimate = mc_passage_abs_deviation if isinstance(spec, Subordinator) else mc_abs_deviation
     rows = []
-    for s in grid:
+    for s, denom in zip(grid, denoms):
         est = estimate(spec, s, n_reps, master_seed)
-        denom = math.sqrt(s) if lc.sigma is not None else solve_c(lc.alpha or 2.0, ell, s)
         ratio = est.mean / denom
         rows.append(
             ConvergenceRow(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Interarrival, parse_interarrival
+from .distributions import Interarrival, LimitCase, parse_interarrival
 from .errors import DomainError, InvariantError, ParameterMismatchError, SpecParseError
 from .montecarlo import (
     MCEstimate,
@@ -55,9 +55,10 @@ class Subordinator(ABC):
     @abstractmethod
     def spec_string(self) -> str: ...
 
-    @abstractmethod
-    def moment_regime(self) -> str:
-        """'b1', 'b2' or 'b3', mirroring the inter-arrival classification."""
+    def limit_case(self) -> LimitCase:
+        """The convergence case: b1, with m and b, for a finite b**2 = Var S(1)
+        (compound Poisson overrides it for heavy-tailed jumps)."""
+        return LimitCase("b1", self.mean_rate(), sigma=math.sqrt(self.variance_rate()))
 
 
 @dataclass(frozen=True)
@@ -81,11 +82,13 @@ class CompoundPoisson(Subordinator):
     def levy_tail(self, x):
         return self.rate * self.jump.tail(x)
 
-    def moment_regime(self):
-        regime = self.jump.moment_regime()
-        if regime is None:
-            return "b1"  # deterministic jumps: Var S(1) = rate * d**2 > 0
-        return "b" + regime[1]
+    def limit_case(self):
+        # b1 for any finite E J**2, deterministic jumps too; else the jump
+        # law's case, a2 or a3, turns into b2 or b3 with the same alpha
+        if math.isfinite(self.variance_rate()):
+            return super().limit_case()
+        jump = self.jump.limit_case()
+        return LimitCase("b" + jump.case[1], self.mean_rate(), alpha=jump.alpha)
 
     def spec_string(self):
         return f"cp:rate={self.rate!r},jump={self.jump.spec_string()}"
@@ -163,9 +166,6 @@ class GammaSubordinator(Subordinator):
             return math.nan
         return self.shape * _exp1(y)
 
-    def moment_regime(self):
-        return "b1"
-
     def spec_string(self):
         return f"gamma:shape={self.shape!r},rate={self.rate!r},grid={self.grid_step!r}"
 
@@ -205,6 +205,11 @@ def _simulate_cp_path(
     return t_passage, n_star
 
 
+def _coarse_steps(h: float) -> int:
+    """K, the grid steps in a coarse step of a gamma walk; h <= 1, so K >= 1."""
+    return 2 ** round(math.log2(1.0 / h))
+
+
 def _simulate_gamma_path(
     spec: GammaSubordinator, s: float, rng: np.random.Generator, want_n_star: bool
 ) -> tuple[float, int]:
@@ -226,7 +231,7 @@ def _simulate_gamma_path(
     """
     h = spec.grid_step
     per_step = spec.shape * h
-    coarse = 2 ** round(math.log2(1.0 / h))  # grid_step <= 1, so K >= 1
+    coarse = _coarse_steps(h)
     j, s_hi, s_lo = first_crossing(
         lambda out: rng.gamma(per_step * coarse, 1.0 / spec.rate, size=len(out)),
         s,
@@ -267,10 +272,13 @@ def _walk_passages(
     if not s > 0.0:
         raise DomainError(f"s must be positive, got {s}")
     center = s / spec.mean_rate()
-    exact = isinstance(spec, CompoundPoisson)
-    walk = _simulate_cp_path if exact else _simulate_gamma_path
-    # short cp paths run on the calling thread, by the rule of short renewal paths
-    threaded = not exact or block_rows(s, spec.jump.mean()) == 1
+    if isinstance(spec, CompoundPoisson):
+        walk, mean_step = _simulate_cp_path, spec.jump.mean()
+    else:
+        walk = _simulate_gamma_path
+        mean_step = spec.mean_rate() * spec.grid_step * _coarse_steps(spec.grid_step)
+    # short walks run on the calling thread, by the rule of short renewal paths
+    threaded = block_rows(s, mean_step) == 1
 
     def one(rng):
         t_passage, n_star = walk(spec, s, rng, want_n_star=want_n_star)

@@ -190,6 +190,13 @@ def test_bad_usage_exit_2(capsys):
     assert code == 2
 
 
+# a missing subcommand is named by its choices
+MISSING_SUBCOMMAND = {
+    (): "required: moment|limit|scaling|simulate|converge|selfcheck",
+    ("simulate",): "required: renewal|passage",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -209,6 +216,7 @@ def test_usage_errors_print_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert MISSING_SUBCOMMAND.get(tuple(argv), "") in err
 
 
 def test_help_exits_0(capsys):
@@ -304,32 +312,48 @@ def test_simulate_golden_bytes(capsys, monkeypatch, threads, target, spec):
 
 
 # converge rows pinned from the build that wrote the crossing loop once per
-# walk and kept a separate passage-side table; the bytes must not move
+# walk and kept a separate passage-side table, each with the ell its table
+# was run with (None for a1/b1); the bytes must not move.  The a2 and b2 rows
+# use logpow:2,1, the true ell of pareto2:1.0 (truncated second moment
+# 2 log x), and were pinned from the build that still worked out each case
+# in the convergence table.
 GOLDEN_CONVERGE = {
-    ("renewal", "a1", "exp:1.0"): [
+    ("renewal", "a1", "exp:1.0"): (None, [
         "50,200,5.4299999999999997,0.3033738261484662,7.0710678118654755,"
         "0.7679179643685905,0.79788456080286541,-0.037557558958305037",
         "200,200,12.59,0.62919706350524085,14.142135623730951,"
         "0.89024743751386326,0.79788456080286541,0.11575969914502227",
-    ],
-    ("renewal", "a3", "pareto:1.5,1.0"): [
+    ]),
+    ("renewal", "a3", "pareto:1.5,1.0"): ("const:1", [
         "50,200,5.8683333333333323,0.26989148821403253,13.57208808376453,"
         "0.4323824968652587,0.55026856127134682,-0.21423369006167248",
         "200,200,15.198333333333331,0.81551160068650852,34.199518935524608,"
         "0.44440196255351783,0.55026856127134682,-0.19239078182702929",
-    ],
-    ("passage", "b1", "cp:rate=1.0,jump=exp:1.0"): [
+    ]),
+    ("passage", "b1", "cp:rate=1.0,jump=exp:1.0"): (None, [
         "50,200,7.5670648723479292,0.39778698147942343,7.0710678118654755,"
         "1.0701445769831475,1.1283791670955128,-0.051609061750283125",
         "200,200,16.214901402387078,0.89743619125183849,14.142135623730951,"
         "1.1465666737899161,1.1283791670955128,0.016118258139432573",
-    ],
-    ("passage", "b3", "cp:rate=5.0,jump=pareto:1.5,1.0"): [
+    ]),
+    ("passage", "b3", "cp:rate=5.0,jump=pareto:1.5,1.0"): ("const:1", [
         "50,200,1.363616920812982,0.067608954271077562,13.57208808376453,"
         "0.10047215376123256,0.037637840159455829,1.6694452533826052",
         "200,200,3.3228626258710245,0.18416094738048286,34.199518935524608,"
         "0.097161092591259074,0.037637840159455829,1.5814736493812624",
-    ],
+    ]),
+    ("renewal", "a2", "pareto2:1.0"): ("logpow:2,1", [
+        "50,200,4.3600000000000003,0.25686944066536738,16.796306104214434,"
+        "0.25958088480573799,0.28209479177387814,-0.079809722209217115",
+        "200,200,10.01,0.73870013499879383,38.168041958147242,"
+        "0.26226129207718746,0.28209479177387814,-0.070307925828665518",
+    ]),
+    ("passage", "b2", "cp:rate=1.0,jump=pareto2:1.0"): ("logpow:2,1", [
+        "50,200,6.2798404156108134,0.33639768495240713,16.796306104214434,"
+        "0.37388223200070825,0.28209479177387814,0.3253780037896099",
+        "200,200,12.557895584365085,0.80602001595795192,38.168041958147242,"
+        "0.32901597619640299,0.28209479177387814,0.1663312680375042",
+    ]),
 }
 
 
@@ -338,38 +362,48 @@ GOLDEN_CONVERGE = {
 def test_converge_golden_bytes(tmp_path, capsys, monkeypatch, threads, side, case, spec):
     monkeypatch.setenv("RL_THREADS", threads)
     out_path = tmp_path / "c.csv"
+    ell, rows = GOLDEN_CONVERGE[(side, case, spec)]
     argv = ["converge", "--side", side, "--case", case,
             "--dist" if side == "renewal" else "--sub", spec]
-    if case[1] != "1":
-        argv += ["--ell", "const:1"]
+    if ell is not None:
+        argv += ["--ell", ell]
     argv += ["--s-grid", "50,200", "--reps", "200", "--seed", "13", "--csv", str(out_path)]
     code, _, _ = run_capture(capsys, argv)
     assert code == 0
-    assert out_path.read_text().splitlines()[1:] == GOLDEN_CONVERGE[(side, case, spec)]
+    assert out_path.read_text().splitlines()[1:] == rows
 
 
 @pytest.mark.parametrize(
-    "argv,estimator",
+    "argv,estimator,exit_code,line",
     [
-        (["--side", "renewal", "--case", "a3", "--dist", "pareto:1.5,1.0"], "mc_abs_deviation"),
-        (["--side", "passage", "--case", "b3", "--sub", "cp:rate=5.0,jump=pareto:1.5,1.0"],
-         "mc_passage_abs_deviation"),
+        (["--side", "renewal", "--case", "a3", "--dist", "pareto:1.5,1.0", "--s-grid", "1e6"],
+         "mc_abs_deviation", 2, "case a3 needs a slowly varying ell for c(s)"),
+        (["--side", "passage", "--case", "b3", "--sub", "cp:rate=5.0,jump=pareto:1.5,1.0",
+          "--s-grid", "1e6"],
+         "mc_passage_abs_deviation", 2, "case b3 needs a slowly varying ell for c(s)"),
+        # no c(s) solves x ell(c) = c**alpha at s = 1 for this ell: every
+        # normalizer is solved before the first walk, so none runs
+        (["--side", "renewal", "--case", "a3", "--dist", "pareto:1.5,1.0",
+          "--ell", "logpow:1,-5", "--s-grid", "1,100"],
+         "mc_abs_deviation", 1,
+         "could not bracket the scaling root at x=1.0 (alpha=1.5, ell=logpow:1.0,-5.0)"),
     ],
+    ids=["argv0-mc_abs_deviation", "argv1-mc_passage_abs_deviation", "argv2-bad-ell"],
 )
-def test_converge_missing_ell_fails_before_any_walk(tmp_path, capsys, monkeypatch, argv, estimator):
+def test_converge_missing_ell_fails_before_any_walk(
+    tmp_path, capsys, monkeypatch, argv, estimator, exit_code, line
+):
     def no_walk(*args, **kwargs):
         raise AssertionError("simulated before validating")
 
     monkeypatch.setattr(renewal, estimator, no_walk)
     out_path = tmp_path / "c.csv"
     code, out, err = run_capture(
-        capsys,
-        ["converge", *argv, "--s-grid", "1e6", "--reps", "300", "--seed", "1", "--csv", str(out_path)],
+        capsys, ["converge", *argv, "--reps", "300", "--seed", "1", "--csv", str(out_path)]
     )
-    assert code == 2
+    assert code == exit_code
     assert out == ""
-    case = argv[3]
-    assert err == f"error: case {case} needs a slowly varying ell for c(s)\n"
+    assert err == f"error: {line}\n"
     assert not out_path.exists()
 
 

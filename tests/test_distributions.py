@@ -11,6 +11,7 @@ from renewlim import (
     Deterministic,
     DomainError,
     Exponential,
+    LimitCase,
     Pareto,
     SpecParseError,
     StableParams,
@@ -341,12 +342,26 @@ def test_spec_parse_error_messages(parse, text, message):
     assert str(info.value) == message
 
 
-def test_moment_regimes():
-    assert Exponential(1.0).moment_regime() == "a1"
-    assert Uniform(0.0, 1.0).moment_regime() == "a1"
-    assert Deterministic(1.0).moment_regime() is None
-    assert Pareto(1.5, 1.0).moment_regime() == "a3"
-    assert Pareto(2.0, 1.0).moment_regime() == "a2"
+# (case, mu, sigma, alpha) of every zoo law; det:2.0 has zero variance
+ZOO_CASES = {
+    "exp:1.0": ("a1", 1.0, 1.0, None),
+    "det:2.0": None,
+    "unif:0.0,1.0": ("a1", 0.5, math.sqrt(1.0 / 12.0), None),
+    "pareto:1.5,1.0": ("a3", 3.0, None, 1.5),
+    "pareto2:1.0": ("a2", 2.0, None, None),
+}
+
+
+def test_limit_case():
+    assert set(ZOO_CASES) == set(ZOO)
+    for text, expected in ZOO_CASES.items():
+        lc = parse_interarrival(text).limit_case()
+        if expected is None:
+            assert lc is None
+        else:
+            assert (lc.case, lc.mu, lc.sigma, lc.alpha) == pytest.approx(expected)
+    assert Exponential(4.0).limit_case() == LimitCase("a1", 0.25, sigma=0.25)
+    assert Pareto(1.25, 2.0).limit_case() == LimitCase("a3", 10.0, alpha=1.25)
 
 
 def test_domain_validation():

@@ -354,12 +354,23 @@ def test_subordinator_grammar_rejects(text):
         parse_subordinator(text)
 
 
-def test_moment_regimes():
-    assert CompoundPoisson(1.0, Exponential(1.0)).moment_regime() == "b1"
-    assert CompoundPoisson(1.0, Deterministic(1.0)).moment_regime() == "b1"
-    assert CompoundPoisson(1.0, Pareto(2.0, 1.0)).moment_regime() == "b2"
-    assert CompoundPoisson(1.0, Pareto(1.5, 1.0)).moment_regime() == "b3"
-    assert GammaSubordinator(1.0, 1.0, 0.01).moment_regime() == "b1"
+# (case, m, b, alpha) per spec: m = rate E J and b**2 = rate E J**2 for cp
+SUB_CASES = {
+    # the two selfcheck coupling specs
+    "cp:rate=1.0,jump=exp:1.0": ("b1", 1.0, math.sqrt(2.0), None),
+    "cp:rate=5.0,jump=pareto:1.5,1.0": ("b3", 15.0, None, 1.5),
+    # deterministic jumps have zero variance, but S(1) does not
+    "cp:rate=2.0,jump=det:3.0": ("b1", 6.0, math.sqrt(18.0), None),
+    "cp:rate=1.0,jump=pareto2:1.0": ("b2", 2.0, None, None),
+    "cp:rate=1.0,jump=unif:0,1": ("b1", 0.5, math.sqrt(1.0 / 3.0), None),
+    "gamma:shape=2.0,rate=4.0,grid=0.01": ("b1", 0.5, math.sqrt(0.125), None),
+}
+
+
+def test_limit_case():
+    for text, expected in SUB_CASES.items():
+        lc = parse_subordinator(text).limit_case()
+        assert (lc.case, lc.mu, lc.sigma, lc.alpha) == pytest.approx(expected), text
 
 
 def test_validation():

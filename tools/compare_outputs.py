@@ -20,16 +20,21 @@ The list covers:
   - a gamma-side ``converge`` table and a renewal path longer than the
     2**21-draw first chunk, the two kinds of output whose bytes stream
     layout 2 changed (gamma passages, and paths that need a refill);
-  - a few bad inputs, whose exit code and message must not move either,
-    bad values in a config file, and usage errors: an unknown flag, a
-    missing subcommand or flag value, and a ``threads`` flag or config key
+  - every convergence case: ``converge`` tables for a1, a2, a3, b1, b2 and
+    b3, and ``limit`` for each case with a parameter of its own;
+  - a few bad inputs, whose exit code and message must not move either:
+    the case errors of ``converge`` (a zero-variance law, a case that is not
+    the law's, a missing ell, an ell for which c(s) has no root) and of
+    ``limit`` (a parameter the case does not take), bad values in a config
+    file, and usage errors: an unknown flag, a missing or unknown
+    subcommand, a missing flag value, and a ``threads`` flag or config key
     (the worker count is ``RL_THREADS`` alone).
 
 For each README command it also checks, on each tree, that the config file
 gives the bytes of the flags: a ``MISMATCH`` line names the fields that
 differ.
 
-Usage (about 7 minutes on a 2-core box; not part of the test suite):
+Usage (about 8 minutes on a 2-core box; not part of the test suite):
 
     python tools/compare_outputs.py OLD_TREE/src NEW_TREE/src
 """
@@ -56,6 +61,11 @@ def _renewal(dist: str, s: str, reps: int, seed: str = "11") -> tuple[str, ...]:
 
 def _passage(sub: str, s: str, reps: int, seed: str) -> tuple[str, ...]:
     return ("simulate", "passage", "--sub", sub, "--s", s, "--reps", str(reps), "--seed", seed)
+
+
+def _converge(side: str, case: str, spec: str, *rest: str) -> tuple[str, ...]:
+    flag = "--dist" if side == "renewal" else "--sub"
+    return ("converge", "--side", side, "--case", case, flag, spec, *rest, "--csv", CSV)
 
 
 def _config(words: tuple[str, ...], values: dict) -> tuple[str, ...]:
@@ -110,6 +120,17 @@ COMMANDS: list[tuple[str, ...]] = [
     ("converge", "--side", "renewal", "--case", "a2", "--dist", "pareto2:1.0",
      "--ell", "logpow:2,1", "--s-grid", "100,1e4", "--reps", "300", "--seed", "3", "--csv", CSV),
     _passage("cp:rate=1.0,jump=pareto2:1.0", "1000", 1000, "4"),
+    # the b side of each heavy case: b2 with the true ell of pareto2, and b3
+    _converge("passage", "b2", "cp:rate=1.0,jump=pareto2:1.0", "--ell", "logpow:2,1",
+              "--s-grid", "100,1e4", "--reps", "200", "--seed", "3"),
+    _converge("passage", "b3", "cp:rate=5.0,jump=pareto:1.5,1.0", "--ell", "const:1",
+              "--s-grid", "100,1e4", "--reps", "200", "--seed", "8"),
+    # the limit constant of every case but a1, which the README covers
+    ("limit", "--case", "a2", "--mu", "2"),
+    ("limit", "--case", "a3", "--mu", "3", "--alpha", "1.5"),
+    ("limit", "--case", "b1", "--m", "1", "--b", "1.4142135623730951"),
+    ("limit", "--case", "b2", "--m", "2"),
+    ("limit", "--case", "b3", "--m", "15", "--alpha", "1.5"),
     # stream layout 2: a gamma passage table, and a path that refills
     ("converge", "--side", "passage", "--case", "b1", "--sub",
      "gamma:shape=1.0,rate=1.0,grid=0.01", "--s-grid", "100,1000", "--reps", "200",
@@ -135,6 +156,14 @@ COMMANDS: list[tuple[str, ...]] = [
     _renewal("exp:1.0", "100", 1),
     _renewal("pareto:0.5,1.0", "100", 100),
     _renewal("exp:1e-12", "1e3", 10),
+    # case errors: zero variance, not the law's case, no ell, no root of c(s)
+    _converge("renewal", "a1", "det:1.0", "--s-grid", "100", "--reps", "100", "--seed", "1"),
+    _converge("renewal", "a1", "pareto:1.5,1.0", "--s-grid", "100", "--reps", "100", "--seed", "1"),
+    _converge("passage", "b3", "cp:rate=5.0,jump=pareto:1.5,1.0", "--s-grid", "1e6",
+              "--reps", "300", "--seed", "1"),
+    _converge("renewal", "a3", "pareto:1.5,1.0", "--ell", "logpow:1,-5", "--s-grid", "1,100",
+              "--reps", "300", "--seed", "1"),
+    ("limit", "--case", "a2", "--mu", "1", "--sigma", "1"),
     # bad config values: strings, fractions, booleans and arrays for numbers
     _config(("limit",), {"case": "a1", "mu": 1, "sigma": "abc"}),
     _config(("limit",), {"case": "a1", "mu": 1, "sigma": [1]}),
@@ -150,6 +179,8 @@ COMMANDS: list[tuple[str, ...]] = [
     _config(SIMULATE, {"dist": "exp:1.0", "s": 10, "reps": 10, "seed": 1, "threads": 2}),
     ("limit", "--case", "a1", "--mu", "1", "--sigma", "1", "--bogus"),
     ("simulate",),
+    (),
+    ("simulate", "bogus"),
     ("scaling", "--alpha", "1.5", "--ell", "const:1", "--x", "-inf"),
 ]
 
@@ -159,7 +190,7 @@ def run(src: str, argv: tuple[str, ...], threads: str, tmp: Path) -> tuple:
     csv, config = tmp / "out.csv", tmp / "config.json"
     csv.unlink(missing_ok=True)
     argv = tuple(str(csv) if a == CSV else a for a in argv)
-    if argv[-1].startswith(CONFIG):
+    if argv and argv[-1].startswith(CONFIG):
         config.write_text(argv[-1][len(CONFIG) :].replace(CSV, json.dumps(str(csv))[1:-1]))
         argv = (*argv[:-1], str(config))
     env = dict(os.environ, PYTHONPATH=src, RL_THREADS=threads)
