@@ -19,6 +19,7 @@ import argparse
 import itertools
 import json
 import math
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import astuple, dataclass, replace
@@ -386,7 +387,17 @@ _GROUP_HELP = {"simulate": "Monte Carlo simulation runs"}
 class _Parser(argparse.ArgumentParser):
     """An argparse parser whose usage errors (an unknown flag, a missing
     subcommand or flag value) raise ConfigError, so ``run`` prints them on
-    one line like any other bad input; subparsers inherit the class."""
+    one line like any other bad input; subparsers inherit the class.
+
+    Every option but -h is a long flag, so a word with one leading dash is
+    a value: ``--x -inf`` and ``--x -1e5`` reach the validator as ``--x=-inf``
+    does, where argparse would take them for unknown flags.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # after -h is added: argparse reads a word this matches as a value
+        self._negative_number_matcher = re.compile(r"-[^-]")
 
     def error(self, message: str):
         raise ConfigError(message)

@@ -34,6 +34,14 @@ __all__ = [
 ]
 
 
+def _square(x: float) -> float:
+    """x ** 2, or inf where that overflows (Python's ** raises there)."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 class Interarrival(ABC):
     """A positive random variable with exact moment and tail functionals."""
 
@@ -108,7 +116,8 @@ class Exponential(Interarrival):
         return 1.0 / self.rate
 
     def variance(self):
-        return 1.0 / self.rate**2
+        square = _square(self.rate)
+        return 1.0 / square if square > 0.0 else math.inf  # rate**2 may underflow
 
     def tail(self, x):
         return math.exp(-self.rate * x) if x > 0.0 else 1.0
@@ -198,7 +207,7 @@ class Uniform(Interarrival):
         return 0.5 * (self.a + self.b)
 
     def variance(self):
-        return (self.b - self.a) ** 2 / 12.0
+        return _square(self.b - self.a) / 12.0
 
     def tail(self, x):
         if x <= self.a:

@@ -30,6 +30,10 @@ _MAX_CHUNK = 2**21
 _BLOCK_DOUBLES = 2**16  # block scratch per thread: 512 KiB
 _MAX_BLOCK_ROWS = 256
 _MIN_BLOCK_ROWS = 32
+# a long chunk is summed a sub-block at a time: the largest first chunk of
+# block_crossings, so every chunk it sums is summed as one sub-block
+_SUB_BLOCK = _BLOCK_DOUBLES // _MIN_BLOCK_ROWS
+_ROUNDING_MARGIN = 2.0**-41  # 4096 units of roundoff, 2**-53
 
 
 def thread_count() -> int:
@@ -139,58 +143,130 @@ def _scratch_buffer(size: int) -> np.ndarray:
     return buf
 
 
+def _levels(level) -> tuple[bool, list[float]]:
+    """Whether a walk has several levels (``level`` has a length), and its
+    levels, which must increase."""
+    if not hasattr(level, "__len__"):  # cheaper than np.ndim on a float
+        return False, [float(level)]
+    levels = [float(x) for x in level]
+    if not levels or any(b < a for a, b in zip(levels, levels[1:])):
+        raise DomainError(f"levels: must be nonempty and increasing, got {level}")
+    return True, levels
+
+
 def first_crossing(
     draw: Callable[..., np.ndarray],
-    level: float,
+    level: float | Sequence[float],
     mean_step: float,
     max_draws: int = _MAX_DRAWS_PER_PATH,
-) -> tuple[int, float, float]:
+) -> tuple[int, float, float] | list[tuple[int, float, float]]:
     """First n with S_n > level, S_n and S_{n-1} (S_0 = 0), where S_n sums
-    the positive steps that ``draw(out=...)`` yields in order.
+    the positive steps that ``draw(out=...)`` yields in order.  For an
+    increasing sequence of levels, one walk to the last of them gives a list
+    with that triple for each level.
 
     ``draw`` fills the float64 array ``out`` in place with the next len(out)
     steps and returns it, or returns a new array of that length; the
     running sums are then taken in that array.  ``out`` is a slice of one
     scratch buffer per thread, so a walk allocates nothing per chunk.
 
-    Each chunk is sized from the expected number of steps still to go,
-    (level - S) / mean_step, and holds at least 64 draws, so a path costs
-    O(level/mean_step) vectorized work however long it is.  A path whose
-    expected length level/mean_step exceeds ``max_draws`` raises DomainError
-    before its first draw, and a path still below the level after
+    Each chunk is sized from the expected number of steps still to go to the
+    last level, (level - S) / mean_step, and holds at least 64 draws, so a
+    path costs O(level/mean_step) vectorized work however long it is.  A
+    path whose expected length level/mean_step exceeds ``max_draws`` raises
+    DomainError before its first draw, and a path still below a level after
     ``max_draws`` steps raises it too.
+
+    A chunk of at most ``_SUB_BLOCK`` draws is summed sequentially.  A longer
+    one is cut into sub-blocks of that size: the walk skips sub-blocks by
+    their pairwise totals (``_skip_sub_blocks``) and sums sequentially only
+    the one that may hold the next crossing, from the running total before
+    it.  S_n is then a sum of the same steps in another order, so it can
+    differ from a sequential sum in its last bits; n differs only when a
+    partial sum lies within such rounding of a level.
     """
-    expected = level / mean_step
+    many, levels = _levels(level)
+    top = levels[-1]
+    expected = top / mean_step
     if expected > max_draws:
         raise DomainError(
-            f"path would exceed {max_draws} draws before crossing level {level}: "
+            f"path would exceed {max_draws} draws before crossing level {top}: "
             f"it needs {expected:.6g} steps of mean {mean_step} on average"
         )
     chunk = _chunk_size(expected)
     count = 0
     carried = 0.0
+    found: list[tuple[int, float, float]] = []
     while True:
-        sums = draw(out=_scratch_buffer(chunk)[:chunk])
-        np.add.accumulate(sums, out=sums)  # np.cumsum, without its wrapper's cost
-        if carried:
-            sums += carried
-        idx = int(sums.searchsorted(level, side="right"))
-        if idx < chunk:
-            total = float(sums[idx])
-            before = float(sums[idx - 1]) if idx > 0 else carried
-            if not total > level >= before:
-                raise InvariantError(
-                    f"crossing bookkeeping violated: {before} <= {level} < {total} fails"
-                )
-            return count + idx + 1, total, before
+        steps = draw(out=_scratch_buffer(chunk)[:chunk])
+        totals = _sub_block_totals(steps) if chunk > _SUB_BLOCK else None
+        start = 0
+        while start < chunk:
+            if totals is not None:
+                start, carried = _skip_sub_blocks(totals, start, levels[len(found)], carried)
+                if start >= chunk:
+                    break
+            sums = steps[start : start + _SUB_BLOCK] if totals is not None else steps
+            np.add.accumulate(sums, out=sums)  # np.cumsum, without its wrapper's cost
+            if carried:
+                sums += carried
+            while len(found) < len(levels):
+                target = levels[len(found)]
+                idx = int(sums.searchsorted(target, side="right"))
+                if idx == len(sums):
+                    break
+                total = float(sums[idx])
+                before = float(sums[idx - 1]) if idx > 0 else carried
+                if not total > target >= before:
+                    raise InvariantError(
+                        f"crossing bookkeeping violated: {before} <= {target} < {total} fails"
+                    )
+                found.append((count + start + idx + 1, total, before))
+            if len(found) == len(levels):
+                return found if many else found[0]
+            carried = float(sums[-1])
+            start += len(sums)
         count += chunk
-        carried = float(sums[-1])
         if count > max_draws:
             raise DomainError(
-                f"path exceeded {max_draws} draws before crossing level {level}; "
-                f"running sum={carried}"
+                f"path exceeded {max_draws} draws before crossing level "
+                f"{levels[len(found)]}; running sum={carried}"
             )
-        chunk = max(64, _chunk_size((level - carried) / mean_step))
+        chunk = max(64, _chunk_size((top - carried) / mean_step))
+
+
+def _sub_block_totals(steps: np.ndarray) -> np.ndarray:
+    """The pairwise sum of each ``_SUB_BLOCK`` steps of a chunk; the last
+    sub-block may be partial."""
+    full = len(steps) - len(steps) % _SUB_BLOCK
+    totals = np.empty(-(-len(steps) // _SUB_BLOCK))
+    np.add.reduce(steps[:full].reshape(-1, _SUB_BLOCK), axis=1, out=totals[: full // _SUB_BLOCK])
+    if full < len(steps):
+        totals[-1] = np.add.reduce(steps[full:])
+    return totals
+
+
+def _skip_sub_blocks(
+    totals: np.ndarray, start: int, level: float, carried: float
+) -> tuple[int, float]:
+    """Where to scan next from ``start``, a sub-block boundary, and the
+    running sum before it: every sub-block whose running total of pairwise
+    sums, from ``carried``, stays below ``level`` by more than the rounding
+    margin is skipped.  A sequential sum of a sub-block differs from its
+    pairwise sum by less than 2100 units of roundoff of the level (Higham
+    1993), so a skipped sub-block holds no crossing of a sequential scan.
+    Past the last sub-block, the start is at or after the chunk's end.
+    """
+    first = start // _SUB_BLOCK
+    running = np.add.accumulate(totals[first:])
+    running += carried
+    j = int(running.searchsorted(level - level * _ROUNDING_MARGIN))  # NaN sorts last
+    if j < len(running) and not math.isfinite(totals[first + j]):
+        raise InvariantError(
+            f"sub-block {first + j} of the chunk sums to {totals[first + j]}: "
+            "a step is NaN or infinite"
+        )
+    return (first + j) * _SUB_BLOCK, float(running[j - 1]) if j > 0 else carried
 
 
 def block_rows(level: float, mean_step: float) -> int:
@@ -209,53 +285,67 @@ def block_rows(level: float, mean_step: float) -> int:
 def block_crossings(
     raw_fill: Callable[[np.random.Generator, np.ndarray], np.ndarray],
     finish: Callable[[np.ndarray], np.ndarray],
-    level: float,
+    level: float | Sequence[float],
     mean_step: float,
     n_reps: int,
     master_seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``first_crossing`` of every replication, ``block_rows`` at a time on
     the calling thread: arrays of N (as floats) and S_N, indexed by rep.
+    For an increasing sequence of levels, one walk of each replication to
+    the last of them gives arrays of shape (levels, reps).
 
     The steps are ``finish(raw_fill(rng, out))`` on replication ``rep``'s
     stream.  Each replication's first chunk is drawn into one row of a block
     matrix, and the transform, the running sums and the crossing search then
     run once over the whole block.  Every row sees the same elementwise
     operations in the same order as its own walk, so N and S_N equal
-    ``first_crossing``'s bit for bit.  A row still at or below the level
-    after its first chunk replays its stream through ``first_crossing``.
+    ``first_crossing``'s bit for bit.  A row still at or below the last
+    level after its first chunk replays its stream through
+    ``first_crossing``, and so does every replication when a first chunk
+    holds more than ``_SUB_BLOCK`` draws (``block_rows`` is 1).
     """
-    chunk = _chunk_size(level / mean_step)
-    rows = block_rows(level, mean_step)
+    many, levels = _levels(level)
+    top = levels[-1]
+    chunk = _chunk_size(top / mean_step)
+    rows = block_rows(top, mean_step)
     streams = replication_streams(stream_base(master_seed))
-    counts = np.empty(n_reps)
-    totals = np.empty(n_reps)
+    counts = np.empty((len(levels), n_reps))
+    totals = np.empty((len(levels), n_reps))
+
+    def walk_alone(rep: int) -> None:
+        rng = streams(rep)
+        walks = first_crossing(lambda out: finish(raw_fill(rng, out)), levels, mean_step)
+        for k, (n, total, _) in enumerate(walks):
+            counts[k, rep], totals[k, rep] = n, total
+
     for lo in range(0, n_reps, rows):
         hi = min(lo + rows, n_reps)
+        if rows == 1:  # a first chunk past the sub-block size: a walk of its own
+            walk_alone(lo)
+            continue
         block = _scratch_buffer(rows * chunk)[: (hi - lo) * chunk].reshape(hi - lo, chunk)
         for rep, row in zip(range(lo, hi), block):
             raw_fill(streams(rep), row)
         sums = finish(block)
         np.add.accumulate(sums, axis=1, out=sums)
-        idx = np.count_nonzero(sums <= level, axis=1)  # the crossing index of each row
-        at = (np.arange(hi - lo), np.minimum(idx, chunk - 1))
-        total = sums[at]
-        before = np.where(idx > 0, sums[at[0], at[1] - 1], 0.0)
-        crossed = idx < chunk
-        broken = crossed & ~((total > level) & (level >= before))
-        if broken.any():
-            i = int(np.argmax(broken))
-            raise InvariantError(
-                f"crossing bookkeeping violated: {before[i]} <= {level} < {total[i]} fails"
-            )
-        counts[lo:hi] = idx + 1
-        totals[lo:hi] = total
-        for i in np.flatnonzero(~crossed).tolist():
-            rng = streams(lo + i)
-            counts[lo + i], totals[lo + i], _ = first_crossing(
-                lambda out: finish(raw_fill(rng, out)), level, mean_step
-            )
-    return counts, totals
+        for k, lv in enumerate(levels):
+            idx = np.count_nonzero(sums <= lv, axis=1)  # the crossing index of each row
+            at = (np.arange(hi - lo), np.minimum(idx, chunk - 1))
+            total = sums[at]
+            before = np.where(idx > 0, sums[at[0], at[1] - 1], 0.0)
+            crossed = idx < chunk
+            broken = crossed & ~((total > lv) & (lv >= before))
+            if broken.any():
+                i = int(np.argmax(broken))
+                raise InvariantError(
+                    f"crossing bookkeeping violated: {before[i]} <= {lv} < {total[i]} fails"
+                )
+            counts[k, lo:hi] = idx + 1
+            totals[k, lo:hi] = total
+        for i in np.flatnonzero(sums[:, -1] <= top).tolist():  # rows still below the top
+            walk_alone(lo + i)
+    return (counts, totals) if many else (counts[0], totals[0])
 
 
 @dataclass(frozen=True)
@@ -283,13 +373,20 @@ def estimate_from_values(values: np.ndarray, master_seed: int) -> MCEstimate:
 
     Each squared deviation is libm's pow(d, 2), as Python's ``d ** 2``
     gives it; numpy's ``d * d`` differs from it in the last bit for about
-    one value in a thousand, so the squares are not vectorised.
+    one value in a thousand, so the squares are not vectorised.  Values so
+    large that their sum or a square overflows raise DomainError.
     """
     n = len(values)
-    mean = math.fsum(_as_floats(values)) / n
-    if n > 1:
-        var = math.fsum(map(math.pow, _as_floats(values - mean), repeat(2.0))) / (n - 1)
-        se = math.sqrt(var / n)
-    else:
-        se = 0.0
+    try:
+        mean = math.fsum(_as_floats(values)) / n
+        if n > 1:
+            var = math.fsum(map(math.pow, _as_floats(values - mean), repeat(2.0))) / (n - 1)
+            se = math.sqrt(var / n)
+        else:
+            se = 0.0
+    except OverflowError:
+        raise DomainError(
+            f"cannot estimate from values as large as {float(np.max(np.abs(values)))}: "
+            "their sum or squared deviations overflow"
+        ) from None
     return MCEstimate(mean=mean, std_error=se, n_reps=n, master_seed=master_seed)

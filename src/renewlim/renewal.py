@@ -91,38 +91,50 @@ class RenewalEstimates:
     wald: float
 
 
+def _walk_renewals(
+    spec: Interarrival,
+    levels: Sequence[float],
+    n_reps: int,
+    master_seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walk each replication once to the last of ``levels`` (increasing):
+    N(s) (as floats) and the overshoot S_{N(s)} - s at every level, as
+    arrays of shape (levels, reps).
+
+    The last level picks the walk.  Short paths (``block_rows`` > 1) walk a
+    block of replications at a time on the calling thread: per replication,
+    re-keying and a small fill hold the GIL, so worker threads would only
+    contend for it.  Long paths walk one replication at a time over
+    ``thread_count()`` workers.  Both give the same bytes.
+    """
+    if n_reps < 2:
+        raise DomainError(f"n_reps must be >= 2, got {n_reps}")
+    if not levels[0] > 0.0:
+        raise DomainError(f"s must be positive, got {levels[0]}")
+    thread_count()  # a bad RL_THREADS fails on either walk
+    mu = spec.mean()
+    if block_rows(levels[-1], mu) > 1:
+        counts, totals = block_crossings(spec.raw_fill, spec.finish, levels, mu, n_reps, master_seed)
+    else:
+
+        def one(rng: np.random.Generator) -> list[float]:
+            walks = first_crossing(partial(spec.sample, rng), levels, mu)
+            return [n for n, _, _ in walks] + [total for _, total, _ in walks]
+
+        out = map_replications(one, 2 * len(levels), n_reps, master_seed)
+        counts, totals = out[: len(levels)], out[len(levels) :]
+    return counts, totals - np.array(levels)[:, None]
+
+
 def renewal_estimates(
     spec: Interarrival,
     s: float,
     n_reps: int,
     master_seed: int,
 ) -> RenewalEstimates:
-    """Walk each replication once and reduce its (count, overshoot) pair
-    into all three renewal estimates.
-
-    Short paths (``block_rows`` > 1) walk a block of replications at a time
-    on the calling thread: per replication, re-keying and a small fill hold
-    the GIL, so worker threads would only contend for it.  Long paths walk
-    one replication at a time over ``thread_count()`` workers.  Both give
-    the same bytes.
-    """
-    if n_reps < 2:
-        raise DomainError(f"n_reps must be >= 2, got {n_reps}")
-    if not s > 0.0:
-        raise DomainError(f"s must be positive, got {s}")
-    thread_count()  # a bad RL_THREADS fails on either walk
-    if block_rows(s, spec.mean()) > 1:
-        counts, totals = block_crossings(
-            spec.raw_fill, spec.finish, s, spec.mean(), n_reps, master_seed
-        )
-        overshoots = totals - s
-    else:
-
-        def one(rng: np.random.Generator) -> tuple[float, float]:
-            obs = simulate_renewal(spec, s, rng)
-            return (float(obs.n_of_t), obs.overshoot)
-
-        counts, overshoots = map_replications(one, 2, n_reps, master_seed)
+    """Walk each replication once (``_walk_renewals``) and reduce its
+    (count, overshoot) pair into all three renewal estimates."""
+    counts, overshoots = (a[0] for a in _walk_renewals(spec, [s], n_reps, master_seed))
     diffs = estimate_from_values((s + overshoots) - spec.mean() * counts, master_seed)
     if diffs.std_error == 0.0:
         wald = 0.0 if diffs.mean == 0.0 else math.copysign(math.inf, diffs.mean)
@@ -207,13 +219,18 @@ def convergence_table(
     The estimate is E|N(s) - s/mu| for an inter-arrival law and
     E|T(s) - s/m| for a subordinator.  The same master seed feeds every row
     (common random numbers), which smooths the trend of rel_gap along the
-    grid without biasing any row.
+    grid without biasing any row.  On the renewal side one walk of each
+    replication to the last level serves every row: replication ``rep``
+    draws the same steps whatever level it walks to, so N(s) at a lower
+    level is the count a walk to that level alone gives.
     """
     case = case.strip().lower()
     grid = [float(s) for s in s_grid]
     finite = all(map(math.isfinite, grid))
     if not grid or not finite or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError(f"s_grid: must be nonempty, finite and strictly increasing, got {s_grid}")
+    if not grid[0] > 0.0:
+        raise DomainError(f"s must be positive, got {grid[0]}")
     lc, name = spec.limit_case(), spec.spec_string()
     if lc is None:
         raise CaseMismatchError(f"{name} has zero variance; no convergence case applies")
@@ -225,10 +242,17 @@ def convergence_table(
     # every normalizer before the first walk, so a bad ell fails fast
     denoms = [math.sqrt(s) if index is None else solve_c(index, ell, s) for s in grid]
     limit = limit_constant(lc)
-    estimate = mc_passage_abs_deviation if isinstance(spec, Subordinator) else mc_abs_deviation
+    if isinstance(spec, Subordinator):
+        # a passage walk draws past its crossing chunk, so each level walks afresh
+        ests = [mc_passage_abs_deviation(spec, s, n_reps, master_seed) for s in grid]
+    else:
+        counts, _ = _walk_renewals(spec, grid, n_reps, master_seed)
+        ests = [
+            estimate_from_values(np.abs(c - s / spec.mean()), master_seed)
+            for c, s in zip(counts, grid)
+        ]
     rows = []
-    for s, denom in zip(grid, denoms):
-        est = estimate(spec, s, n_reps, master_seed)
+    for s, denom, est in zip(grid, denoms, ests):
         ratio = est.mean / denom
         rows.append(
             ConvergenceRow(

@@ -190,10 +190,16 @@ def test_bad_usage_exit_2(capsys):
     assert code == 2
 
 
-# a missing subcommand is named by its choices
-MISSING_SUBCOMMAND = {
+_SCALING = ("scaling", "--alpha", "1.5", "--ell", "const:1")
+
+# a missing subcommand is named by its choices, and a value that starts with
+# a dash reaches its validator however it is spelt
+USAGE_LINES = {
     (): "required: moment|limit|scaling|simulate|converge|selfcheck",
     ("simulate",): "required: renewal|passage",
+    (*_SCALING, "--x", "-inf"): "error: x: must be positive, got -inf\n",
+    (*_SCALING, "--x", "-1e5"): "error: x: must be positive, got -100000.0\n",
+    (*_SCALING, "--x=-inf"): "error: x: must be positive, got -inf\n",
 }
 
 
@@ -207,6 +213,8 @@ MISSING_SUBCOMMAND = {
         ["simulate"],
         ["simulate", "bogus"],
         ["scaling", "--alpha", "1.5", "--ell", "const:1", "--x", "-inf"],
+        ["scaling", "--alpha", "1.5", "--ell", "const:1", "--x", "-1e5"],
+        ["scaling", "--alpha", "1.5", "--ell", "const:1", "--x=-inf"],
         ["converge", "--side"],
     ],
     ids=lambda argv: " ".join(argv) or "no-command",
@@ -216,7 +224,7 @@ def test_usage_errors_print_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert MISSING_SUBCOMMAND.get(tuple(argv), "") in err
+    assert USAGE_LINES.get(tuple(argv), "") in err
 
 
 def test_help_exits_0(capsys):
@@ -373,11 +381,54 @@ def test_converge_golden_bytes(tmp_path, capsys, monkeypatch, threads, side, cas
     assert out_path.read_text().splitlines()[1:] == rows
 
 
+# renewal tables whose top level is a long walk, pinned from the build that
+# walked every level afresh: 200 reps at seed 13.  The last grid mixes
+# levels the block walk served with a long top level.
+GOLDEN_LONG_CONVERGE = {
+    "a3-pareto-1e3-1e5": (["--case", "a3", "--dist", "pareto:1.5,1.0", "--ell", "const:1",
+                           "--s-grid", "1e3,1e4,1e5"], [
+        "1000,200,47.748333333333342,2.8353352839707182,100.00000000582074,"
+        "0.47748333330554038,0.55026856127134682,-0.13227219050574612",
+        "10000,200,207.15166666666661,11.145950382296844,464.15888338829535,"
+        "0.44629473673861036,0.55026856127134682,-0.18895105381363986",
+        "100000,200,1067.2949999999989,110.59436035111037,2154.4346901572872,"
+        "0.49539445538823912,0.55026856127134682,-0.099722407829962001",
+    ]),
+    "a1-exp-2e3-2e4": (["--case", "a1", "--dist", "exp:1.0", "--s-grid", "2e3,2e4"], [
+        "2000,200,37.109999999999999,1.8922984614845206,44.721359549995796,"
+        "0.82980482645017195,0.79788456080286541,0.040006120202635609",
+        "20000,200,115.93000000000001,6.4076764185956776,141.42135623730951,"
+        "0.81974889142956453,0.79788456080286541,0.027402874677382227",
+    ]),
+    "a1-exp-block-and-long": (["--case", "a1", "--dist", "exp:1.0", "--s-grid", "50,500,2e4"], [
+        "50,200,5.4299999999999997,0.3033738261484662,7.0710678118654755,"
+        "0.7679179643685905,0.79788456080286541,-0.037557558958305037",
+        "500,200,17.984999999999999,0.88965233738075189,22.360679774997898,"
+        "0.80431365150667433,0.79788456080286541,0.0080576702691674829",
+        "20000,200,115.93000000000001,6.4076764185956776,141.42135623730951,"
+        "0.81974889142956453,0.79788456080286541,0.027402874677382227",
+    ]),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("name", list(GOLDEN_LONG_CONVERGE))
+def test_converge_long_golden_bytes(tmp_path, capsys, monkeypatch, threads, name):
+    monkeypatch.setenv("RL_THREADS", threads)
+    out_path = tmp_path / "c.csv"
+    flags, rows = GOLDEN_LONG_CONVERGE[name]
+    argv = ["converge", "--side", "renewal", *flags, "--reps", "200", "--seed", "13",
+            "--csv", str(out_path)]
+    code, _, _ = run_capture(capsys, argv)
+    assert code == 0
+    assert out_path.read_text().splitlines()[1:] == rows
+
+
 @pytest.mark.parametrize(
     "argv,estimator,exit_code,line",
     [
         (["--side", "renewal", "--case", "a3", "--dist", "pareto:1.5,1.0", "--s-grid", "1e6"],
-         "mc_abs_deviation", 2, "case a3 needs a slowly varying ell for c(s)"),
+         "_walk_renewals", 2, "case a3 needs a slowly varying ell for c(s)"),
         (["--side", "passage", "--case", "b3", "--sub", "cp:rate=5.0,jump=pareto:1.5,1.0",
           "--s-grid", "1e6"],
          "mc_passage_abs_deviation", 2, "case b3 needs a slowly varying ell for c(s)"),
@@ -385,7 +436,7 @@ def test_converge_golden_bytes(tmp_path, capsys, monkeypatch, threads, side, cas
         # normalizer is solved before the first walk, so none runs
         (["--side", "renewal", "--case", "a3", "--dist", "pareto:1.5,1.0",
           "--ell", "logpow:1,-5", "--s-grid", "1,100"],
-         "mc_abs_deviation", 1,
+         "_walk_renewals", 1,
          "could not bracket the scaling root at x=1.0 (alpha=1.5, ell=logpow:1.0,-5.0)"),
     ],
     ids=["argv0-mc_abs_deviation", "argv1-mc_passage_abs_deviation", "argv2-bad-ell"],
@@ -404,6 +455,34 @@ def test_converge_missing_ell_fails_before_any_walk(
     assert code == exit_code
     assert out == ""
     assert err == f"error: {line}\n"
+    assert not out_path.exists()
+
+
+_CONVERGE_A1 = ["converge", "--side", "renewal", "--case", "a1", "--s-grid", "100",
+                "--reps", "10", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        # rate**2 underflows to 0, so the variance is inf
+        ([*_CONVERGE_A1, "--dist", "exp:1e-200"], "case a1: needs finite positive sigma/b, got inf"),
+        # (b - a)**2 overflows
+        ([*_CONVERGE_A1, "--dist", "unif:0,1e200"], "case a1: needs finite positive sigma/b, got inf"),
+        # every overshoot is about 1e200, and its square overflows
+        (["simulate", "renewal", "--dist", "exp:1e-200", "--s", "100", "--reps", "10", "--seed", "1"],
+         "cannot estimate from values as large as "),
+    ],
+    ids=["converge-exp", "converge-unif", "simulate-exp"],
+)
+def test_extreme_scale_laws_exit_2_with_one_line(tmp_path, capsys, argv, line):
+    out_path = tmp_path / "c.csv"
+    if argv[0] == "converge":
+        argv = argv + ["--csv", str(out_path)]
+    code, out, err = run_capture(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {line}") and err.count("\n") == 1
     assert not out_path.exists()
 
 
@@ -592,8 +671,6 @@ def _config_value(text: str):
 def test_config_file_agrees_with_argv(tmp_path, capsys, argv):
     command = argv[:2] if argv[0] == "simulate" else argv[:1]
     pairs = list(zip(argv[len(command) :: 2], argv[len(command) + 1 :: 2]))
-    # --flag=value, so that argparse hands a value such as -inf to the validator
-    argv = [*command, *(f"{flag}={value}" for flag, value in pairs)]
     config = {flag[2:].replace("-", "_"): _config_value(value) for flag, value in pairs}
     csvs = [tmp_path / "argv.csv", tmp_path / "config.csv"]
     for csv in csvs:

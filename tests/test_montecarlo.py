@@ -297,3 +297,137 @@ def test_block_crossings_bookkeeping_check_fires(steps, broken):
 
     with pytest.raises(InvariantError, match=f"bookkeeping violated: {broken} fails"):
         block_crossings(lambda rng, out: out, finish, 10.0, 2.0, 5, 1)
+
+
+def _integer_stream(seed: int):
+    """A draw serving one fixed stream of integer steps (1, 2 or 3, so every
+    partial sum is exact), the chunk sizes it served and its partial sums
+    S_0 = 0, S_1, ..."""
+    steps = np.floor(np.random.default_rng(seed).random(60_000) * 3.0) + 1.0
+    chunks = []
+
+    def draw(out):
+        start = sum(chunks)
+        chunks.append(len(out))
+        out[:] = steps[start : start + len(out)]
+        return out
+
+    return draw, chunks, np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def _direct(sums, level):
+    n = int(np.argmax(sums > level))
+    return n, sums[n], sums[n - 1]
+
+
+def test_multi_level_first_crossing_matches_direct_cumsum():
+    # the mean step 4 is set too high for steps of mean 2, so the first
+    # chunk falls short of the top level and a refill of more than one
+    # sub-block follows
+    draw, chunks, sums = _integer_stream(5)
+    first = montecarlo._chunk_size(sums[20000] / 4.0)
+    levels = [
+        sums[50], sums[50] + 0.5, sums[51],  # two crossings at one step, then the next
+        sums[2048] - 0.5, sums[2048],  # the last step of sub-block 0, the first of 1
+        sums[3000], sums[4100],  # adjacent sub-blocks
+        sums[first] - 1.0, sums[12000], sums[20000],  # the end of the chunk, the refills
+    ]
+    got = first_crossing(draw, levels, mean_step=4.0)
+    assert chunks[0] == first and chunks[1] > montecarlo._SUB_BLOCK and len(chunks) >= 3
+    assert got == [_direct(sums, level) for level in levels]
+    assert [n for n, _, _ in got][:6] == [51, 51, 52, 2048, 2049, 3001]
+
+
+def test_single_level_first_crossing_keeps_its_return_shape():
+    draw, _, sums = _integer_stream(6)
+    assert first_crossing(draw, sums[5000], mean_step=2.0) == _direct(sums, sums[5000])
+    draw, _, _ = _integer_stream(6)
+    assert first_crossing(draw, [sums[5000]], mean_step=2.0) == [_direct(sums, sums[5000])]
+
+
+def test_first_crossing_rejects_decreasing_levels():
+    with pytest.raises(DomainError, match="levels: must be nonempty and increasing"):
+        first_crossing(lambda out: out, [5.0, 3.0], mean_step=1.0)
+
+
+def _integer_fill(rng, out):
+    return rng.random(out=out)
+
+
+def _integer_finish(out):
+    np.floor(out * 3.0, out=out)
+    out += 1.0
+    return out
+
+
+@pytest.mark.parametrize(
+    "levels,mean_step,rows",
+    # a block whose rows mostly cross; a mean step set so high that most rows
+    # replay their stream; paths long enough to walk alone, in sub-blocks
+    [([10.0, 100.5, 2000.0], 2.0, 53), ([10.0, 100.5, 2000.0], 3.0, 77),
+     ([10.0, 3000.0, 12000.0], 2.0, 1)],
+)
+def test_multi_level_block_crossings_match_direct_cumsum(levels, mean_step, rows):
+    assert block_rows(levels[-1], mean_step) == rows
+    counts, totals = block_crossings(_integer_fill, _integer_finish, levels, mean_step, 60, 3)
+    base = stream_base(3)
+    for rep in range(60):
+        steps = _integer_finish(replication_rng(base, rep).random(20_000))
+        sums = np.concatenate(([0.0], np.cumsum(steps)))
+        for k, level in enumerate(levels):
+            n, total, _ = _direct(sums, level)
+            assert (counts[k, rep], totals[k, rep]) == (n, total)
+    # a single level keeps the shape of one array per output
+    single = block_crossings(_integer_fill, _integer_finish, levels[1], mean_step, 60, 3)
+    _assert_same_bits(single, (counts[1], totals[1]))
+
+
+_ULP = 2.0**-52  # of numbers in [1, 2)
+
+
+@pytest.mark.parametrize(
+    "first_block,later,level",
+    [
+        # 1 + 2**-53 rounds to 1, so the running sum stays at 1 and crosses
+        # only at the 0.5 that opens sub-block 1, while the pairwise total
+        # of sub-block 0 is above 1; the scan of sub-block 1 starts from
+        # the running sum, 1, not from that total
+        ([1.0] + [_ULP / 2] * 2047, [0.5], 1.0),
+        # 1 + 0.75 ulp rounds up, so the running sum gains a whole ulp per
+        # step and crosses inside sub-block 0, whose pairwise total of about
+        # 1 + 1540 ulp stays below the level
+        ([1.0] + [0.75 * _ULP] * 2047, [], 1.0 + 1800 * _ULP),
+    ],
+    ids=["pairwise-crosses-first", "running-sum-crosses-first"],
+)
+def test_sub_block_totals_and_running_sums_disagree(first_block, later, level):
+    steps = np.full(4000, _ULP / 2)
+    steps[:2048] = first_block
+    steps[2048 : 2048 + len(later)] = later
+
+    def draw(out):
+        out[:] = steps[: len(out)]
+        return out
+
+    sums = np.cumsum(steps)
+    pairwise = np.add.reduce(steps[:2048])
+    assert (pairwise > level) != (sums[2047] > level)
+    n, total, before = first_crossing(draw, level, mean_step=level / 3000)  # chunk: 3405 draws
+    first = int(np.argmax(sums > level))
+    assert (n, total, before) == (first + 1, sums[first], sums[first - 1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_sub_block_raises_within_one_chunk(bad):
+    # the level lies in sub-block 4, so sub-block 1 would be skipped
+    calls = []
+
+    def draw(out):
+        calls.append(len(out))
+        out[:] = 1.0
+        out[3000] = bad
+        return out
+
+    with pytest.raises(InvariantError, match=f"sub-block 1 of the chunk sums to {bad}"):
+        first_crossing(draw, 9000.0, mean_step=1.0)
+    assert len(calls) == 1

@@ -20,15 +20,26 @@ The list covers:
   - a gamma-side ``converge`` table and a renewal path longer than the
     2**21-draw first chunk, the two kinds of output whose bytes stream
     layout 2 changed (gamma passages, and paths that need a refill);
+  - renewal ``converge`` tables that walk each replication once to their
+    top level: a dense grid of 12 levels from 1e3 to 1e5, and a grid whose
+    low levels were block walks of their own and whose top level is long.
+    Stream layout 3 sums a chunk of more than 2048 draws a sub-block at a
+    time, from the running total of the sub-blocks' pairwise sums, so the
+    crossing sum of such a walk can move in its last bits.  Counts do not
+    move, so every ``converge`` row keeps its bytes; in ``simulate renewal``
+    rows whose walk has a chunk over 2048 draws, ``overshoot_mean``,
+    ``overshoot_stderr`` and ``wald_residual`` may differ in their last
+    digits, and nothing else may;
   - every convergence case: ``converge`` tables for a1, a2, a3, b1, b2 and
     b3, and ``limit`` for each case with a parameter of its own;
   - a few bad inputs, whose exit code and message must not move either:
     the case errors of ``converge`` (a zero-variance law, a case that is not
     the law's, a missing ell, an ell for which c(s) has no root) and of
-    ``limit`` (a parameter the case does not take), bad values in a config
-    file, and usage errors: an unknown flag, a missing or unknown
-    subcommand, a missing flag value, and a ``threads`` flag or config key
-    (the worker count is ``RL_THREADS`` alone).
+    ``limit`` (a parameter the case does not take), laws whose variance or
+    squared deviations overflow, bad values in a config file, and usage
+    errors: an unknown flag, a missing or unknown subcommand, a missing flag
+    value, values that start with a dash, and a ``threads`` flag or config
+    key (the worker count is ``RL_THREADS`` alone).
 
 For each README command it also checks, on each tree, that the config file
 gives the bytes of the flags: a ``MISMATCH`` line names the fields that
@@ -136,6 +147,13 @@ COMMANDS: list[tuple[str, ...]] = [
      "gamma:shape=1.0,rate=1.0,grid=0.01", "--s-grid", "100,1000", "--reps", "200",
      "--seed", "6", "--csv", CSV),
     _renewal("exp:1.0", "3e6", 4),
+    # stream layout 3: one walk per replication serves every level
+    ("converge", "--side", "renewal", "--case", "a3", "--dist", "pareto:1.5,1.0",
+     "--ell", "const:1", "--s-grid",
+     "1000,1520,2310,3511,5337,8111,12330,18740,28480,43290,65790,100000",
+     "--reps", "300", "--seed", "12", "--csv", CSV),
+    ("converge", "--side", "renewal", "--case", "a1", "--dist", "exp:1.0",
+     "--s-grid", "50,500,2e4", "--reps", "200", "--seed", "13", "--csv", CSV),
     # benchmark shapes: renewal-short, converge-heavy, passage-mix, oracle-cli
     _renewal("exp:1.0", "100", 12000, "1234"),
     _renewal("pareto:1.5,1.0", "100", 12000, "5678"),
@@ -156,6 +174,10 @@ COMMANDS: list[tuple[str, ...]] = [
     _renewal("exp:1.0", "100", 1),
     _renewal("pareto:0.5,1.0", "100", 100),
     _renewal("exp:1e-12", "1e3", 10),
+    # laws so extreme that a variance or a squared deviation leaves the floats
+    _renewal("exp:1e-200", "100", 10, "1"),
+    _converge("renewal", "a1", "exp:1e-200", "--s-grid", "100", "--reps", "10", "--seed", "1"),
+    _converge("renewal", "a1", "unif:0,1e200", "--s-grid", "100", "--reps", "10", "--seed", "1"),
     # case errors: zero variance, not the law's case, no ell, no root of c(s)
     _converge("renewal", "a1", "det:1.0", "--s-grid", "100", "--reps", "100", "--seed", "1"),
     _converge("renewal", "a1", "pareto:1.5,1.0", "--s-grid", "100", "--reps", "100", "--seed", "1"),
@@ -182,6 +204,10 @@ COMMANDS: list[tuple[str, ...]] = [
     (),
     ("simulate", "bogus"),
     ("scaling", "--alpha", "1.5", "--ell", "const:1", "--x", "-inf"),
+    # a value that starts with a dash, however it is spelt
+    ("scaling", "--alpha", "1.5", "--ell", "const:1", "--x", "-1e5"),
+    ("scaling", "--alpha", "1.5", "--ell", "const:1", "--x=-inf"),
+    _converge("renewal", "a1", "exp:1.0", "--s-grid", "-1,3", "--reps", "10", "--seed", "1"),
 ]
 
 
