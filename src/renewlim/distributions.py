@@ -75,16 +75,19 @@ class Interarrival(ABC):
         """Turn the raw draws in ``out`` into draws of the law, in place and
         element by element, and return it; any array shape works."""
 
-    @abstractmethod
     def sample(
         self, rng: np.random.Generator, size: int | None = None, out: np.ndarray | None = None
     ):
-        """Draw from the law; scalar for size=None, else an ndarray.
+        """Draw from the law as ``finish(raw_fill(rng, out))``: a float for
+        size=None, else an ndarray of that size.
 
         With ``out`` (a float64 array) given, fill it in place with the
-        values ``size=len(out)`` would return, as ``finish(raw_fill(rng,
-        out))``, and return it.
+        values ``size=len(out)`` would return, and return it.
         """
+        if out is not None:
+            return self.finish(self.raw_fill(rng, out))
+        draws = self.finish(self.raw_fill(rng, np.empty(1 if size is None else size)))
+        return float(draws[0]) if size is None else draws
 
     @abstractmethod
     def spec_string(self) -> str:
@@ -92,7 +95,7 @@ class Interarrival(ABC):
 
     def second_moment(self) -> float:
         v = self.variance()
-        return math.inf if math.isinf(v) else v + self.mean() ** 2
+        return math.inf if math.isinf(v) else v + _square(self.mean())
 
     def limit_case(self) -> LimitCase | None:
         """The law's convergence case: a1, with mu and sigma, for a finite
@@ -140,11 +143,6 @@ class Exponential(Interarrival):
         out *= 1.0 / self.rate
         return out
 
-    def sample(self, rng, size=None, out=None):
-        if out is None:
-            return rng.exponential(1.0 / self.rate, size=size)
-        return self.finish(self.raw_fill(rng, out))
-
     def spec_string(self):
         return f"exp:{self.rate!r}"
 
@@ -180,13 +178,6 @@ class Deterministic(Interarrival):
     def finish(self, out):
         out.fill(self.d)
         return out
-
-    def sample(self, rng, size=None, out=None):
-        if out is not None:
-            return self.finish(self.raw_fill(rng, out))
-        if size is None:
-            return self.d
-        return np.full(size, self.d)
 
     def spec_string(self):
         return f"det:{self.d!r}"
@@ -237,11 +228,6 @@ class Uniform(Interarrival):
         out *= self.b - self.a
         out += self.a
         return out
-
-    def sample(self, rng, size=None, out=None):
-        if out is None:
-            return self.a + (self.b - self.a) * rng.random(size)
-        return self.finish(self.raw_fill(rng, out))
 
     def spec_string(self):
         return f"unif:{self.a!r},{self.b!r}"
@@ -296,11 +282,6 @@ class Pareto(Interarrival):
 
     def finish(self, out):
         return _inverse_power(out, self.x_min, -1.0 / self.alpha)
-
-    def sample(self, rng, size=None, out=None):
-        if out is None:
-            return self.x_min * (1.0 - rng.random(size)) ** (-1.0 / self.alpha)
-        return self.finish(self.raw_fill(rng, out))
 
     def limit_case(self):
         # alpha = 2: the truncated second moment is slowly varying

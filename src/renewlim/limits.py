@@ -244,10 +244,23 @@ def limit_constant(case: LimitCase) -> float:
     a2: sqrt(2/(pi*mu**3))              (denominator c(s))
     a3: E|W| / mu**(1+1/alpha)          (denominator c(s))
     b1/b2/b3: identical with m, b in place of mu, sigma.
+
+    Raises DomainError when the constant, or a power of mu on the way to
+    it, is not a positive finite float.
     """
     kind = case.case
-    if kind in ("a1", "b1"):
-        return case.sigma * math.sqrt(2.0 / (math.pi * case.mu**3))
-    if kind in ("a2", "b2"):
-        return math.sqrt(2.0 / (math.pi * case.mu**3))
-    return stable_abs_moment(case.alpha, 1.0) / case.mu ** (1.0 + 1.0 / case.alpha)
+    try:
+        if kind in ("a1", "b1"):
+            value = case.sigma * math.sqrt(2.0 / (math.pi * case.mu**3))
+        elif kind in ("a2", "b2"):
+            value = math.sqrt(2.0 / (math.pi * case.mu**3))
+        else:
+            value = stable_abs_moment(case.alpha, 1.0) / case.mu ** (1.0 + 1.0 / case.alpha)
+    except (OverflowError, ZeroDivisionError):  # a power of mu leaves the floats
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise DomainError(
+            f"case {kind}: the limit constant at mean parameter {case.mu} is not a "
+            "positive finite float"
+        )
+    return value

@@ -143,27 +143,24 @@ def _scratch_buffer(size: int) -> np.ndarray:
     return buf
 
 
-def _levels(level) -> tuple[bool, list[float]]:
-    """Whether a walk has several levels (``level`` has a length), and its
-    levels, which must increase."""
-    if not hasattr(level, "__len__"):  # cheaper than np.ndim on a float
-        return False, [float(level)]
-    levels = [float(x) for x in level]
-    if not levels or any(b < a for a, b in zip(levels, levels[1:])):
-        raise DomainError(f"levels: must be nonempty and increasing, got {level}")
-    return True, levels
+def _levels(given: Sequence[float]) -> list[float]:
+    """A walk's levels as floats; they must be nonempty and increasing."""
+    levels = list(map(float, given))
+    if not levels or levels != sorted(levels):
+        raise DomainError(f"levels: must be nonempty and increasing, got {given}")
+    return levels
 
 
 def first_crossing(
     draw: Callable[..., np.ndarray],
-    level: float | Sequence[float],
+    levels: Sequence[float],
     mean_step: float,
     max_draws: int = _MAX_DRAWS_PER_PATH,
-) -> tuple[int, float, float] | list[tuple[int, float, float]]:
-    """First n with S_n > level, S_n and S_{n-1} (S_0 = 0), where S_n sums
-    the positive steps that ``draw(out=...)`` yields in order.  For an
-    increasing sequence of levels, one walk to the last of them gives a list
-    with that triple for each level.
+) -> list[tuple[int, float, float]]:
+    """For each of an increasing sequence of levels, the first n with
+    S_n > level, S_n and S_{n-1} (S_0 = 0), where S_n sums the positive
+    steps that ``draw(out=...)`` yields in order; one walk to the last level
+    gives the list of these triples.
 
     ``draw`` fills the float64 array ``out`` in place with the next len(out)
     steps and returns it, or returns a new array of that length; the
@@ -185,7 +182,7 @@ def first_crossing(
     differ from a sequential sum in its last bits; n differs only when a
     partial sum lies within such rounding of a level.
     """
-    many, levels = _levels(level)
+    levels = _levels(levels)
     top = levels[-1]
     expected = top / mean_step
     if expected > max_draws:
@@ -223,7 +220,7 @@ def first_crossing(
                     )
                 found.append((count + start + idx + 1, total, before))
             if len(found) == len(levels):
-                return found if many else found[0]
+                return found
             carried = float(sums[-1])
             start += len(sums)
         count += chunk
@@ -285,15 +282,15 @@ def block_rows(level: float, mean_step: float) -> int:
 def block_crossings(
     raw_fill: Callable[[np.random.Generator, np.ndarray], np.ndarray],
     finish: Callable[[np.ndarray], np.ndarray],
-    level: float | Sequence[float],
+    levels: Sequence[float],
     mean_step: float,
     n_reps: int,
     master_seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``first_crossing`` of every replication, ``block_rows`` at a time on
-    the calling thread: arrays of N (as floats) and S_N, indexed by rep.
-    For an increasing sequence of levels, one walk of each replication to
-    the last of them gives arrays of shape (levels, reps).
+    the calling thread: N (as floats) and S_N at each of an increasing
+    sequence of levels, from one walk of each replication to the last of
+    them, as arrays of shape (levels, reps).
 
     The steps are ``finish(raw_fill(rng, out))`` on replication ``rep``'s
     stream.  Each replication's first chunk is drawn into one row of a block
@@ -305,7 +302,7 @@ def block_crossings(
     ``first_crossing``, and so does every replication when a first chunk
     holds more than ``_SUB_BLOCK`` draws (``block_rows`` is 1).
     """
-    many, levels = _levels(level)
+    levels = _levels(levels)
     top = levels[-1]
     chunk = _chunk_size(top / mean_step)
     rows = block_rows(top, mean_step)
@@ -345,7 +342,7 @@ def block_crossings(
             totals[k, lo:hi] = total
         for i in np.flatnonzero(sums[:, -1] <= top).tolist():  # rows still below the top
             walk_alone(lo + i)
-    return (counts, totals) if many else (counts[0], totals[0])
+    return counts, totals
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ def simulate_renewal(
     (``montecarlo.first_crossing``: chunked, in place, capped at 1e9 draws)."""
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
-    n, total, _ = first_crossing(partial(spec.sample, rng), t, spec.mean())
+    n, total, _ = first_crossing(partial(spec.sample, rng), [t], spec.mean())[0]
     return RenewalObservation(n_of_t=n, overshoot=total - t, total=total)
 
 

@@ -3,7 +3,9 @@
 Compound Poisson paths are simulated exactly (jump epochs and sizes), so
 the coupling between the first-passage time T(s) and the integer-skeleton
 count N*(s) = #{k in N_0 : S(k) <= s} can be checked path by path: it
-satisfies N*(s) - T(s) in [0, 1] almost surely.  The gamma subordinator is
+satisfies N*(s) - T(s) in [0, 1] almost surely.  Every compound Poisson
+walk counts N*(s) from its jump masses and epochs, at a cost linear in its
+jumps.  The gamma subordinator is
 approximated on a fixed time grid, which biases T(s) upward by at most one
 grid step; it therefore never participates in exact coupling checks.
 """
@@ -88,6 +90,11 @@ class CompoundPoisson(Subordinator):
         if math.isfinite(self.variance_rate()):
             return super().limit_case()
         jump = self.jump.limit_case()
+        if jump is None or jump.scaling_index is None:
+            raise DomainError(
+                f"{self.spec_string()}: b**2 = rate * E J**2 overflows, and the jump law "
+                "has no heavy-tail case"
+            )
         return LimitCase("b" + jump.case[1], self.mean_rate(), alpha=jump.alpha)
 
     def spec_string(self):
@@ -171,38 +178,45 @@ class GammaSubordinator(Subordinator):
 
 
 def _simulate_cp_path(
-    spec: CompoundPoisson, s: float, rng: np.random.Generator, want_n_star: bool
+    spec: CompoundPoisson, s: float, rng: np.random.Generator
 ) -> tuple[float, int]:
     """Exact compound Poisson first passage: (T(s), N*(s)).
 
     Jump sizes are drawn first (chunked) to locate the crossing jump, then
     exactly that many inter-jump gaps; both use the same per-replication
-    stream in a fixed order.  N*(s) is evaluated honestly from the path:
-    S(k) is reconstructed at every integer k rather than inferred from T,
-    from copies of the raw jump chunks, because the crossing turns each
-    chunk into running sums in place.
+    stream in a fixed order.  N*(s) is evaluated honestly from the path
+    rather than inferred from T: the crossing turns each jump chunk into
+    running sums in place, so the walk keeps copies of the raw chunks and
+    sums them again, sequentially as np.cumsum does, into the mass S after
+    each jump.  The mass and the jump epochs never decrease, so S(k) <= s
+    at integer time k exactly when fewer than J + 1 jumps have happened by
+    k, where J counts the leading jumps whose mass stays <= s.  N*(s), the
+    number of such k in 0..floor(T) + 1, is therefore the ceiling of the
+    epoch of jump J + 1, or floor(T) + 2 when every jump's mass stays <= s.
+    The rebuild costs O(jumps) whatever the time scale.
     """
     chunks: list[np.ndarray] = []
 
     def draw(out: np.ndarray) -> np.ndarray:
         spec.jump.sample(rng, out=out)
-        if want_n_star:
-            chunks.append(out.copy())
+        chunks.append(out.copy())
         return out
 
-    n_jumps, _, _ = first_crossing(draw, s, spec.jump.mean())
-    gaps = rng.exponential(1.0 / spec.rate, size=n_jumps)
-    epochs = np.cumsum(gaps)
+    n_jumps, _, _ = first_crossing(draw, [s], spec.jump.mean())[0]
+    # the gaps and the jump sizes as the real and imaginary parts of one
+    # array: its sequential running sum is the running sum of each, the
+    # epochs and the mass, bit for bit, and the two chains of additions
+    # overlap instead of running one after the other
+    path = np.empty(n_jumps, dtype=complex)
+    path.real = rng.exponential(1.0 / spec.rate, size=n_jumps)
+    path.imag = (np.concatenate(chunks) if len(chunks) > 1 else chunks[0])[:n_jumps]
+    np.add.accumulate(path, out=path)
+    epochs, mass = path.real, path.imag
     t_passage = float(epochs[-1])
-
-    n_star = -1
-    if want_n_star:
-        sizes = (np.concatenate(chunks) if len(chunks) > 1 else chunks[0])[:n_jumps]
-        mass = np.concatenate(([0.0], np.cumsum(sizes)))
-        ks = np.arange(0.0, math.floor(t_passage) + 2.0)
-        jumps_by_k = np.searchsorted(epochs, ks, side="right")
-        n_star = int(np.count_nonzero(mass[jumps_by_k] <= s))
-    return t_passage, n_star
+    below = int(mass.searchsorted(s, side="right"))
+    if below == n_jumps:
+        return t_passage, math.floor(t_passage) + 2
+    return t_passage, math.ceil(epochs[below])
 
 
 def _coarse_steps(h: float) -> int:
@@ -210,9 +224,7 @@ def _coarse_steps(h: float) -> int:
     return 2 ** round(math.log2(1.0 / h))
 
 
-def _simulate_gamma_path(
-    spec: GammaSubordinator, s: float, rng: np.random.Generator, want_n_star: bool
-) -> tuple[float, int]:
+def _simulate_gamma_path(spec: GammaSubordinator, s: float, rng: np.random.Generator) -> float:
     """Grid-approximated gamma path: T(s) = k* h, the first grid time above s.
 
     The walk draws coarse steps of K = 2**round(log2(1/h)) grid steps (about
@@ -226,18 +238,16 @@ def _simulate_gamma_path(
     one grid step above the continuous first-passage time.
 
     A path still at or below s after 1e9 time units raises DomainError.
-    The grid path never decreases, so S(k) <= s at integer time k exactly
-    when its grid index floor(k/h + 0.5) lies below the crossing index k*.
     """
     h = spec.grid_step
     per_step = spec.shape * h
     coarse = _coarse_steps(h)
     j, s_hi, s_lo = first_crossing(
         lambda out: rng.gamma(per_step * coarse, 1.0 / spec.rate, size=len(out)),
-        s,
+        [s],
         spec.mean_rate() * h * coarse,
         max_draws=int(1e9 / (h * coarse)),
-    )
+    )[0]
     lo, hi = (j - 1) * coarse, j * coarse
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -248,44 +258,7 @@ def _simulate_gamma_path(
             lo, s_lo = mid, s_mid
     if not s_lo <= s < s_hi:
         raise InvariantError(f"gamma bridge bracket violated: {s_lo} <= {s} < {s_hi} fails")
-    k_star = hi
-    t_passage = k_star * h
-
-    n_star = -1
-    if want_n_star:  # k = 0 counts too: S(0) = 0 <= s
-        ks = np.arange(1, math.floor(t_passage) + 2)
-        n_star = 1 + int(np.count_nonzero(np.floor(ks / h + 0.5) <= k_star - 1))
-    return t_passage, n_star
-
-
-def _walk_passages(
-    spec: Subordinator,
-    s: float,
-    n_reps: int,
-    master_seed: int,
-    want_n_star: bool,
-) -> tuple[MCEstimate, np.ndarray]:
-    """Walk each replication once: the estimate of E|T(s) - s/m| and every
-    N*(s) - T(s), which is meaningful only with ``want_n_star``."""
-    if n_reps < 2:
-        raise DomainError(f"n_reps must be >= 2, got {n_reps}")
-    if not s > 0.0:
-        raise DomainError(f"s must be positive, got {s}")
-    center = s / spec.mean_rate()
-    if isinstance(spec, CompoundPoisson):
-        walk, mean_step = _simulate_cp_path, spec.jump.mean()
-    else:
-        walk = _simulate_gamma_path
-        mean_step = spec.mean_rate() * spec.grid_step * _coarse_steps(spec.grid_step)
-    # short walks run on the calling thread, by the rule of short renewal paths
-    threaded = block_rows(s, mean_step) == 1
-
-    def one(rng):
-        t_passage, n_star = walk(spec, s, rng, want_n_star=want_n_star)
-        return (abs(t_passage - center), n_star - t_passage)
-
-    values, couplings = map_replications(one, 2, n_reps, master_seed, threaded)
-    return estimate_from_values(values, master_seed), couplings
+    return hi * h
 
 
 def mc_passage_abs_deviation(
@@ -294,8 +267,8 @@ def mc_passage_abs_deviation(
     n_reps: int,
     master_seed: int,
 ) -> MCEstimate:
-    """Monte Carlo estimate of E|T(s) - s/m|; the walks skip the N* rebuild."""
-    return _walk_passages(spec, s, n_reps, master_seed, want_n_star=False)[0]
+    """Monte Carlo estimate of E|T(s) - s/m|."""
+    return mc_passage(spec, s, n_reps, master_seed)[0]
 
 
 def mc_passage(
@@ -310,10 +283,32 @@ def mc_passage(
     The fraction is nan for grid-approximated subordinators, which are
     excluded from the exact coupling.
     """
+    if n_reps < 2:
+        raise DomainError(f"n_reps must be >= 2, got {n_reps}")
+    if not s > 0.0:
+        raise DomainError(f"s must be positive, got {s}")
+    center = s / spec.mean_rate()
     exact = isinstance(spec, CompoundPoisson)
-    est, couplings = _walk_passages(spec, s, n_reps, master_seed, want_n_star=exact)
+    if exact:
+        mean_step = spec.jump.mean()
+
+        def one(rng):
+            t_passage, n_star = _simulate_cp_path(spec, s, rng)
+            return (abs(t_passage - center), n_star - t_passage)
+
+    else:
+        mean_step = spec.mean_rate() * spec.grid_step * _coarse_steps(spec.grid_step)
+
+        def one(rng):
+            return (abs(_simulate_gamma_path(spec, s, rng) - center),)
+
+    # short walks run on the calling thread, by the rule of short renewal paths
+    threaded = block_rows(s, mean_step) == 1
+    values = map_replications(one, 2 if exact else 1, n_reps, master_seed, threaded)
+    est = estimate_from_values(values[0], master_seed)
     if not exact:
         return est, math.nan
+    couplings = values[1]
     return est, np.count_nonzero(~((couplings >= 0.0) & (couplings <= 1.0))) / n_reps
 
 

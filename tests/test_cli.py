@@ -124,6 +124,18 @@ def test_simulate_passage_coupling_column(capsys):
     assert float(lines[1].split(",")[-1]) == 0.0
 
 
+def test_simulate_passage_at_a_vanishing_jump_rate(capsys):
+    # T(s) is about 1e31 time units: N*(s) is counted from the jump epochs,
+    # not from every integer time up to T(s)
+    code, out, err = run_capture(
+        capsys,
+        ["simulate", "passage", "--sub", "cp:rate=1e-30,jump=exp:1.0", "--s", "10",
+         "--reps", "4", "--seed", "1"],
+    )
+    assert (code, err) == (0, "")
+    assert float(out.splitlines()[1].split(",")[-1]) == 0.0
+
+
 def test_converge_writes_pinned_header(tmp_path, capsys):
     out_path = tmp_path / "c.csv"
     code, _, _ = run_capture(
@@ -472,8 +484,28 @@ _CONVERGE_A1 = ["converge", "--side", "renewal", "--case", "a1", "--s-grid", "10
         # every overshoot is about 1e200, and its square overflows
         (["simulate", "renewal", "--dist", "exp:1e-200", "--s", "100", "--reps", "10", "--seed", "1"],
          "cannot estimate from values as large as "),
+        # mu**3 overflows or underflows in the limit constant
+        (["limit", "--case", "a1", "--mu", "1e200", "--sigma", "1"],
+         "case a1: the limit constant at mean parameter 1e+200 is not a positive finite float"),
+        (["limit", "--case", "a1", "--mu", "1e-200", "--sigma", "1"],
+         "case a1: the limit constant at mean parameter 1e-200 is not a positive finite float"),
+        (["limit", "--case", "a3", "--mu", "1e200", "--alpha", "1.5"],
+         "case a3: the limit constant at mean parameter 1e+200 is not a positive finite float"),
+        ([*_CONVERGE_A1, "--dist", "exp:1e-120"],
+         "case a1: the limit constant at mean parameter 1e+120 is not a positive finite float"),
+        (["converge", "--side", "passage", "--case", "b1", "--sub",
+          "gamma:shape=1e-300,rate=1.0,grid=0.5", "--s-grid", "1", "--reps", "3", "--seed", "1"],
+         "case b1: the limit constant at mean parameter 1e-300 is not a positive finite float"),
+        # E J**2 overflows, and a point mass has no heavy-tail case to fall back on
+        (["converge", "--side", "passage", "--case", "b1", "--sub", "cp:rate=1.0,jump=det:1e200",
+          "--s-grid", "100", "--reps", "10", "--seed", "1"],
+         "cp:rate=1.0,jump=det:1e+200: b**2 = rate * E J**2 overflows, and the jump law has no "
+         "heavy-tail case"),
     ],
-    ids=["converge-exp", "converge-unif", "simulate-exp"],
+    ids=[
+        "converge-exp", "converge-unif", "simulate-exp", "limit-a1-huge", "limit-a1-tiny",
+        "limit-a3-huge", "converge-exp-limit", "converge-gamma-limit", "converge-cp-det",
+    ],
 )
 def test_extreme_scale_laws_exit_2_with_one_line(tmp_path, capsys, argv, line):
     out_path = tmp_path / "c.csv"

@@ -164,7 +164,7 @@ def test_first_crossing_refills_match_direct_cumsum(level, mean_step, first_chun
         return out
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        n, total, before = pool.submit(first_crossing, draw, level, mean_step).result(timeout=60)
+        [(n, total, before)] = pool.submit(first_crossing, draw, [level], mean_step).result(60)
     sizes = [len(c) for c in chunks]
     assert sizes[: len(first_chunks)] == first_chunks
     assert set(sizes[len(first_chunks) :]) <= {64}
@@ -175,7 +175,7 @@ def test_first_crossing_refills_match_direct_cumsum(level, mean_step, first_chun
 
 def test_first_crossing_draw_cap_is_a_domain_error():
     with pytest.raises(DomainError, match="path exceeded 100 draws"):
-        first_crossing(lambda out: np.full(len(out), 1e-9), 1.0, mean_step=1.0, max_draws=100)
+        first_crossing(lambda out: np.full(len(out), 1e-9), [1.0], mean_step=1.0, max_draws=100)
 
 
 def test_first_crossing_rejects_a_hopeless_path_before_drawing():
@@ -183,7 +183,7 @@ def test_first_crossing_rejects_a_hopeless_path_before_drawing():
         raise AssertionError("drew a step")
 
     with pytest.raises(DomainError, match="path would exceed 100 draws"):
-        first_crossing(draw, 1.0, mean_step=1e-3, max_draws=100)
+        first_crossing(draw, [1.0], mean_step=1e-3, max_draws=100)
 
 
 def _walks(specs_levels, seed):
@@ -193,9 +193,9 @@ def _walks(specs_levels, seed):
     got, want = [], []
     for rep, (spec, level) in enumerate(specs_levels):
         into_buffer = partial(spec.sample, replication_rng(base, rep))
-        got.append(first_crossing(into_buffer, level, spec.mean()))
+        got.append(first_crossing(into_buffer, [level], spec.mean()))
         rng = replication_rng(base, rep)
-        want.append(first_crossing(lambda out: spec.sample(rng, size=len(out)), level, spec.mean()))
+        want.append(first_crossing(lambda out: spec.sample(rng, size=len(out)), [level], spec.mean()))
     return got, want
 
 
@@ -244,7 +244,7 @@ WALK_LAWS = [
 def _per_replication_walks(spec, level, n_reps, seed):
     base = stream_base(seed)
     walks = [
-        first_crossing(partial(spec.sample, replication_rng(base, rep)), level, spec.mean())
+        first_crossing(partial(spec.sample, replication_rng(base, rep)), [level], spec.mean())[0]
         for rep in range(n_reps)
     ]
     return np.array([float(n) for n, _, _ in walks]), np.array([total for _, total, _ in walks])
@@ -266,7 +266,7 @@ def test_block_crossings_match_first_crossing(text, steps, n_reps, rows):
     spec = parse_interarrival(text)
     level = steps * spec.mean()
     assert block_rows(level, spec.mean()) == rows
-    got = block_crossings(spec.raw_fill, spec.finish, level, spec.mean(), n_reps, 31)
+    got = [a[0] for a in block_crossings(spec.raw_fill, spec.finish, [level], spec.mean(), n_reps, 31)]
     _assert_same_bits(got, _per_replication_walks(spec, level, n_reps, 31))
     if text == "pareto:1.05,1.0" and rows > 1:
         assert (got[0] > montecarlo._chunk_size(steps)).sum() > n_reps // 4
@@ -279,7 +279,7 @@ def test_block_rows_past_their_first_chunk_replay_their_stream(monkeypatch, text
     spec = parse_interarrival(text)
     monkeypatch.setattr(montecarlo, "_chunk_size", lambda target: max(4, int(target) // 2))
     level = 60.0 * spec.mean()
-    got = block_crossings(spec.raw_fill, spec.finish, level, spec.mean(), 300, 8)
+    got = [a[0] for a in block_crossings(spec.raw_fill, spec.finish, [level], spec.mean(), 300, 8)]
     assert (got[0] > 30).sum() > 150
     _assert_same_bits(got, _per_replication_walks(spec, level, 300, 8))
 
@@ -296,7 +296,7 @@ def test_block_crossings_bookkeeping_check_fires(steps, broken):
         return out
 
     with pytest.raises(InvariantError, match=f"bookkeeping violated: {broken} fails"):
-        block_crossings(lambda rng, out: out, finish, 10.0, 2.0, 5, 1)
+        block_crossings(lambda rng, out: out, finish, [10.0], 2.0, 5, 1)
 
 
 def _integer_stream(seed: int):
@@ -338,13 +338,6 @@ def test_multi_level_first_crossing_matches_direct_cumsum():
     assert [n for n, _, _ in got][:6] == [51, 51, 52, 2048, 2049, 3001]
 
 
-def test_single_level_first_crossing_keeps_its_return_shape():
-    draw, _, sums = _integer_stream(6)
-    assert first_crossing(draw, sums[5000], mean_step=2.0) == _direct(sums, sums[5000])
-    draw, _, _ = _integer_stream(6)
-    assert first_crossing(draw, [sums[5000]], mean_step=2.0) == [_direct(sums, sums[5000])]
-
-
 def test_first_crossing_rejects_decreasing_levels():
     with pytest.raises(DomainError, match="levels: must be nonempty and increasing"):
         first_crossing(lambda out: out, [5.0, 3.0], mean_step=1.0)
@@ -377,9 +370,9 @@ def test_multi_level_block_crossings_match_direct_cumsum(levels, mean_step, rows
         for k, level in enumerate(levels):
             n, total, _ = _direct(sums, level)
             assert (counts[k, rep], totals[k, rep]) == (n, total)
-    # a single level keeps the shape of one array per output
-    single = block_crossings(_integer_fill, _integer_finish, levels[1], mean_step, 60, 3)
-    _assert_same_bits(single, (counts[1], totals[1]))
+    # a walk to one of the levels alone gives that level's row
+    single = block_crossings(_integer_fill, _integer_finish, [levels[1]], mean_step, 60, 3)
+    _assert_same_bits(single, (counts[1:2], totals[1:2]))
 
 
 _ULP = 2.0**-52  # of numbers in [1, 2)
@@ -412,7 +405,7 @@ def test_sub_block_totals_and_running_sums_disagree(first_block, later, level):
     sums = np.cumsum(steps)
     pairwise = np.add.reduce(steps[:2048])
     assert (pairwise > level) != (sums[2047] > level)
-    n, total, before = first_crossing(draw, level, mean_step=level / 3000)  # chunk: 3405 draws
+    [(n, total, before)] = first_crossing(draw, [level], mean_step=level / 3000)  # chunk: 3405 draws
     first = int(np.argmax(sums > level))
     assert (n, total, before) == (first + 1, sums[first], sums[first - 1])
 
@@ -429,5 +422,5 @@ def test_non_finite_sub_block_raises_within_one_chunk(bad):
         return out
 
     with pytest.raises(InvariantError, match=f"sub-block 1 of the chunk sums to {bad}"):
-        first_crossing(draw, 9000.0, mean_step=1.0)
+        first_crossing(draw, [9000.0], mean_step=1.0)
     assert len(calls) == 1

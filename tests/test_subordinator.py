@@ -23,7 +23,7 @@ from renewlim import (
     parse_subordinator,
 )
 from renewlim import subordinator
-from renewlim.montecarlo import replication_rng, stream_base
+from renewlim.montecarlo import first_crossing, replication_rng, stream_base
 from renewlim.subordinator import _simulate_cp_path, _simulate_gamma_path
 
 SEED = 20260808
@@ -142,7 +142,7 @@ def test_cp_s1_tail_transfer_heavy_tail():
 def test_cp_deterministic_jump_structure():
     # unit jumps: the third jump crosses s = 2.5, T(s) is its epoch
     cp = CompoundPoisson(1.0, Deterministic(1.0))
-    t_passage, n_star = _simulate_cp_path(cp, 2.5, rng_for(5), want_n_star=True)
+    t_passage, n_star = _simulate_cp_path(cp, 2.5, rng_for(5))
     gaps = rng_for(5).exponential(1.0, size=3)  # same stream replay: sizes drew nothing random
     assert t_passage == pytest.approx(float(np.cumsum(gaps)[-1]), rel=1e-12)
     assert 0.0 <= n_star - t_passage <= 1.0
@@ -153,9 +153,53 @@ def test_cp_passage_consistency():
     cp = CompoundPoisson(1.0, Exponential(1.0))
     n, s = 10_000, 1e4
     base = stream_base(SEED)
-    vals = np.array([_simulate_cp_path(cp, s, replication_rng(base, rep), False)[0] for rep in range(n)])
+    vals = np.array([_simulate_cp_path(cp, s, replication_rng(base, rep))[0] for rep in range(n)])
     se = vals.std(ddof=1) / math.sqrt(n)
     assert abs(float(vals.mean()) - s) <= 3.0 * se
+
+
+def _cp_path_reference(spec, s, rng):
+    """The integer-time rebuild of N*(s): S(k) from the jumps by integer
+    time k, at every k = 0, ..., floor(T) + 1."""
+    chunks = []
+
+    def draw(out):
+        spec.jump.sample(rng, out=out)
+        chunks.append(out.copy())
+        return out
+
+    n_jumps, _, _ = subordinator.first_crossing(draw, [s], spec.jump.mean())[0]
+    epochs = np.cumsum(rng.exponential(1.0 / spec.rate, size=n_jumps))
+    t_passage = float(epochs[-1])
+    sizes = np.concatenate(chunks)[:n_jumps]
+    mass = np.concatenate(([0.0], np.cumsum(sizes)))
+    ks = np.arange(0.0, math.floor(t_passage) + 2.0)
+    jumps_by_k = np.searchsorted(epochs, ks, side="right")
+    return t_passage, int(np.count_nonzero(mass[jumps_by_k] <= s))
+
+
+@pytest.mark.parametrize("jumps_short", [0, 1], ids=["walk", "walk-one-jump-short"])
+def test_cp_n_star_matches_integer_time_reference(monkeypatch, jumps_short):
+    # "walk-one-jump-short" makes the crossing report one jump too few, as a
+    # walk whose own running sums round differently could: every jump's
+    # mass then stays <= s, and N*(s) counts every k up to floor(T) + 1
+    if jumps_short:
+
+        def short(draw, levels, mean_step):
+            [(n, total, before)] = first_crossing(draw, levels, mean_step)
+            return [(max(n - jumps_short, 1), total, before)]
+
+        monkeypatch.setattr(subordinator, "first_crossing", short)
+    base = stream_base(SEED)
+    # the mass of det:0.5 jumps ties s = 3 and 50 exactly, and a tie counts
+    for jump in ("exp:1.0", "pareto:1.5,1.0", "unif:0,2", "det:0.7", "det:0.5"):
+        for rate in (0.3, 1.0, 5.0):
+            spec = parse_subordinator(f"cp:rate={rate},jump={jump}")
+            for s in (0.5, 3.0, 50.0, 1e3, 1e4):
+                for rep in range(40):
+                    got = _simulate_cp_path(spec, s, replication_rng(base, rep))
+                    want = _cp_path_reference(spec, s, replication_rng(base, rep))
+                    assert got == want, (jump, rate, s, rep)
 
 
 def test_gamma_passage_sanity():
@@ -164,37 +208,19 @@ def test_gamma_passage_sanity():
     g = GammaSubordinator(1.0, 1.0, 1e-3)
     n = 1000
     base = stream_base(7)
-    vals = [_simulate_gamma_path(g, 100.0, replication_rng(base, rep), False)[0] for rep in range(n)]
+    vals = [_simulate_gamma_path(g, 100.0, replication_rng(base, rep)) for rep in range(n)]
     assert 99.0 <= float(np.mean(vals)) <= 101.0
 
 
-def _n_star_reference(h, k_star):
-    """Reference for the vectorised N*: count N*(s) one integer time k at a
-    time.  The grid path never decreases and first exceeds s at grid index
-    k*, so S(k) <= s exactly when k's grid index lies below k*."""
-    n_star = 1  # k = 0: S(0) = 0 <= s
-    k = 1
-    while int(math.floor(k / h + 0.5)) < k_star:
-        n_star += 1
-        k += 1
-    return n_star
-
-
 @pytest.mark.parametrize("h", [1e-3, 0.01, 0.3, 1.0])
-def test_gamma_n_star_matches_per_k_reference(h):
+def test_gamma_passage_lies_on_the_grid(h):
     base = stream_base(SEED)
     for shape in (1.0, 0.05):
         g = GammaSubordinator(shape, 1.0, h)
         for s in (0.7, 5.0, 50.0):
             for rep in range(15):
-                t_passage, n_star = _simulate_gamma_path(g, s, replication_rng(base, rep), True)
-                k_star = round(t_passage / h)
-                assert t_passage == k_star * h
-                assert n_star == _n_star_reference(h, k_star)
-                # the N* rebuild draws nothing: the walk without it agrees
-                assert _simulate_gamma_path(g, s, replication_rng(base, rep), False) == (
-                    t_passage, -1
-                )
+                t_passage = _simulate_gamma_path(g, s, replication_rng(base, rep))
+                assert t_passage == round(t_passage / h) * h
 
 
 @pytest.mark.parametrize(
@@ -215,7 +241,7 @@ def test_gamma_crossing_index_has_the_grid_walk_law(shape, rate, h, s):
     n = 10_000
     base = stream_base(SEED)
     k_star = np.array(
-        [round(_simulate_gamma_path(g, s, replication_rng(base, rep), False)[0] / h) for rep in range(n)]
+        [round(_simulate_gamma_path(g, s, replication_rng(base, rep)) / h) for rep in range(n)]
     )
     cdf = special.gammaincc(shape * h * np.arange(1, 100_000), rate * s)
     for q in (0.1, 0.3, 0.5, 0.7, 0.9):
@@ -236,15 +262,14 @@ def test_gamma_bridge_bracket_check_fires():
 
     g = GammaSubordinator(1.0, 1.0, 0.01)
     with pytest.raises(InvariantError, match=r"bracket violated: nan <= 5.0 < \d"):
-        _simulate_gamma_path(g, 5.0, NanBeta(rng_for(1)), False)
+        _simulate_gamma_path(g, 5.0, NanBeta(rng_for(1)))
 
 
 def test_gamma_passage_observation():
     g = GammaSubordinator(1.0, 1.0, 1e-3)
-    t_passage, n_star = _simulate_gamma_path(g, 50.0, rng_for(8), want_n_star=True)
+    t_passage = _simulate_gamma_path(g, 50.0, rng_for(8))
     assert t_passage > 0.0
     assert t_passage == pytest.approx(round(t_passage / 1e-3) * 1e-3, abs=1e-9)
-    assert n_star >= 1
 
 
 # ---------------------------------------------------------------------------

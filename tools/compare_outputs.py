@@ -32,6 +32,16 @@ The list covers:
     digits, and nothing else may;
   - every convergence case: ``converge`` tables for a1, a2, a3, b1, b2 and
     b3, and ``limit`` for each case with a parameter of its own;
+  - compound Poisson passages whose N*(s) rebuild differs in kind: jumps
+    from ``unif:0,2`` and ``det:0.7`` at s = 3, and jump rates of 1e-3 and
+    1e-30, whose T(s) runs to about 1e5 and 1e31 time units.  The rate 1e-30
+    command exits 1 where N*(s) is counted over every integer time up to
+    T(s), which cannot be allocated, and 0 where it is counted from the jump
+    epochs;
+  - limit constants and a compound Poisson ``b**2`` that leave the floats
+    (a power of mu overflows or underflows, or ``E J**2`` of a point mass
+    overflows).  These exit 2 with one line; a tree that lets the float
+    error escape exits 1 with a traceback;
   - a few bad inputs, whose exit code and message must not move either:
     the case errors of ``converge`` (a zero-variance law, a case that is not
     the law's, a missing ell, an ell for which c(s) has no root) and of
@@ -167,6 +177,20 @@ COMMANDS: list[tuple[str, ...]] = [
      "--n", "20000", "--seed", "31"),
     ("scaling", "--alpha", "2", "--ell", "logshift:2,2.718281828459045", "--x", "123456"),
     ("limit", "--case", "a1", "--mu", "1.25", "--sigma", "0.75"),
+    # compound Poisson N*(s): lattice and bounded jumps, and vanishing jump rates
+    _passage("cp:rate=1.0,jump=unif:0,2", "3", 3000, "14"),
+    _passage("cp:rate=1.0,jump=det:0.7", "3", 3000, "15"),
+    _passage("cp:rate=1e-3,jump=exp:1.0", "100", 200, "16"),
+    _passage("cp:rate=1e-30,jump=exp:1.0", "10", 4, "1"),
+    # limit constants and b**2 that leave the floats
+    ("limit", "--case", "a1", "--mu", "1e200", "--sigma", "1"),
+    ("limit", "--case", "a1", "--mu", "1e-200", "--sigma", "1"),
+    ("limit", "--case", "a3", "--mu", "1e200", "--alpha", "1.5"),
+    _converge("renewal", "a1", "exp:1e-120", "--s-grid", "100", "--reps", "10", "--seed", "1"),
+    _converge("passage", "b1", "gamma:shape=1e-300,rate=1.0,grid=0.5", "--s-grid", "1",
+              "--reps", "3", "--seed", "1"),
+    _converge("passage", "b1", "cp:rate=1.0,jump=det:1e200", "--s-grid", "100", "--reps", "10",
+              "--seed", "1"),
     # bad inputs
     _renewal("exp:1.0", "0", 100),
     _renewal("exp:1.0", "-5", 100),
