@@ -34,6 +34,14 @@ __all__ = [
 ]
 
 
+def _check_mean(law: Interarrival) -> None:
+    """Reject a mean outside the positive finite floats (1/rate or a sum of
+    parameters that overflows)."""
+    mean = law.mean()
+    if not 0.0 < mean < math.inf:
+        raise DomainError(f"{type(law).__name__} mean must be positive finite, got {mean}")
+
+
 def _square(x: float) -> float:
     """x ** 2, or inf where that overflows (Python's ** raises there)."""
     try:
@@ -114,6 +122,7 @@ class Exponential(Interarrival):
     def __post_init__(self):
         if not self.rate > 0.0:
             raise DomainError(f"Exponential rate must be positive, got {self.rate}")
+        _check_mean(self)
 
     def mean(self):
         return 1.0 / self.rate
@@ -156,6 +165,7 @@ class Deterministic(Interarrival):
     def __post_init__(self):
         if not self.d > 0.0:
             raise DomainError(f"Deterministic value must be positive, got {self.d}")
+        _check_mean(self)
 
     def mean(self):
         return self.d
@@ -193,6 +203,7 @@ class Uniform(Interarrival):
     def __post_init__(self):
         if not (0.0 <= self.a < self.b):
             raise DomainError(f"Uniform requires 0 <= a < b, got a={self.a}, b={self.b}")
+        _check_mean(self)
 
     def mean(self):
         return 0.5 * (self.a + self.b)
@@ -251,6 +262,7 @@ class Pareto(Interarrival):
             raise DomainError(f"Pareto alpha must lie in (1, 2], got {self.alpha}")
         if not self.x_min > 0.0:
             raise DomainError(f"Pareto x_min must be positive, got {self.x_min}")
+        _check_mean(self)
 
     def mean(self):
         return self.alpha * self.x_min / (self.alpha - 1.0)

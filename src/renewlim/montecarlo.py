@@ -16,6 +16,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
 from typing import Callable, Sequence
 
@@ -85,46 +86,51 @@ def replication_streams(base: np.uint64) -> Callable[[int], np.random.Generator]
 
 
 def map_replications(
-    fn: Callable[[np.random.Generator], Sequence[float]],
+    walk: Callable[..., None],
     n_outputs: int,
     n_reps: int,
     master_seed: int,
-    threaded: bool = True,
+    steps: float,
 ) -> np.ndarray:
-    """Run ``fn(rng)`` once per replication and collect its outputs.
+    """Run ``walk`` over every replication and return its outputs, an array
+    of shape (n_outputs, n_reps).  ``walk(streams, lo, hi, out)`` fills
+    columns lo..hi-1 of ``out``, column ``rep`` from ``streams(rep)`` alone
+    (``replication_streams``), so no split of the replications changes it.
 
-    Returns an array of shape (n_outputs, n_reps).  Column ``rep`` is a pure
-    function of (master_seed, rep), so the result is identical for every
-    thread count.  Each worker block re-keys one generator per replication
-    (``replication_streams``), so ``fn`` must not keep it after returning.
-    ``threaded=False`` runs every replication on the calling thread, for
-    paths so short that re-keying and small fills, which hold the GIL, are
-    most of their cost.
+    ``steps``, the expected length of one walk, alone picks where it runs.
+    If ``block_rows(steps)`` > 1, re-keying and small fills, which hold the
+    GIL, are most of a walk's cost, so all of it runs as one range on the
+    calling thread; longer walks are split over ``thread_count()`` workers.
     """
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     base = stream_base(master_seed)
     out = np.empty((n_outputs, n_reps))
-
-    def run_block(lo: int, hi: int) -> None:
-        streams = replication_streams(base)
-        for rep in range(lo, hi):
-            vals = fn(streams(rep))
-            for j in range(n_outputs):
-                out[j, rep] = vals[j]
-
     workers = min(thread_count(), n_reps)  # a bad RL_THREADS fails either way
-    if workers == 1 or not threaded:
-        run_block(0, n_reps)
+    if workers == 1 or block_rows(steps) > 1:
+        walk(replication_streams(base), 0, n_reps, out)
     else:
         block = -(-n_reps // (workers * 4))
         bounds = [(lo, min(lo + block, n_reps)) for lo in range(0, n_reps, block)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: run_block(*b), bounds))
+            list(pool.map(lambda b: walk(replication_streams(base), *b, out), bounds))
     return out
 
 
+def each(fn: Callable[[np.random.Generator], Sequence[float]]) -> Callable[..., None]:
+    """The walk for ``map_replications`` that runs ``fn(rng)`` once per
+    replication; column ``rep`` holds its outputs on replication rep's
+    stream."""
+
+    def walk(streams, lo: int, hi: int, out: np.ndarray) -> None:
+        for rep in range(lo, hi):
+            out[:, rep] = fn(streams(rep))
+
+    return walk
+
+
 def _chunk_size(target: float) -> int:
+    target = min(target, _MAX_CHUNK)  # the same size for any longer walk, inf included
     return min(int(target * 1.02 + 6.0 * math.sqrt(target + 1.0)) + 16, _MAX_CHUNK)
 
 
@@ -203,7 +209,7 @@ def first_crossing(
                 start, carried = _skip_sub_blocks(totals, start, levels[len(found)], carried)
                 if start >= chunk:
                     break
-            sums = steps[start : start + _SUB_BLOCK] if totals is not None else steps
+            sums = steps[start : start + _SUB_BLOCK]
             np.add.accumulate(sums, out=sums)  # np.cumsum, without its wrapper's cost
             if carried:
                 sums += carried
@@ -266,83 +272,71 @@ def _skip_sub_blocks(
     return (first + j) * _SUB_BLOCK, float(running[j - 1]) if j > 0 else carried
 
 
-def block_rows(level: float, mean_step: float) -> int:
+def block_rows(steps: float) -> int:
     """Replications per block of ``block_crossings``: as many first chunks
-    of a walk to ``level`` as fit in the block scratch, at most 256.
+    of a walk of ``steps`` expected steps as fit in the scratch, at most 256.
 
     Fewer than 32 give 1, which means walk one replication at a time: from
     about 2000 expected steps on (first chunks of 2048 doubles hold 32 rows)
     a path's cost is its draws, which worker threads share, and a block on
     one thread is slower than two threads of single walks.
     """
-    rows = min(_MAX_BLOCK_ROWS, _BLOCK_DOUBLES // _chunk_size(level / mean_step))
+    rows = min(_MAX_BLOCK_ROWS, _BLOCK_DOUBLES // _chunk_size(steps))
     return rows if rows >= _MIN_BLOCK_ROWS else 1
 
 
-def block_crossings(
-    raw_fill: Callable[[np.random.Generator, np.ndarray], np.ndarray],
-    finish: Callable[[np.ndarray], np.ndarray],
-    levels: Sequence[float],
-    mean_step: float,
-    n_reps: int,
-    master_seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``first_crossing`` of every replication, ``block_rows`` at a time on
-    the calling thread: N (as floats) and S_N at each of an increasing
-    sequence of levels, from one walk of each replication to the last of
-    them, as arrays of shape (levels, reps).
+def block_crossings(law, levels: Sequence[float]) -> Callable[..., None]:
+    """The renewal walk for ``map_replications``: ``first_crossing`` of each
+    replication over ``law``'s steps to the last of an increasing sequence
+    of levels; output k is N (as a float) and output len(levels) + k is S_N
+    at level k.
 
-    The steps are ``finish(raw_fill(rng, out))`` on replication ``rep``'s
-    stream.  Each replication's first chunk is drawn into one row of a block
-    matrix, and the transform, the running sums and the crossing search then
-    run once over the whole block.  Every row sees the same elementwise
-    operations in the same order as its own walk, so N and S_N equal
+    When ``block_rows`` of the expected path exceeds 1, the first chunks of
+    a block of replications are drawn raw (``law.raw_fill``) into the rows
+    of one matrix, and ``law.finish``, the running sums and the crossing
+    search run once over it.  Each row sees the same elementwise operations
+    in the same order as its own walk, so N and S_N equal
     ``first_crossing``'s bit for bit.  A row still at or below the last
-    level after its first chunk replays its stream through
-    ``first_crossing``, and so does every replication when a first chunk
-    holds more than ``_SUB_BLOCK`` draws (``block_rows`` is 1).
+    level after its first chunk, and every path too long for a block, walks
+    alone through ``first_crossing`` over ``law.sample``.
     """
     levels = _levels(levels)
-    top = levels[-1]
-    chunk = _chunk_size(top / mean_step)
-    rows = block_rows(top, mean_step)
-    streams = replication_streams(stream_base(master_seed))
-    counts = np.empty((len(levels), n_reps))
-    totals = np.empty((len(levels), n_reps))
+    top, mean_step = levels[-1], law.mean()
+    rows = block_rows(top / mean_step)
 
-    def walk_alone(rep: int) -> None:
-        rng = streams(rep)
-        walks = first_crossing(lambda out: finish(raw_fill(rng, out)), levels, mean_step)
-        for k, (n, total, _) in enumerate(walks):
-            counts[k, rep], totals[k, rep] = n, total
+    def walk(streams, lo: int, hi: int, out: np.ndarray) -> None:
+        counts, totals = out[: len(levels)], out[len(levels) :]
+        alone = range(lo, hi)
+        if rows > 1:
+            alone, chunk = [], _chunk_size(top / mean_step)
+            for first in range(lo, hi, rows):
+                last = min(first + rows, hi)
+                block = _scratch_buffer(rows * chunk)[: (last - first) * chunk].reshape(-1, chunk)
+                for rep, row in zip(range(first, last), block):
+                    law.raw_fill(streams(rep), row)
+                sums = law.finish(block)
+                np.add.accumulate(sums, axis=1, out=sums)
+                for k, lv in enumerate(levels):
+                    idx = np.count_nonzero(sums <= lv, axis=1)  # the crossing index of each row
+                    at = (np.arange(last - first), np.minimum(idx, chunk - 1))
+                    total = sums[at]
+                    before = np.where(idx > 0, sums[at[0], at[1] - 1], 0.0)
+                    crossed = idx < chunk
+                    broken = crossed & ~((total > lv) & (lv >= before))
+                    if broken.any():
+                        i = int(np.argmax(broken))
+                        raise InvariantError(
+                            f"crossing bookkeeping violated: {before[i]} <= {lv} < {total[i]} fails"
+                        )
+                    counts[k, first:last] = idx + 1
+                    totals[k, first:last] = total
+                alone += (first + np.flatnonzero(sums[:, -1] <= top)).tolist()  # below the top
+        for rep in alone:
+            walks = first_crossing(partial(law.sample, streams(rep)), levels, mean_step)
+            for k, (n, total, _) in enumerate(walks):
+                counts[k, rep], totals[k, rep] = n, total
 
-    for lo in range(0, n_reps, rows):
-        hi = min(lo + rows, n_reps)
-        if rows == 1:  # a first chunk past the sub-block size: a walk of its own
-            walk_alone(lo)
-            continue
-        block = _scratch_buffer(rows * chunk)[: (hi - lo) * chunk].reshape(hi - lo, chunk)
-        for rep, row in zip(range(lo, hi), block):
-            raw_fill(streams(rep), row)
-        sums = finish(block)
-        np.add.accumulate(sums, axis=1, out=sums)
-        for k, lv in enumerate(levels):
-            idx = np.count_nonzero(sums <= lv, axis=1)  # the crossing index of each row
-            at = (np.arange(hi - lo), np.minimum(idx, chunk - 1))
-            total = sums[at]
-            before = np.where(idx > 0, sums[at[0], at[1] - 1], 0.0)
-            crossed = idx < chunk
-            broken = crossed & ~((total > lv) & (lv >= before))
-            if broken.any():
-                i = int(np.argmax(broken))
-                raise InvariantError(
-                    f"crossing bookkeeping violated: {before[i]} <= {lv} < {total[i]} fails"
-                )
-            counts[k, lo:hi] = idx + 1
-            totals[k, lo:hi] = total
-        for i in np.flatnonzero(sums[:, -1] <= top).tolist():  # rows still below the top
-            walk_alone(lo + i)
-    return counts, totals
+    return walk
 
 
 @dataclass(frozen=True)

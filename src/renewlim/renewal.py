@@ -24,11 +24,9 @@ from .limits import limit_constant
 from .montecarlo import (
     MCEstimate,
     block_crossings,
-    block_rows,
     estimate_from_values,
     first_crossing,
     map_replications,
-    thread_count,
 )
 from .scaling import SlowlyVarying, solve_c
 from .subordinator import Subordinator, mc_passage_abs_deviation
@@ -99,31 +97,16 @@ def _walk_renewals(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Walk each replication once to the last of ``levels`` (increasing):
     N(s) (as floats) and the overshoot S_{N(s)} - s at every level, as
-    arrays of shape (levels, reps).
-
-    The last level picks the walk.  Short paths (``block_rows`` > 1) walk a
-    block of replications at a time on the calling thread: per replication,
-    re-keying and a small fill hold the GIL, so worker threads would only
-    contend for it.  Long paths walk one replication at a time over
-    ``thread_count()`` workers.  Both give the same bytes.
-    """
+    arrays of shape (levels, reps)."""
     if n_reps < 2:
         raise DomainError(f"n_reps must be >= 2, got {n_reps}")
     if not levels[0] > 0.0:
         raise DomainError(f"s must be positive, got {levels[0]}")
-    thread_count()  # a bad RL_THREADS fails on either walk
-    mu = spec.mean()
-    if block_rows(levels[-1], mu) > 1:
-        counts, totals = block_crossings(spec.raw_fill, spec.finish, levels, mu, n_reps, master_seed)
-    else:
-
-        def one(rng: np.random.Generator) -> list[float]:
-            walks = first_crossing(partial(spec.sample, rng), levels, mu)
-            return [n for n, _, _ in walks] + [total for _, total, _ in walks]
-
-        out = map_replications(one, 2 * len(levels), n_reps, master_seed)
-        counts, totals = out[: len(levels)], out[len(levels) :]
-    return counts, totals - np.array(levels)[:, None]
+    walk = block_crossings(spec, levels)
+    out = map_replications(walk, 2 * len(levels), n_reps, master_seed, levels[-1] / spec.mean())
+    counts, overshoots = out[: len(levels)], out[len(levels) :]
+    overshoots -= np.array(levels)[:, None]
+    return counts, overshoots
 
 
 def renewal_estimates(

@@ -22,7 +22,7 @@ from .distributions import Interarrival, LimitCase, parse_interarrival
 from .errors import DomainError, InvariantError, ParameterMismatchError, SpecParseError
 from .montecarlo import (
     MCEstimate,
-    block_rows,
+    each,
     estimate_from_values,
     first_crossing,
     map_replications,
@@ -57,6 +57,14 @@ class Subordinator(ABC):
     @abstractmethod
     def spec_string(self) -> str: ...
 
+    def _check_scales(self, rate: float) -> None:
+        """Reject a mean rate m or a time scale 1/rate outside the positive
+        finite floats, where s/m or the drawn times overflow or vanish."""
+        for name, value in (("mean rate", self.mean_rate()), ("1/rate", 1.0 / rate)):
+            if not 0.0 < value < math.inf:
+                kind = type(self).__name__
+                raise DomainError(f"{kind} {name} must be positive finite, got {value}")
+
     def limit_case(self) -> LimitCase:
         """The convergence case: b1, with m and b, for a finite b**2 = Var S(1)
         (compound Poisson overrides it for heavy-tailed jumps)."""
@@ -73,6 +81,7 @@ class CompoundPoisson(Subordinator):
     def __post_init__(self):
         if not 0.0 < self.rate < math.inf:
             raise DomainError(f"compound Poisson rate must be positive finite, got {self.rate}")
+        self._check_scales(self.rate)
 
     def mean_rate(self):
         return self.rate * self.jump.mean()
@@ -157,6 +166,7 @@ class GammaSubordinator(Subordinator):
             raise DomainError(f"gamma rate must be positive finite, got {self.rate}")
         if not 0.0 < self.grid_step <= 1.0:
             raise DomainError(f"grid_step must lie in (0, 1], got {self.grid_step}")
+        self._check_scales(self.rate)
 
     def mean_rate(self):
         return self.shape / self.rate
@@ -290,21 +300,19 @@ def mc_passage(
     center = s / spec.mean_rate()
     exact = isinstance(spec, CompoundPoisson)
     if exact:
-        mean_step = spec.jump.mean()
+        steps = s / spec.jump.mean()
 
         def one(rng):
             t_passage, n_star = _simulate_cp_path(spec, s, rng)
             return (abs(t_passage - center), n_star - t_passage)
 
     else:
-        mean_step = spec.mean_rate() * spec.grid_step * _coarse_steps(spec.grid_step)
+        steps = s / (spec.mean_rate() * spec.grid_step * _coarse_steps(spec.grid_step))
 
         def one(rng):
             return (abs(_simulate_gamma_path(spec, s, rng) - center),)
 
-    # short walks run on the calling thread, by the rule of short renewal paths
-    threaded = block_rows(s, mean_step) == 1
-    values = map_replications(one, 2 if exact else 1, n_reps, master_seed, threaded)
+    values = map_replications(each(one), 2 if exact else 1, n_reps, master_seed, steps)
     est = estimate_from_values(values[0], master_seed)
     if not exact:
         return est, math.nan

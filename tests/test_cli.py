@@ -474,6 +474,11 @@ _CONVERGE_A1 = ["converge", "--side", "renewal", "--case", "a1", "--s-grid", "10
                 "--reps", "10", "--seed", "1"]
 
 
+def _simulate_2(side, spec, s):
+    flag = "--dist" if side == "renewal" else "--sub"
+    return ["simulate", side, flag, spec, "--s", s, "--reps", "2", "--seed", "1"]
+
+
 @pytest.mark.parametrize(
     "argv,line",
     [
@@ -501,10 +506,36 @@ _CONVERGE_A1 = ["converge", "--side", "renewal", "--case", "a1", "--s-grid", "10
           "--s-grid", "100", "--reps", "10", "--seed", "1"],
          "cp:rate=1.0,jump=det:1e+200: b**2 = rate * E J**2 overflows, and the jump law has no "
          "heavy-tail case"),
+        # level / mean step overflows: the walk's expected length is inf
+        *(
+            (_simulate_2(side, spec, s), "path would exceed 1000000000 draws")
+            for side, spec, s in (
+                ("renewal", "exp:1e308", "1e10"),
+                ("renewal", "unif:0,1e-320", "1"),
+                ("renewal", "det:1e-320", "1"),
+                ("renewal", "pareto:1.5,1e-308", "1e10"),
+                ("passage", "cp:rate=1.0,jump=exp:1e308", "1e10"),
+            )
+        ),
+        # the mean, the mean rate or 1/rate leaves the floats
+        (_simulate_2("renewal", "exp:1e-320", "10"),
+         "invalid distribution spec 'exp:1e-320': Exponential mean must be positive finite, "
+         "got inf"),
+        (_simulate_2("renewal", "pareto:1.5,1e308", "10"),
+         "invalid distribution spec 'pareto:1.5,1e308': Pareto mean must be positive finite, "
+         "got inf"),
+        (_simulate_2("passage", "cp:rate=1e-320,jump=exp:1.0", "10"),
+         "invalid subordinator spec 'cp:rate=1e-320,jump=exp:1.0': CompoundPoisson 1/rate must "
+         "be positive finite, got inf"),
+        (_simulate_2("passage", "gamma:shape=1.0,rate=1e-320,grid=1", "10"),
+         "invalid subordinator spec 'gamma:shape=1.0,rate=1e-320,grid=1': GammaSubordinator "
+         "mean rate must be positive finite, got inf"),
     ],
     ids=[
         "converge-exp", "converge-unif", "simulate-exp", "limit-a1-huge", "limit-a1-tiny",
         "limit-a3-huge", "converge-exp-limit", "converge-gamma-limit", "converge-cp-det",
+        "steps-exp", "steps-unif", "steps-det", "steps-pareto", "steps-cp",
+        "mean-exp", "mean-pareto", "scale-cp-rate", "mean-gamma",
     ],
 )
 def test_extreme_scale_laws_exit_2_with_one_line(tmp_path, capsys, argv, line):

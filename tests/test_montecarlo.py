@@ -2,7 +2,9 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from renewlim import montecarlo
 from renewlim.montecarlo import (
     block_crossings,
     block_rows,
+    each,
     estimate_from_values,
     first_crossing,
     map_replications,
@@ -37,6 +40,8 @@ DRAWS = [
     ("stable", lambda rng: StableParams.from_alpha(1.5).sample(rng, size=7)),
     ("gamma", lambda rng: rng.gamma(0.01, 1.0, size=7)),
 ]
+
+LONG = 1e5  # expected steps of a walk too long for a block: the pool runs it
 
 
 def test_replication_streams_are_distinct_and_reproducible():
@@ -72,10 +77,32 @@ def test_map_replications_thread_independent(monkeypatch):
         return (float(x.sum()), float(x[0]))
 
     monkeypatch.setenv("RL_THREADS", "1")
-    one = map_replications(fn, 2, 500, 42)
+    one = map_replications(each(fn), 2, 500, 42, LONG)
     monkeypatch.setenv("RL_THREADS", "3")
-    three = map_replications(fn, 2, 500, 42)
+    three = map_replications(each(fn), 2, 500, 42, LONG)
     assert np.array_equal(one, three)
+
+
+def test_map_replications_places_walks_by_their_length(monkeypatch):
+    # short walks run as one range on the calling thread, long ones in
+    # ranges over the worker threads; a length that overflows is long
+    monkeypatch.setenv("RL_THREADS", "3")
+
+    def placed(steps):
+        ranges = []
+
+        def walk(streams, lo, hi, out):
+            ranges.append((lo, hi, threading.get_ident()))
+            out[:, lo:hi] = 0.0
+
+        map_replications(walk, 1, 120, 5, steps)
+        return ranges
+
+    assert placed(100.0) == [(0, 120, threading.get_ident())]
+    ranges = placed(LONG)
+    assert sorted(r[:2] for r in ranges) == [(lo, lo + 10) for lo in range(0, 120, 10)]
+    assert threading.get_ident() not in {r[2] for r in ranges}
+    assert len(placed(math.inf)) == 12
 
 
 def test_estimate_from_values():
@@ -141,7 +168,7 @@ def test_rekeyed_stream_matches_fresh_generator(name, draw):
 def test_map_replications_draws_reference_streams(monkeypatch, threads):
     monkeypatch.setenv("RL_THREADS", threads)
     base = stream_base(42)
-    got = map_replications(lambda rng: tuple(rng.random(2)), 2, 50, 42)
+    got = map_replications(each(lambda rng: tuple(rng.random(2))), 2, 50, 42, LONG)
     want = np.array([replication_rng(base, rep).random(2) for rep in range(50)]).T
     assert np.array_equal(got, want)
 
@@ -250,6 +277,36 @@ def _per_replication_walks(spec, level, n_reps, seed):
     return np.array([float(n) for n, _, _ in walks]), np.array([total for _, total, _ in walks])
 
 
+@dataclass(frozen=True)
+class _Law:
+    """A stand-in law for block_crossings: the raw fill and the transform
+    given, and a mean step chosen by the test (set high to force replays)."""
+
+    fill: Callable
+    transform: Callable
+    mean_step: float
+
+    def raw_fill(self, rng, out):
+        return self.fill(rng, out)
+
+    def finish(self, out):
+        return self.transform(out)
+
+    def sample(self, rng, out):
+        return self.finish(self.raw_fill(rng, out))
+
+    def mean(self):
+        return self.mean_step
+
+
+def _block_walk(law, levels, n_reps, seed):
+    """N and S_N of block_crossings at each level, as arrays of shape
+    (levels, reps), run by map_replications as the renewal side runs it."""
+    walk = block_crossings(law, levels)
+    out = map_replications(walk, 2 * len(levels), n_reps, seed, levels[-1] / law.mean())
+    return out[: len(levels)], out[len(levels) :]
+
+
 def _assert_same_bits(got, want):
     for a, b in zip(got, want):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -265,8 +322,8 @@ def _assert_same_bits(got, want):
 def test_block_crossings_match_first_crossing(text, steps, n_reps, rows):
     spec = parse_interarrival(text)
     level = steps * spec.mean()
-    assert block_rows(level, spec.mean()) == rows
-    got = [a[0] for a in block_crossings(spec.raw_fill, spec.finish, [level], spec.mean(), n_reps, 31)]
+    assert block_rows(level / spec.mean()) == rows
+    got = [a[0] for a in _block_walk(spec, [level], n_reps, 31)]
     _assert_same_bits(got, _per_replication_walks(spec, level, n_reps, 31))
     if text == "pareto:1.05,1.0" and rows > 1:
         assert (got[0] > montecarlo._chunk_size(steps)).sum() > n_reps // 4
@@ -279,7 +336,7 @@ def test_block_rows_past_their_first_chunk_replay_their_stream(monkeypatch, text
     spec = parse_interarrival(text)
     monkeypatch.setattr(montecarlo, "_chunk_size", lambda target: max(4, int(target) // 2))
     level = 60.0 * spec.mean()
-    got = [a[0] for a in block_crossings(spec.raw_fill, spec.finish, [level], spec.mean(), 300, 8)]
+    got = [a[0] for a in _block_walk(spec, [level], 300, 8)]
     assert (got[0] > 30).sum() > 150
     _assert_same_bits(got, _per_replication_walks(spec, level, 300, 8))
 
@@ -296,7 +353,7 @@ def test_block_crossings_bookkeeping_check_fires(steps, broken):
         return out
 
     with pytest.raises(InvariantError, match=f"bookkeeping violated: {broken} fails"):
-        block_crossings(lambda rng, out: out, finish, [10.0], 2.0, 5, 1)
+        _block_walk(_Law(lambda rng, out: out, finish, 2.0), [10.0], 5, 1)
 
 
 def _integer_stream(seed: int):
@@ -361,8 +418,9 @@ def _integer_finish(out):
      ([10.0, 3000.0, 12000.0], 2.0, 1)],
 )
 def test_multi_level_block_crossings_match_direct_cumsum(levels, mean_step, rows):
-    assert block_rows(levels[-1], mean_step) == rows
-    counts, totals = block_crossings(_integer_fill, _integer_finish, levels, mean_step, 60, 3)
+    assert block_rows(levels[-1] / mean_step) == rows
+    law = _Law(_integer_fill, _integer_finish, mean_step)
+    counts, totals = _block_walk(law, levels, 60, 3)
     base = stream_base(3)
     for rep in range(60):
         steps = _integer_finish(replication_rng(base, rep).random(20_000))
@@ -371,7 +429,7 @@ def test_multi_level_block_crossings_match_direct_cumsum(levels, mean_step, rows
             n, total, _ = _direct(sums, level)
             assert (counts[k, rep], totals[k, rep]) == (n, total)
     # a walk to one of the levels alone gives that level's row
-    single = block_crossings(_integer_fill, _integer_finish, [levels[1]], mean_step, 60, 3)
+    single = _block_walk(law, [levels[1]], 60, 3)
     _assert_same_bits(single, (counts[1:2], totals[1:2]))
 
 

@@ -228,7 +228,7 @@ def test_estimates_deterministic_and_thread_independent(monkeypatch):
 )
 def test_both_walks_give_the_reference_bytes(monkeypatch, threads, spec, s, n_reps):
     monkeypatch.setenv("RL_THREADS", threads)
-    assert (block_rows(s, spec.mean()) > 1) == (s == 40.0)
+    assert (block_rows(s / spec.mean()) > 1) == (s == 40.0)
     est = renewal_estimates(spec, s, n_reps, SEED)
     paths = [simulate_renewal(spec, s, rng_for(SEED, rep)) for rep in range(n_reps)]
     counts = np.array([float(p.n_of_t) for p in paths])

@@ -42,6 +42,11 @@ The list covers:
     (a power of mu overflows or underflows, or ``E J**2`` of a point mass
     overflows).  These exit 2 with one line; a tree that lets the float
     error escape exits 1 with a traceback;
+  - laws and subordinators at scales that leave the floats: a walk whose
+    expected length, level / mean step, overflows to inf, and a mean, a
+    mean rate or a time scale 1/rate that is inf or 0.  These exit 2 with
+    one line; a tree that lets the float error escape exits 1 with a
+    traceback, or exits 0 with inf or nan in the output;
   - a few bad inputs, whose exit code and message must not move either:
     the case errors of ``converge`` (a zero-variance law, a case that is not
     the law's, a missing ell, an ell for which c(s) has no root) and of
@@ -191,6 +196,17 @@ COMMANDS: list[tuple[str, ...]] = [
               "--reps", "3", "--seed", "1"),
     _converge("passage", "b1", "cp:rate=1.0,jump=det:1e200", "--s-grid", "100", "--reps", "10",
               "--seed", "1"),
+    # a walk whose expected length overflows
+    _renewal("exp:1e308", "1e10", 2, "1"),
+    _renewal("unif:0,1e-320", "1", 2, "1"),
+    _renewal("det:1e-320", "1", 2, "1"),
+    _renewal("pareto:1.5,1e-308", "1e10", 2, "1"),
+    _passage("cp:rate=1.0,jump=exp:1e308", "1e10", 2, "1"),
+    # a mean, a mean rate or 1/rate that leaves the floats
+    _renewal("exp:1e-320", "10", 2, "1"),
+    _renewal("pareto:1.5,1e308", "10", 2, "1"),
+    _passage("cp:rate=1e-320,jump=exp:1.0", "10", 2, "1"),
+    _passage("gamma:shape=1.0,rate=1e-320,grid=1", "10", 2, "1"),
     # bad inputs
     _renewal("exp:1.0", "0", 100),
     _renewal("exp:1.0", "-5", 100),
