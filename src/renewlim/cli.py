@@ -21,7 +21,7 @@ import json
 import math
 import re
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import astuple, dataclass, replace
 
 from . import distributions, limits, renewal, scaling, subordinator
@@ -306,16 +306,25 @@ def _cmd_converge(cfg: dict) -> int:
     return 0
 
 
-def _cmd_selfcheck(cfg: dict) -> int:
-    seed = cfg["seed"]
-    failures = 0
+@dataclass(frozen=True)
+class Check:
+    """One verdict of ``selfcheck``; ``z`` is the statistic of a studentised
+    gate, None for the other checks."""
 
-    def report(name: str, ok: bool, detail: str) -> None:
-        nonlocal failures
-        if not ok:
-            failures += 1
-        print(f"{'ok' if ok else 'FAIL'} {name}: {detail}")
+    name: str
+    ok: bool
+    detail: str
+    z: float | None = None
 
+
+def _z_check(name: str, z: float, label: str) -> Check:
+    """The verdict of a studentised gate: it passes when |z| <= 4."""
+    return Check(name, abs(z) <= 4.0, f"{label} {_fmt(z)}", z)
+
+
+def selfcheck(seed: int) -> Iterator[Check]:
+    """The built-in oracle and invariant checks at master seed ``seed``,
+    each yielded as soon as it is decided."""
     # closed form vs quadrature across the (alpha, r) grid
     worst = 0.0
     for alpha in (1.1, 1.5, 1.9):
@@ -323,18 +332,18 @@ def _cmd_selfcheck(cfg: dict) -> int:
             closed = limits.stable_abs_moment(alpha, r)
             quad = limits.stable_abs_moment_quadrature(alpha, r, tol=1e-9)
             worst = max(worst, abs(closed - quad) / closed)
-    report("moment-closed-vs-quadrature", worst <= 1e-6, f"max rel diff {_fmt(worst)}")
+    yield Check("moment-closed-vs-quadrature", worst <= 1e-6, f"max rel diff {_fmt(worst)}")
 
     # Monte Carlo side of the triangle at alpha = 1.5, r = 0.5
     mc = limits.stable_abs_moment_mc(1.5, 0.5, 200_000, seed)
     z = abs(mc.mean - limits.stable_abs_moment(1.5, 0.5)) / mc.std_error
-    report("moment-monte-carlo", z <= 4.0, f"|z| = {_fmt(z)}")
+    yield _z_check("moment-monte-carlo", z, "|z| =")
 
     # coupling invariant on exact paths
     for spec_text in ("cp:rate=1.0,jump=exp:1.0", "cp:rate=5.0,jump=pareto:1.5,1.0"):
         spec = subordinator.parse_subordinator(spec_text)
         frac = subordinator.coupling_check(spec, 100.0, 2000, seed)
-        report(f"coupling[{spec_text}]", frac == 0.0, f"violation fraction {_fmt(frac)}")
+        yield Check(f"coupling[{spec_text}]", frac == 0.0, f"violation fraction {_fmt(frac)}")
 
     # coupled studentized residual of the stopping identity; the exp:1.0
     # replications also feed the Poisson oracle check below
@@ -342,18 +351,16 @@ def _cmd_selfcheck(cfg: dict) -> int:
     for dist_text in ("exp:1.0", "pareto:1.5,1.0"):
         spec = distributions.parse_interarrival(dist_text)
         estimates[dist_text] = renewal.renewal_estimates(spec, 100.0, 20_000, seed)
-        resid = estimates[dist_text].wald
-        report(f"wald[{dist_text}]", abs(resid) <= 4.0, f"residual {_fmt(resid)}")
+        yield _z_check(f"wald[{dist_text}]", estimates[dist_text].wald, "residual")
 
     # exact Poisson oracle vs Monte Carlo and vs its own asymptote
     oracle = renewal.exact_abs_deviation_poisson(100.0)
     est = estimates["exp:1.0"].deviation
-    z = abs(est.mean - oracle) / est.std_error
-    report("poisson-oracle-vs-mc", z <= 4.0, f"|z| = {_fmt(z)}")
+    yield _z_check("poisson-oracle-vs-mc", abs(est.mean - oracle) / est.std_error, "|z| =")
     asym = renewal.exact_abs_deviation_poisson(1e4) / math.sqrt(1e4)
     target = math.sqrt(2.0 / math.pi)
     ok = abs(asym / target - 1.0) <= 0.01
-    report("poisson-oracle-asymptote", ok, f"value {_fmt(asym)} vs {_fmt(target)}")
+    yield Check("poisson-oracle-asymptote", ok, f"value {_fmt(asym)} vs {_fmt(target)}")
 
     # scaling solver residual invariant
     ell = scaling.LogShifted(2.0, math.e)
@@ -362,8 +369,14 @@ def _cmd_selfcheck(cfg: dict) -> int:
         c = scaling.solve_c(2.0, ell, x)
         if abs(x * ell(c) / c**2 - 1.0) > 1e-10:
             bad += 1
-    report("scaling-residual", bad == 0, f"{bad} residual violations")
+    yield Check("scaling-residual", bad == 0, f"{bad} residual violations")
 
+
+def _cmd_selfcheck(cfg: dict) -> int:
+    failures = 0
+    for check in selfcheck(cfg["seed"]):
+        failures += not check.ok
+        print(f"{'ok' if check.ok else 'FAIL'} {check.name}: {check.detail}")
     return 1 if failures else 0
 
 

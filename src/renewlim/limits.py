@@ -231,7 +231,10 @@ def stable_abs_moment_mc(alpha: float, r: float, n: int, master_seed: int) -> MC
     """
     _validate_moment_args(alpha, r)
     rng = replication_rng(stream_base(master_seed), 0)
-    draws = StableParams.from_alpha(alpha).sample(rng, size=n)
+    try:
+        draws = StableParams.from_alpha(alpha).sample(rng, size=n)
+    except (ValueError, MemoryError):  # numpy's "array is too big", or no memory
+        raise DomainError(f"cannot allocate {n} stable draws") from None
     powered = abs(draws) ** r
     se = float(powered.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
     return MCEstimate(mean=float(powered.mean()), std_error=se, n_reps=n, master_seed=master_seed)

@@ -105,7 +105,10 @@ def map_replications(
     if n_reps < 1:
         raise ValueError(f"n_reps must be >= 1, got {n_reps}")
     base = stream_base(master_seed)
-    out = np.empty((n_outputs, n_reps))
+    try:
+        out = np.empty((n_outputs, n_reps))
+    except (ValueError, MemoryError):  # numpy's "array is too big", or no memory
+        raise DomainError(f"cannot allocate the outputs of {n_reps} replications") from None
     workers = min(thread_count(), n_reps)  # a bad RL_THREADS fails either way
     if workers == 1 or block_rows(steps) > 1:
         walk(replication_streams(base), 0, n_reps, out)

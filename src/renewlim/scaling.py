@@ -113,7 +113,9 @@ def solve_c(
     The returned c satisfies |x*ell(c)/c**alpha - 1| <= tol.  Raises
     NoBracketError when the widening bracket around x**(1/alpha) never
     straddles the root, which signals x below the monotone regime of
-    c**alpha / ell(c).
+    c**alpha / ell(c).  A c**alpha that overflows counts as inf and one
+    that underflows as 0, so a root past the floats raises NoBracketError
+    or ToleranceNotMetError, not a float exception.
     """
     if not (1.0 < alpha <= 2.0):
         raise DomainError(f"alpha must lie in (1, 2], got {alpha}")
@@ -123,7 +125,11 @@ def solve_c(
         raise DomainError(f"tol must be positive, got {tol}")
 
     def residual(c: float) -> float:
-        return x * ell(c) / c**alpha - 1.0
+        try:
+            power = c**alpha
+        except OverflowError:  # Python's ** raises where the power is inf
+            power = math.inf
+        return x * ell(c) / power - 1.0 if power else math.inf
 
     # smallest c at which ell is evaluable and positive
     c_min = ell.x0 + 1e-9 * (1.0 + abs(ell.x0)) if ell.x0 > 0.0 else 1e-300

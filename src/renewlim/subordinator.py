@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Interarrival, LimitCase, parse_interarrival
+from .distributions import Interarrival, LimitCase, _square, parse_interarrival
 from .errors import DomainError, InvariantError, ParameterMismatchError, SpecParseError
 from .montecarlo import (
     MCEstimate,
@@ -172,7 +172,7 @@ class GammaSubordinator(Subordinator):
         return self.shape / self.rate
 
     def variance_rate(self):
-        return self.shape / self.rate**2
+        return self.shape / _square(self.rate)
 
     def levy_tail(self, x):
         # Levy density shape * x**-1 * exp(-rate*x) integrates to shape*E1(rate*x)

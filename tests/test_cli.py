@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from renewlim import distributions, montecarlo, renewal
+from renewlim import cli, distributions, montecarlo, renewal
 from renewlim.cli import run
 
 
@@ -51,6 +52,43 @@ def test_scaling_command(capsys):
     assert lines[0].startswith("c ")
     assert float(lines[0].split()[1]) == pytest.approx(16.0, rel=1e-10)
     assert abs(float(lines[1].split()[1])) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "argv,code,line",
+    [
+        # the float root exists: the bracket widens past it without overflowing
+        (["--alpha", "1.5", "--ell", "const:1", "--x", "1e308"], 0, "c 2.1544346901572317e+205"),
+        # the root lies where c**alpha or x*ell(c) overflows
+        *(
+            (argv, 1, f"error: could not bracket the scaling root at x={x} "
+                      f"(alpha={alpha}, ell={ell})")
+            for argv, x, alpha, ell in (
+                (["--alpha", "1.5", "--ell", "const:1e300", "--x", "1e300"],
+                 "1e+300", "1.5", "const:1e+300"),
+                (["--alpha", "2", "--ell", "logpow:1,1", "--x", "1e308"],
+                 "1e+308", "2.0", "logpow:1.0,1.0"),
+                (["--alpha", "2", "--ell", "logshift:1,-1e308", "--x", "10"],
+                 "10.0", "2.0", "logshift:1.0,-1e+308"),
+                (["--alpha", "2", "--ell", "logpow:1e300,5", "--x", "1e300"],
+                 "1e+300", "2.0", "logpow:1e+300,5.0"),
+            )
+        ),
+        # c**alpha underflows to 0 below the root
+        (["--alpha", "1.5", "--ell", "const:1e-300", "--x", "1e-300"], 1,
+         "error: bisection stalled above residual tolerance 1e-10 at x=1e-300"),
+    ],
+    ids=["root-2e205", "const-1e300", "logpow-1e308", "logshift-shift", "logpow-coeff", "tiny"],
+)
+def test_scaling_at_float_extremes_never_leaks_a_traceback(capsys, argv, code, line):
+    got, out, err = run_capture(capsys, ["scaling", *argv])
+    assert got == code
+    if code == 0:
+        c_line, residual_line = out.splitlines()
+        assert c_line == line and err == ""
+        assert abs(float(residual_line.split()[1])) <= 1e-10
+    else:
+        assert out == "" and err == line + "\n"
 
 
 def test_moment_methods_and_discrepancy(capsys):
@@ -304,6 +342,28 @@ def test_selfcheck_passes(capsys):
     assert lines and all(line.startswith("ok ") for line in lines)
 
 
+def test_calibrate_gates_reports_every_z_record_of_selfcheck(capsys, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "tools" / "calibrate_gates.py"
+    spec = importlib.util.spec_from_file_location("calibrate_gates", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    def reported(seed):
+        tool.main(["--seeds", "1", "--first", str(seed)])
+        # a gate name may hold a comma; the seven fields after it do not
+        rows = [row.rsplit(",", 7) for row in capsys.readouterr().out.splitlines()[2:]]
+        return {row[0]: row[6] for row in rows}  # gate: max_abs
+
+    records = list(cli.selfcheck(3))
+    gates = {c.name: f"{abs(c.z):.3f}" for c in records if c.z is not None}
+    assert len(gates) == 4
+    assert reported(3) == gates
+    # a gate added to selfcheck is calibrated with no edit to the tool
+    extra = cli.Check("extra-gate", True, "|z| = 1.25", -1.25)
+    monkeypatch.setattr(cli, "selfcheck", lambda seed: iter([*records, extra]))
+    assert reported(3) == {**gates, "extra-gate": "1.250"}
+
+
 # rows pinned from a build that gave every replication a freshly constructed
 # generator and walked the paths once per estimate; the bytes must not move.
 # The gamma row is pinned at stream layout 2, where the grid crossing is found
@@ -530,12 +590,33 @@ def _simulate_2(side, spec, s):
         (_simulate_2("passage", "gamma:shape=1.0,rate=1e-320,grid=1", "10"),
          "invalid subordinator spec 'gamma:shape=1.0,rate=1e-320,grid=1': GammaSubordinator "
          "mean rate must be positive finite, got inf"),
+        # rate**2 overflows, so the variance rate is 0
+        (["converge", "--side", "passage", "--case", "b1", "--sub",
+          "gamma:shape=1.0,rate=1e200,grid=1", "--s-grid", "1", "--reps", "3", "--seed", "1"],
+         "case b1: needs finite positive sigma/b, got 0.0"),
+        # c(s) ~ 2e205 is a float, so the walk's length is what stops it
+        (["converge", "--side", "renewal", "--case", "a3", "--dist", "pareto:1.5,1.0", "--ell",
+          "const:1", "--s-grid", "1e308", "--reps", "3", "--seed", "1"],
+         "path would exceed 1000000000 draws"),
+        # 2**62 replications or draws: numpy rejects the array before allocating it
+        *(
+            ([*argv, "--reps", str(2**62), "--seed", "1"],
+             f"cannot allocate the outputs of {2**62} replications")
+            for argv in (
+                ["simulate", "renewal", "--dist", "exp:1.0", "--s", "10"],
+                ["simulate", "passage", "--sub", "cp:rate=1.0,jump=exp:1.0", "--s", "10"],
+                [*_CONVERGE_A1[:5], "--dist", "exp:1.0", "--s-grid", "10"],
+            )
+        ),
+        (["moment", "--alpha", "1.5", "--r", "0.5", "--method", "mc", "--n", str(2**62)],
+         f"cannot allocate {2**62} stable draws"),
     ],
     ids=[
         "converge-exp", "converge-unif", "simulate-exp", "limit-a1-huge", "limit-a1-tiny",
         "limit-a3-huge", "converge-exp-limit", "converge-gamma-limit", "converge-cp-det",
         "steps-exp", "steps-unif", "steps-det", "steps-pareto", "steps-cp",
-        "mean-exp", "mean-pareto", "scale-cp-rate", "mean-gamma",
+        "mean-exp", "mean-pareto", "scale-cp-rate", "mean-gamma", "variance-gamma",
+        "steps-a3-c-huge", "reps-renewal", "reps-passage", "reps-converge", "draws-moment",
     ],
 )
 def test_extreme_scale_laws_exit_2_with_one_line(tmp_path, capsys, argv, line):

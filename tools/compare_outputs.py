@@ -47,6 +47,11 @@ The list covers:
     mean rate or a time scale 1/rate that is inf or 0.  These exit 2 with
     one line; a tree that lets the float error escape exits 1 with a
     traceback, or exits 0 with inf or nan in the output;
+  - roots of c(x) where c**alpha overflows or underflows while bracketing,
+    a gamma variance rate whose rate**2 overflows, and replication or draw
+    counts of 2**62, which numpy cannot allocate.  A tree that lets the
+    float or numpy error escape exits 1 with a traceback; one that does not
+    finds the float root, or exits 1 or 2 with one line;
   - a few bad inputs, whose exit code and message must not move either:
     the case errors of ``converge`` (a zero-variance law, a case that is not
     the law's, a missing ell, an ell for which c(s) has no root) and of
@@ -207,6 +212,23 @@ COMMANDS: list[tuple[str, ...]] = [
     _renewal("pareto:1.5,1e308", "10", 2, "1"),
     _passage("cp:rate=1e-320,jump=exp:1.0", "10", 2, "1"),
     _passage("gamma:shape=1.0,rate=1e-320,grid=1", "10", 2, "1"),
+    # c**alpha overflows or underflows while bracketing c(x)
+    ("scaling", "--alpha", "1.5", "--ell", "const:1", "--x", "1e308"),
+    ("scaling", "--alpha", "1.5", "--ell", "const:1e300", "--x", "1e300"),
+    ("scaling", "--alpha", "2", "--ell", "logpow:1,1", "--x", "1e308"),
+    ("scaling", "--alpha", "2", "--ell", "logshift:1,-1e308", "--x", "10"),
+    ("scaling", "--alpha", "2", "--ell", "logpow:1e300,5", "--x", "1e300"),
+    ("scaling", "--alpha", "1.5", "--ell", "const:1e-300", "--x", "1e-300"),
+    _converge("renewal", "a3", "pareto:1.5,1.0", "--ell", "const:1", "--s-grid", "1e308",
+              "--reps", "3", "--seed", "1"),
+    # a gamma variance rate whose rate**2 overflows
+    _converge("passage", "b1", "gamma:shape=1.0,rate=1e200,grid=1", "--s-grid", "1",
+              "--reps", "3", "--seed", "1"),
+    # replication and draw counts that numpy cannot allocate
+    _renewal("exp:1.0", "10", 2**62, "1"),
+    _passage("cp:rate=1.0,jump=exp:1.0", "10", 2**62, "1"),
+    _converge("renewal", "a1", "exp:1.0", "--s-grid", "10", "--reps", str(2**62), "--seed", "1"),
+    ("moment", "--alpha", "1.5", "--r", "0.5", "--method", "mc", "--n", str(2**62)),
     # bad inputs
     _renewal("exp:1.0", "0", 100),
     _renewal("exp:1.0", "-5", 100),
