@@ -19,6 +19,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, ParameterMismatchError, SpecParseError
+from .montecarlo import block_crossings
 
 __all__ = [
     "Interarrival",
@@ -100,6 +101,12 @@ class Interarrival(ABC):
     @abstractmethod
     def spec_string(self) -> str:
         """Compact spec-grammar form, e.g. ``exp:1.0``."""
+
+    def walk(self, levels: list[float]):
+        """The renewal walk to an increasing list of levels:
+        (``block_crossings(self, levels)``, its output count, its expected
+        steps); output k is N(s) and len(levels) + k is S_N(s) at level k."""
+        return block_crossings(self, levels), 2 * len(levels), levels[-1] / self.mean()
 
     def second_moment(self) -> float:
         v = self.variance()

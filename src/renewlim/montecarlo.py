@@ -120,14 +120,16 @@ def map_replications(
     return out
 
 
-def each(fn: Callable[[np.random.Generator], Sequence[float]]) -> Callable[..., None]:
-    """The walk for ``map_replications`` that runs ``fn(rng)`` once per
-    replication; column ``rep`` holds its outputs on replication rep's
-    stream."""
+def each(path: Callable[..., object], levels: Sequence[float]) -> Callable[..., None]:
+    """The walk for ``map_replications`` that runs ``path(level, rng)`` once
+    per level, each time from replication rep's fresh ``streams(rep)``;
+    output k + j*len(levels) holds value j of the path at level k."""
+    n = len(levels)
 
     def walk(streams, lo: int, hi: int, out: np.ndarray) -> None:
         for rep in range(lo, hi):
-            out[:, rep] = fn(streams(rep))
+            for k, level in enumerate(levels):
+                out[k::n, rep] = path(level, streams(rep))
 
     return walk
 

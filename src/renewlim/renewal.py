@@ -21,21 +21,15 @@ import numpy as np
 from .distributions import Interarrival
 from .errors import CaseMismatchError, DomainError
 from .limits import limit_constant
-from .montecarlo import (
-    MCEstimate,
-    block_crossings,
-    estimate_from_values,
-    first_crossing,
-    map_replications,
-)
+from .montecarlo import MCEstimate, estimate_from_values, first_crossing, map_replications
 from .scaling import SlowlyVarying, solve_c
-from .subordinator import Subordinator, mc_passage_abs_deviation
 
 __all__ = [
     "RenewalObservation",
     "simulate_renewal",
     "RenewalEstimates",
     "renewal_estimates",
+    "collect",
     "mc_abs_deviation",
     "exact_abs_deviation_poisson",
     "ConvergenceRow",
@@ -89,24 +83,17 @@ class RenewalEstimates:
     wald: float
 
 
-def _walk_renewals(
-    spec: Interarrival,
-    levels: Sequence[float],
-    n_reps: int,
-    master_seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Walk each replication once to the last of ``levels`` (increasing):
-    N(s) (as floats) and the overshoot S_{N(s)} - s at every level, as
-    arrays of shape (levels, reps)."""
+def collect(process, levels: Sequence[float], n_reps: int, master_seed: int) -> np.ndarray:
+    """Run ``process.walk(levels)`` (an inter-arrival law or a subordinator)
+    over every replication: value j of the walk at level k is row [j, k] of
+    the (values, levels, reps) array returned."""
     if n_reps < 2:
         raise DomainError(f"n_reps must be >= 2, got {n_reps}")
     if not levels[0] > 0.0:
         raise DomainError(f"s must be positive, got {levels[0]}")
-    walk = block_crossings(spec, levels)
-    out = map_replications(walk, 2 * len(levels), n_reps, master_seed, levels[-1] / spec.mean())
-    counts, overshoots = out[: len(levels)], out[len(levels) :]
-    overshoots -= np.array(levels)[:, None]
-    return counts, overshoots
+    walk, n_outputs, steps = process.walk(levels)
+    out = map_replications(walk, n_outputs, n_reps, master_seed, steps)
+    return out.reshape(-1, len(levels), n_reps)
 
 
 def renewal_estimates(
@@ -115,9 +102,10 @@ def renewal_estimates(
     n_reps: int,
     master_seed: int,
 ) -> RenewalEstimates:
-    """Walk each replication once (``_walk_renewals``) and reduce its
-    (count, overshoot) pair into all three renewal estimates."""
-    counts, overshoots = (a[0] for a in _walk_renewals(spec, [s], n_reps, master_seed))
+    """Walk each replication once (``collect``) and reduce its (count,
+    overshoot) pair into all three renewal estimates."""
+    counts, totals = collect(spec, [s], n_reps, master_seed)[:, 0]
+    overshoots = totals - s
     diffs = estimate_from_values((s + overshoots) - spec.mean() * counts, master_seed)
     if diffs.std_error == 0.0:
         wald = 0.0 if diffs.mean == 0.0 else math.copysign(math.inf, diffs.mean)
@@ -190,7 +178,7 @@ class ConvergenceRow:
 
 
 def convergence_table(
-    spec: Interarrival | Subordinator,
+    spec,
     case: str,
     ell: SlowlyVarying | None,
     s_grid: Sequence[float],
@@ -202,10 +190,12 @@ def convergence_table(
     The estimate is E|N(s) - s/mu| for an inter-arrival law and
     E|T(s) - s/m| for a subordinator.  The same master seed feeds every row
     (common random numbers), which smooths the trend of rel_gap along the
-    grid without biasing any row.  On the renewal side one walk of each
-    replication to the last level serves every row: replication ``rep``
-    draws the same steps whatever level it walks to, so N(s) at a lower
-    level is the count a walk to that level alone gives.
+    grid without biasing any row.  One ``collect`` call serves every row.
+    On the renewal side one walk of each replication to the last level
+    does: replication ``rep`` draws the same steps whatever level it walks
+    to, so N(s) at a lower level is the count a walk to that level alone
+    gives.  A passage walk draws past its crossing chunk, so the passage
+    side walks each level afresh.
     """
     case = case.strip().lower()
     grid = [float(s) for s in s_grid]
@@ -225,15 +215,8 @@ def convergence_table(
     # every normalizer before the first walk, so a bad ell fails fast
     denoms = [math.sqrt(s) if index is None else solve_c(index, ell, s) for s in grid]
     limit = limit_constant(lc)
-    if isinstance(spec, Subordinator):
-        # a passage walk draws past its crossing chunk, so each level walks afresh
-        ests = [mc_passage_abs_deviation(spec, s, n_reps, master_seed) for s in grid]
-    else:
-        counts, _ = _walk_renewals(spec, grid, n_reps, master_seed)
-        ests = [
-            estimate_from_values(np.abs(c - s / spec.mean()), master_seed)
-            for c, s in zip(counts, grid)
-        ]
+    values = collect(spec, grid, n_reps, master_seed)[0]
+    ests = [estimate_from_values(np.abs(v - s / lc.mu), master_seed) for v, s in zip(values, grid)]
     rows = []
     for s, denom, est in zip(grid, denoms, ests):
         ratio = est.mean / denom

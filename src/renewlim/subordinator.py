@@ -15,18 +15,15 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .distributions import Interarrival, LimitCase, _square, parse_interarrival
 from .errors import DomainError, InvariantError, ParameterMismatchError, SpecParseError
-from .montecarlo import (
-    MCEstimate,
-    each,
-    estimate_from_values,
-    first_crossing,
-    map_replications,
-)
+from .montecarlo import MCEstimate, each, estimate_from_values, first_crossing
+from .montecarlo import map_replications  # noqa: F401  only the benchmark's probe (ROADMAP item 7)
+from .renewal import collect
 
 __all__ = [
     "Subordinator",
@@ -56,6 +53,14 @@ class Subordinator(ABC):
 
     @abstractmethod
     def spec_string(self) -> str: ...
+
+    @abstractmethod
+    def walk(self, levels: list[float]):
+        """The passage walk to an increasing list of levels, as
+        ``Interarrival.walk`` gives it: (walk, output count, expected steps
+        of the top level).  Each level walks afresh from the replication's
+        fresh stream (``each``).  Output k is T(s) at level k; an exact
+        walk adds N*(s) at level k as output len(levels) + k."""
 
     def _check_scales(self, rate: float) -> None:
         """Reject a mean rate m or a time scale 1/rate outside the positive
@@ -108,6 +113,10 @@ class CompoundPoisson(Subordinator):
 
     def spec_string(self):
         return f"cp:rate={self.rate!r},jump={self.jump.spec_string()}"
+
+    def walk(self, levels):
+        path = partial(_simulate_cp_path, self)
+        return each(path, levels), 2 * len(levels), levels[-1] / self.jump.mean()
 
 
 #: past this x, e^-x (and so E1(x) < e^-x / x) underflows to 0.0
@@ -185,6 +194,11 @@ class GammaSubordinator(Subordinator):
 
     def spec_string(self):
         return f"gamma:shape={self.shape!r},rate={self.rate!r},grid={self.grid_step!r}"
+
+    def walk(self, levels):
+        coarse_mean = self.mean_rate() * self.grid_step * _coarse_steps(self.grid_step)
+        path = partial(_simulate_gamma_path, self)
+        return each(path, levels), len(levels), levels[-1] / coarse_mean
 
 
 def _simulate_cp_path(
@@ -288,35 +302,16 @@ def mc_passage(
     master_seed: int,
 ) -> tuple[MCEstimate, float]:
     """Estimate of E|T(s) - s/m| and the fraction of replications violating
-    N*(s) - T(s) in [0, 1], from one walk per replication.
+    N*(s) - T(s) in [0, 1], from one walk per replication (``collect``).
 
-    The fraction is nan for grid-approximated subordinators, which are
-    excluded from the exact coupling.
+    The fraction is nan for grid-approximated subordinators, whose walk has
+    no N*(s) output: they are excluded from the exact coupling.
     """
-    if n_reps < 2:
-        raise DomainError(f"n_reps must be >= 2, got {n_reps}")
-    if not s > 0.0:
-        raise DomainError(f"s must be positive, got {s}")
-    center = s / spec.mean_rate()
-    exact = isinstance(spec, CompoundPoisson)
-    if exact:
-        steps = s / spec.jump.mean()
-
-        def one(rng):
-            t_passage, n_star = _simulate_cp_path(spec, s, rng)
-            return (abs(t_passage - center), n_star - t_passage)
-
-    else:
-        steps = s / (spec.mean_rate() * spec.grid_step * _coarse_steps(spec.grid_step))
-
-        def one(rng):
-            return (abs(_simulate_gamma_path(spec, s, rng) - center),)
-
-    values = map_replications(each(one), 2 if exact else 1, n_reps, master_seed, steps)
-    est = estimate_from_values(values[0], master_seed)
-    if not exact:
+    values = collect(spec, [s], n_reps, master_seed)[:, 0]
+    est = estimate_from_values(np.abs(values[0] - s / spec.mean_rate()), master_seed)
+    if len(values) == 1:
         return est, math.nan
-    couplings = values[1]
+    couplings = values[1] - values[0]
     return est, np.count_nonzero(~((couplings >= 0.0) & (couplings <= 1.0))) / n_reps
 
 
@@ -328,10 +323,11 @@ def coupling_check(
 ) -> float:
     """Fraction of replications violating N*(s) - T(s) in [0, 1].
 
-    Only exact paths qualify: grid-approximated subordinators are rejected
-    because the discretization bias breaks the pathwise identity.
+    Only exact paths qualify: a subordinator whose walk has no N*(s) output,
+    a grid approximation, is rejected before any walk runs, because the
+    discretization bias breaks the pathwise identity.
     """
-    if not isinstance(spec, CompoundPoisson):
+    if spec.walk([s])[1] < 2:
         raise ParameterMismatchError(
             "coupling check requires exact compound Poisson paths, got "
             f"{spec.spec_string()}"

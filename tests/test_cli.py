@@ -1,4 +1,5 @@
 import ast
+import csv
 import importlib.util
 import json
 import math
@@ -350,18 +351,21 @@ def test_calibrate_gates_reports_every_z_record_of_selfcheck(capsys, monkeypatch
 
     def reported(seed):
         tool.main(["--seeds", "1", "--first", str(seed)])
-        # a gate name may hold a comma; the seven fields after it do not
-        rows = [row.rsplit(",", 7) for row in capsys.readouterr().out.splitlines()[2:]]
-        return {row[0]: row[6] for row in rows}  # gate: max_abs
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()[1:]))
+        assert rows[0][-2:] == ["max_abs", "failed_seeds"]
+        assert all(len(row) == len(rows[0]) for row in rows)
+        return {row[0]: (row[2], row[6]) for row in rows[1:]}  # gate: failures, max_abs
 
     records = list(cli.selfcheck(3))
-    gates = {c.name: f"{abs(c.z):.3f}" for c in records if c.z is not None}
+    z = {c.name: abs(c.z) for c in records if c.z is not None}
+    gates = {name: ("0", f"{v:.3f}") for name, v in z.items()}
     assert len(gates) == 4
-    assert reported(3) == gates
+    # any-gate fails with any gate and holds the largest |z| of the seed
+    assert reported(3) == {**gates, "any-gate": ("0", f"{max(z.values()):.3f}")}
     # a gate added to selfcheck is calibrated with no edit to the tool
-    extra = cli.Check("extra-gate", True, "|z| = 1.25", -1.25)
+    extra = cli.Check("extra-gate", False, "|z| = 9.25", -9.25)
     monkeypatch.setattr(cli, "selfcheck", lambda seed: iter([*records, extra]))
-    assert reported(3) == {**gates, "extra-gate": "1.250"}
+    assert reported(3) == {**gates, "extra-gate": ("1", "9.250"), "any-gate": ("1", "9.250")}
 
 
 # rows pinned from a build that gave every replication a freshly constructed
@@ -496,30 +500,30 @@ def test_converge_long_golden_bytes(tmp_path, capsys, monkeypatch, threads, name
     assert out_path.read_text().splitlines()[1:] == rows
 
 
+# every walk of either side runs through renewal.collect
 @pytest.mark.parametrize(
-    "argv,estimator,exit_code,line",
+    "argv,exit_code,line",
     [
         (["--side", "renewal", "--case", "a3", "--dist", "pareto:1.5,1.0", "--s-grid", "1e6"],
-         "_walk_renewals", 2, "case a3 needs a slowly varying ell for c(s)"),
+         2, "case a3 needs a slowly varying ell for c(s)"),
         (["--side", "passage", "--case", "b3", "--sub", "cp:rate=5.0,jump=pareto:1.5,1.0",
           "--s-grid", "1e6"],
-         "mc_passage_abs_deviation", 2, "case b3 needs a slowly varying ell for c(s)"),
+         2, "case b3 needs a slowly varying ell for c(s)"),
         # no c(s) solves x ell(c) = c**alpha at s = 1 for this ell: every
         # normalizer is solved before the first walk, so none runs
         (["--side", "renewal", "--case", "a3", "--dist", "pareto:1.5,1.0",
           "--ell", "logpow:1,-5", "--s-grid", "1,100"],
-         "_walk_renewals", 1,
-         "could not bracket the scaling root at x=1.0 (alpha=1.5, ell=logpow:1.0,-5.0)"),
+         1, "could not bracket the scaling root at x=1.0 (alpha=1.5, ell=logpow:1.0,-5.0)"),
     ],
     ids=["argv0-mc_abs_deviation", "argv1-mc_passage_abs_deviation", "argv2-bad-ell"],
 )
 def test_converge_missing_ell_fails_before_any_walk(
-    tmp_path, capsys, monkeypatch, argv, estimator, exit_code, line
+    tmp_path, capsys, monkeypatch, argv, exit_code, line
 ):
     def no_walk(*args, **kwargs):
         raise AssertionError("simulated before validating")
 
-    monkeypatch.setattr(renewal, estimator, no_walk)
+    monkeypatch.setattr(renewal, "collect", no_walk)
     out_path = tmp_path / "c.csv"
     code, out, err = run_capture(
         capsys, ["converge", *argv, "--reps", "300", "--seed", "1", "--csv", str(out_path)]

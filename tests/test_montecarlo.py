@@ -77,9 +77,9 @@ def test_map_replications_thread_independent(monkeypatch):
         return (float(x.sum()), float(x[0]))
 
     monkeypatch.setenv("RL_THREADS", "1")
-    one = map_replications(each(fn), 2, 500, 42, LONG)
+    one = map_replications(each(lambda _, rng: fn(rng), [1.0]), 2, 500, 42, LONG)
     monkeypatch.setenv("RL_THREADS", "3")
-    three = map_replications(each(fn), 2, 500, 42, LONG)
+    three = map_replications(each(lambda _, rng: fn(rng), [1.0]), 2, 500, 42, LONG)
     assert np.array_equal(one, three)
 
 
@@ -168,7 +168,9 @@ def test_rekeyed_stream_matches_fresh_generator(name, draw):
 def test_map_replications_draws_reference_streams(monkeypatch, threads):
     monkeypatch.setenv("RL_THREADS", threads)
     base = stream_base(42)
-    got = map_replications(each(lambda rng: tuple(rng.random(2))), 2, 50, 42, LONG)
+    got = map_replications(
+        each(lambda _, rng: tuple(rng.random(2)), [1.0]), 2, 50, 42, LONG
+    )
     want = np.array([replication_rng(base, rep).random(2) for rep in range(50)]).T
     assert np.array_equal(got, want)
 

@@ -23,7 +23,7 @@ from renewlim import (
     parse_subordinator,
 )
 from renewlim import subordinator
-from renewlim.montecarlo import first_crossing, replication_rng, stream_base
+from renewlim.montecarlo import block_rows, first_crossing, replication_rng, stream_base
 from renewlim.subordinator import _simulate_cp_path, _simulate_gamma_path
 
 SEED = 20260808
@@ -282,8 +282,13 @@ def test_coupling_zero_violations_small():
     assert coupling_check(CompoundPoisson(5.0, Pareto(1.5, 1.0)), 1000.0, 2000, SEED) == 0.0
 
 
-def test_coupling_rejects_grid_approximation():
-    with pytest.raises(ParameterMismatchError):
+def test_coupling_rejects_grid_approximation(monkeypatch):
+    # the gamma walk has no N*(s) output, and that is seen before any walk
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked before rejecting")
+
+    monkeypatch.setattr(subordinator, "_simulate_gamma_path", no_walk)
+    with pytest.raises(ParameterMismatchError, match="requires exact compound Poisson paths"):
         coupling_check(GammaSubordinator(1.0, 1.0, 1e-3), 100.0, 10, SEED)
 
 
@@ -317,6 +322,22 @@ def test_b3_trend_heavy_tail():
     assert abs(rows[-1].rel_gap) <= 0.15
     for row in rows:
         assert row.normalizer == pytest.approx(row.s ** (2.0 / 3.0), rel=1e-10)
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize(
+    "spec", [CompoundPoisson(1.0, Exponential(1.0)), GammaSubordinator(1.0, 1.0, 0.5)]
+)
+def test_passage_table_rows_equal_per_level_estimates(monkeypatch, threads, spec):
+    # alone, s = 100 runs on the calling thread and s = 1e4 on the workers;
+    # the table places both levels by its top one, which moves no byte
+    monkeypatch.setenv("RL_THREADS", threads)
+    grid = [100.0, 1e4]
+    assert [block_rows(spec.walk([s])[2]) > 1 for s in grid] == [True, False]
+    rows = convergence_table(spec, "b1", None, grid, 200, SEED)
+    for row, s in zip(rows, grid):
+        est = mc_passage_abs_deviation(spec, s, 200, SEED)
+        assert (row.estimate, row.stderr) == (est.mean, est.std_error)
 
 
 def test_passage_case_mismatch():
