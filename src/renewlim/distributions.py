@@ -313,11 +313,15 @@ class Pareto(Interarrival):
 
 
 def _inverse_power(out, x_min, exponent):
-    """Pareto draws x_min * (1 - U)**exponent by inversion, in place over the
-    uniforms U in ``out``; 1 - U lies in (0, 1], so the power never
-    overflows."""
+    """Pareto draws x_min * exp(exponent * log(1 - U)) by inversion, in place
+    over the uniforms U in ``out``.  1 - U lies in [2**-53, 1], so the
+    exponential stays below e**37 and never overflows.  ``np.log`` and
+    ``np.exp`` together cost less per value than ``np.power`` with a
+    non-integer exponent (stream layout 4)."""
     np.subtract(1.0, out, out=out)
-    out **= exponent
+    np.log(out, out=out)
+    out *= exponent
+    np.exp(out, out=out)
     out *= x_min
     return out
 

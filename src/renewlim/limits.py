@@ -11,7 +11,10 @@ The quadrature oracle is kept fully independent of this resolution: it
 integrates the characteristic function exp(-B*u - iC*u), u = |t|**alpha,
 and never forms the power.  It runs on numpy alone.  The integral splits at
 u = 1.  The piece on [0, 1] goes through a vectorised adaptive Gauss-Legendre
-rule after a substitution that removes its endpoint singularity.  The piece
+rule after a substitution that removes its endpoint singularity; for alpha
+near 1, where that substitution would lift the rounding of its panels above
+the error budget, only [0, u0] is substituted and [u0, 1] is integrated in
+log u.  The piece
 on [1, inf) is 1/rho minus a damped cosine integral; that integral is
 truncated at a point U whose tail bound exp(-B*U)/(B*U**(1+rho)) is part of
 the reported error.  The whole error stays below the caller's tolerance or
@@ -83,6 +86,8 @@ _MAX_PANELS = 10_000
 #: each panel's error estimate is at least this multiple of the rounding
 #: in its sum, so an error target below round-off cannot be reported as met
 _ROUNDOFF = 50.0 * np.finfo(float).eps
+#: the smallest normal float; below it a power of w loses its digits
+_TINY = np.finfo(float).tiny
 
 
 @functools.cache
@@ -163,17 +168,38 @@ def _abs_moment_quadrature(alpha: float, r: float, tol: float) -> tuple[float, f
     # half-periods of cos(C*u) on [0, 1]: the starting partition resolves them
     periods = math.ceil(abs(c) / math.pi) + 1
 
+    def numerator(u: np.ndarray) -> np.ndarray:
+        # 1 - e^{-Bu} cos Cu as -expm1(-Bu) + 2 e^{-Bu} sin^2(Cu/2), two
+        # positive terms, so no digits cancel as u -> 0
+        return -np.expm1(-b * u) + 2.0 * np.exp(-b * u) * np.sin(0.5 * c * u) ** 2
+
     def low(w: np.ndarray) -> np.ndarray:
-        # (1 - e^{-Bu} cos Cu) / u as -expm1(-Bu) + 2 e^{-Bu} sin^2(Cu/2), two
-        # positive terms, so no digits cancel as u -> 0; the limit at u = 0 is B
         u = w**inv_q
-        num = -np.expm1(-b * u) + 2.0 * np.exp(-b * u) * np.sin(0.5 * c * u) ** 2
-        return np.divide(num, u, out=np.full_like(u, b), where=u > 0.0)
+        # the limit B as u -> 0 stands in for a subnormal u, which has lost digits
+        return np.divide(numerator(u), u, out=np.full_like(u, b), where=u >= _TINY)
+
+    def middle(v: np.ndarray) -> np.ndarray:
+        u = np.exp(v)
+        return numerator(u) * u**-rho
 
     def high(u: np.ndarray) -> np.ndarray:
         return np.exp(-b * u) * np.cos(c * u) * u ** (-1.0 - rho)
 
-    val_low, err_low = _adaptive_gauss(low, 0.0, 1.0, periods, budget / inv_q)
+    # The substitution scales the rounding floor of each low panel by inv_q,
+    # and (1 - e^{-Bu} cos Cu)/u is at most |B + iC|.  Where that floor would
+    # exceed the budget (alpha near 1), the substituted piece stops at
+    # u0 = 2B/|B + iC|**2, below which the integrand is at most 2B, and
+    # [u0, 1] is integrated in v = log u, where the integrand
+    # (1 - e^{-Bu} cos Cu) u**-rho carries no factor inv_q.
+    size = abs(complex(b, c))
+    u0 = 2.0 * b / size**2
+    split = val_mid = err_mid = 0.0  # log u0, or 0 for no split
+    budget_low = budget
+    if u0 < 1.0 and inv_q * size * _ROUNDOFF > budget:
+        split, budget_low = math.log(u0), budget / 2.0  # half each side of u0
+        val_mid, err_mid = _adaptive_gauss(middle, split, 0.0, periods, budget_low)
+    top = math.exp(split * (1.0 - rho))  # u0 in w
+    val_low, err_low = _adaptive_gauss(low, 0.0, top, periods, budget_low / inv_q)
 
     # the dropped tail is at most e^{-BU}/(B U^{1+rho}) <= e^{-BU}/B; U puts
     # that below the budget and below the rounding of the 1/rho term
@@ -185,8 +211,8 @@ def _abs_moment_quadrature(alpha: float, r: float, tol: float) -> tuple[float, f
         panels = math.ceil(periods * (upper - 1.0))
         val_high, err_high = _adaptive_gauss(high, 1.0, upper, panels, budget)
 
-    value = lead * (inv_q * val_low + 1.0 / rho - val_high)
-    return value, lead * (inv_q * err_low + err_high + tail)
+    value = lead * (inv_q * val_low + val_mid + 1.0 / rho - val_high)
+    return value, lead * (inv_q * err_low + err_mid + err_high + tail)
 
 
 def stable_abs_moment_quadrature(alpha: float, r: float, tol: float = 1e-9) -> float:
@@ -202,9 +228,12 @@ def stable_abs_moment_quadrature(alpha: float, r: float, tol: float = 1e-9) -> f
 
     The integral is split at u = 1.  On (0, 1] the integrand behaves like
     B * u**(-rho) (integrable since r < alpha), and the substitution
-    u = w**(1/(1-rho)) removes the singularity exactly.  On [1, inf) it is
-    1/rho - Integral_1^inf e^{-Bu} cos(Cu) u^{-1-rho} du, and the damped
-    cosine is integrated on [1, U] only: the tail past U is at most
+    u = w**(1/(1-rho)) removes the singularity exactly.  It also multiplies
+    the rounding of each panel by 1/(1-rho); where that would exceed the
+    budget, the substitution covers only [0, u0], u0 = 2B/(B**2 + C**2),
+    and [u0, 1] is integrated in log u with half of the budget.  On
+    [1, inf) it is 1/rho - Integral_1^inf e^{-Bu} cos(Cu) u^{-1-rho} du, and
+    the damped cosine is integrated on [1, U] only: the tail past U is at most
     e^{-BU}/(B U^{1+rho}), which is added to the error.  Both finite pieces
     go through adaptive Gauss-Legendre quadrature (the difference of an
     n-point and a (2n+1)-point rule bounds each panel), with a quarter of

@@ -2,8 +2,12 @@
 first-crossing walk shared by every simulated path, its block form for
 short paths, and estimates.
 
-Every replication draws from its own Philox stream keyed by
-(master seed, replication index).  Results therefore do not depend on how
+Every replication draws from its own stream, fixed by (master seed,
+replication index) alone (stream layout 4).  Philox, a counter-based
+generator, serves only as the key hash: the four words of
+``Philox(counter=rep, key=(seed base, 0)).random_raw(4)`` are the whole
+state of an SFC64, which draws replication rep's steps at less than half
+Philox's cost per double.  Results therefore do not depend on how
 replications are distributed over worker threads or blocks, and the final
 reduction uses exactly rounded summation so merged estimates are
 bit-identical for any thread count.
@@ -11,6 +15,7 @@ bit-identical for any thread count.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
@@ -60,26 +65,67 @@ def stream_base(master_seed: int) -> np.uint64:
     return np.random.SeedSequence(master_seed).generate_state(1, dtype=np.uint64)[0]
 
 
+# replications whose SFC64 states one Philox call of replication_streams yields
+_KEY_BATCH = 256
+
+
+def _stream_words(base: np.uint64, first: int, count: int) -> np.ndarray:
+    """The SFC64 states (a, b, c, counter) of replications first to
+    first + count - 1 as rows.  Row j is ``Philox(counter=first + j,
+    key=(base, 0)).random_raw(4)``, the block that follows counter first + j,
+    so one ``random_raw`` call from counter ``first`` yields them all."""
+    key = np.array([base, 0], dtype=np.uint64)
+    return np.random.Philox(counter=first, key=key).random_raw(4 * count).reshape(count, 4)
+
+
 def replication_rng(base: np.uint64, rep: int) -> np.random.Generator:
-    """Stream for one replication: Philox keyed by (seed base, rep index)."""
-    key = np.empty(2, dtype=np.uint64)
-    key[0] = base
-    key[1] = np.uint64(rep)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Stream for one replication: an SFC64 whose state is the four words
+    of ``Philox(counter=rep, key=(seed base, 0)).random_raw(4)``."""
+    bitgen = np.random.SFC64(0)
+    state = bitgen.state
+    state["state"]["state"] = _stream_words(base, rep, 1)[0]
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
+def _state_words(bitgen: np.random.SFC64) -> np.ndarray:
+    """A writable view of the five words of ``bitgen``'s C state: a, b, c,
+    the counter, and the word that holds the buffered half of a 32-bit draw
+    and its flag.  Writing a row (a, b, c, counter, 0) sets the state that
+    ``bitgen.state`` would, at a third of its cost; the layout is checked
+    against ``bitgen.state`` before the view is returned.  The view does not
+    keep ``bitgen`` alive: the caller holds both."""
+    words = np.ctypeslib.as_array((ctypes.c_uint64 * 5).from_address(bitgen.ctypes.state_address))
+    probe = np.array([1, 2, 3, 2**64 - 1], dtype=np.uint64)
+    state = bitgen.state
+    state.update(has_uint32=1, uinteger=2**32 - 1)
+    bitgen.state = state
+    words[:4], words[4] = probe, 0
+    state = bitgen.state
+    if not (np.array_equal(state["state"]["state"], probe) and state["has_uint32"] == 0
+            and state["uinteger"] == 0):
+        raise InvariantError("numpy's SFC64 state is not laid out as four words and a buffer")
+    return words
 
 
 def replication_streams(base: np.uint64) -> Callable[[int], np.random.Generator]:
-    """Re-keyable stream source: ``streams(rep)`` restores one Philox to its
-    fresh state under key (base, rep) and returns the same generator, which
-    then draws exactly what ``replication_rng(base, rep)`` would."""
-    bitgen = np.random.Philox(key=np.array([base, 0], dtype=np.uint64))
+    """Re-keyable stream source: ``streams(rep)`` writes replication rep's
+    state into one SFC64 and returns the same generator, which then draws
+    exactly what ``replication_rng(base, rep)`` would.  The states of 256
+    replications come from one Philox call and are kept until a
+    replication outside them is asked for."""
+    bitgen = np.random.SFC64(0)
     rng = np.random.Generator(bitgen)
-    fresh = bitgen.state
-    key = fresh["state"]["key"]
+    words = _state_words(bitgen)
+    rows = np.zeros((_KEY_BATCH, 5), dtype=np.uint64)  # the last word clears the buffer
+    first = -_KEY_BATCH  # the first replication in rows; none yet
 
     def streams(rep: int) -> np.random.Generator:
-        key[1] = rep
-        bitgen.state = fresh
+        nonlocal first
+        if not first <= rep < first + _KEY_BATCH:
+            first = rep - rep % _KEY_BATCH
+            rows[:, :4] = _stream_words(base, first, _KEY_BATCH)
+        words[:] = rows[rep - first]
         return rng
 
     return streams

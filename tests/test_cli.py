@@ -105,6 +105,17 @@ def test_moment_methods_and_discrepancy(capsys):
     assert lines[2].startswith("rel_discrepancy closed/quadrature")
 
 
+@pytest.mark.parametrize("alpha", ["1.003", "1.01"])
+def test_moment_quadrature_near_alpha_one(capsys, alpha):
+    # the substitution on [0, 1] would need more than 10000 panels at 1.003
+    code, out, _ = run_capture(
+        capsys, ["moment", "--alpha", alpha, "--r", "1", "--method", "closed,quadrature"]
+    )
+    assert code == 0
+    closed, quad = (float(line.split()[1]) for line in out.splitlines()[:2])
+    assert abs(closed - quad) / closed <= 1e-6
+
+
 def test_moment_mc_method(capsys):
     code, out, _ = run_capture(
         capsys,
@@ -368,18 +379,20 @@ def test_calibrate_gates_reports_every_z_record_of_selfcheck(capsys, monkeypatch
     assert reported(3) == {**gates, "extra-gate": ("1", "9.250"), "any-gate": ("1", "9.250")}
 
 
-# rows pinned from a build that gave every replication a freshly constructed
-# generator and walked the paths once per estimate; the bytes must not move.
-# The gamma row is pinned at stream layout 2, where the grid crossing is found
-# by a coarse walk and gamma-bridge bisection instead of every grid draw.
+# rows pinned at stream layout 4, where each replication draws from an SFC64
+# keyed by Philox and Pareto steps go through log and exp; the bytes must not
+# move.  The gamma row finds the grid crossing by a coarse walk and
+# gamma-bridge bisection (layout 2).
 GOLDEN_ROWS = {
-    ("renewal", "exp:1.0"): "50,300,13,5.4800000000000004,0.24623995149523276,"
-    "0.91187890863492593,0.054067645440857431,0.11321681160526859",
-    ("renewal", "pareto:1.5,1.0"): "50,300,13,5.4922222222222219,0.21532640572324818,"
-    "18.30696740641131,6.6130045592919338,1.3399707357291035",
-    ("passage", "cp:rate=1.0,jump=exp:1.0"): "100,200,13,11.658618397298117,0.63170179726025422,0",
-    ("passage", "cp:rate=5.0,jump=pareto:1.5,1.0"): "100,200,13,2.0511527941651844,0.11355127804692301,0",
-    ("passage", "gamma:shape=1.0,rate=1.0,grid=0.01"): "100,200,13,8.16845,0.40548814863187377,nan",
+    ("renewal", "exp:1.0"): "50,300,13,5.253333333333333,0.23836928964530055,1.0128904377395793,"
+    "0.060607718930756178,0.76138371879556332",
+    ("renewal", "pareto:1.5,1.0"): "50,300,13,5.5077777777777772,0.20501829010463143,"
+    "7.3363322259299535,1.1471523508749248,-1.2340681810236549",
+    ("passage", "cp:rate=1.0,jump=exp:1.0"): "100,200,13,11.634564507948058,0.62877012355476158,0",
+    ("passage", "cp:rate=5.0,jump=pareto:1.5,1.0"): "100,200,13,1.9603177772902955,"
+    "0.10301455316264137,0",
+    ("passage", "gamma:shape=1.0,rate=1.0,grid=0.01"): "100,200,13,8.2628500000000003,"
+    "0.43635023723515476,nan",
 }
 
 
@@ -395,48 +408,45 @@ def test_simulate_golden_bytes(capsys, monkeypatch, threads, target, spec):
     assert out.splitlines()[1] == GOLDEN_ROWS[(target, spec)]
 
 
-# converge rows pinned from the build that wrote the crossing loop once per
-# walk and kept a separate passage-side table, each with the ell its table
-# was run with (None for a1/b1); the bytes must not move.  The a2 and b2 rows
-# use logpow:2,1, the true ell of pareto2:1.0 (truncated second moment
-# 2 log x), and were pinned from the build that still worked out each case
-# in the convergence table.
+# converge rows pinned at stream layout 4, each with the ell its table was
+# run with (None for a1/b1); the bytes must not move.  The a2 and b2 rows use
+# logpow:2,1, the true ell of pareto2:1.0 (truncated second moment 2 log x).
 GOLDEN_CONVERGE = {
     ("renewal", "a1", "exp:1.0"): (None, [
-        "50,200,5.4299999999999997,0.3033738261484662,7.0710678118654755,"
-        "0.7679179643685905,0.79788456080286541,-0.037557558958305037",
-        "200,200,12.59,0.62919706350524085,14.142135623730951,"
-        "0.89024743751386326,0.79788456080286541,0.11575969914502227",
+        "50,200,5.4900000000000002,0.30605202040826313,7.0710678118654755,0.77640324574282915,"
+        "0.79788456080286541,-0.026922835852871807",
+        "200,200,11.43,0.61224974376778518,14.142135623730951,0.80822305089622382,"
+        "0.79788456080286541,0.012957375792502335",
     ]),
     ("renewal", "a3", "pareto:1.5,1.0"): ("const:1", [
-        "50,200,5.8683333333333323,0.26989148821403253,13.57208808376453,"
-        "0.4323824968652587,0.55026856127134682,-0.21423369006167248",
-        "200,200,15.198333333333331,0.81551160068650852,34.199518935524608,"
-        "0.44440196255351783,0.55026856127134682,-0.19239078182702929",
+        "50,200,5.3149999999999986,0.24865015258550083,13.57208808376453,0.39161254828267822,"
+        "0.55026856127134682,-0.28832469116917736",
+        "200,200,13.884999999999998,0.66467288756163345,34.199518935524608,0.40599986292722418,"
+        "0.55026856127134682,-0.26217870417819722",
     ]),
     ("passage", "b1", "cp:rate=1.0,jump=exp:1.0"): (None, [
-        "50,200,7.5670648723479292,0.39778698147942343,7.0710678118654755,"
-        "1.0701445769831475,1.1283791670955128,-0.051609061750283125",
-        "200,200,16.214901402387078,0.89743619125183849,14.142135623730951,"
-        "1.1465666737899161,1.1283791670955128,0.016118258139432573",
+        "50,200,7.5114392414470856,0.42955806322590867,7.0710678118654755,1.0622779248195942,"
+        "1.1283791670955128,-0.058580700710795242",
+        "200,200,15.562062010847892,0.86011875525349712,14.142135623730951,1.1004039577116105,"
+        "1.1283791670955128,-0.024792383801192863",
     ]),
     ("passage", "b3", "cp:rate=5.0,jump=pareto:1.5,1.0"): ("const:1", [
-        "50,200,1.363616920812982,0.067608954271077562,13.57208808376453,"
-        "0.10047215376123256,0.037637840159455829,1.6694452533826052",
-        "200,200,3.3228626258710245,0.18416094738048286,34.199518935524608,"
-        "0.097161092591259074,0.037637840159455829,1.5814736493812624",
+        "50,200,1.16604237209072,0.065013366280247259,13.57208808376453,0.085914736545630449,"
+        "0.037637840159455829,1.2826691484326824",
+        "200,200,3.0876803774532311,0.16268242670634878,34.199518935524608,0.090284321930795233,"
+        "0.037637840159455829,1.3987646886297997",
     ]),
     ("renewal", "a2", "pareto2:1.0"): ("logpow:2,1", [
-        "50,200,4.3600000000000003,0.25686944066536738,16.796306104214434,"
-        "0.25958088480573799,0.28209479177387814,-0.079809722209217115",
-        "200,200,10.01,0.73870013499879383,38.168041958147242,"
-        "0.26226129207718746,0.28209479177387814,-0.070307925828665518",
+        "50,200,3.8300000000000001,0.20076612058781082,16.796306104214434,0.22802632770779274,"
+        "0.28209479177387814,-0.19166771469295918",
+        "200,200,8.5749999999999993,0.52945584562105985,38.168041958147242,0.2246643935626256,"
+        "0.28209479177387814,-0.20358546093714369",
     ]),
     ("passage", "b2", "cp:rate=1.0,jump=pareto2:1.0"): ("logpow:2,1", [
-        "50,200,6.2798404156108134,0.33639768495240713,16.796306104214434,"
-        "0.37388223200070825,0.28209479177387814,0.3253780037896099",
-        "200,200,12.557895584365085,0.80602001595795192,38.168041958147242,"
-        "0.32901597619640299,0.28209479177387814,0.1663312680375042",
+        "50,200,5.2940960941414756,0.31251537532263862,16.796306104214434,0.31519407072565264,"
+        "0.28209479177387814,0.11733388888053731",
+        "200,200,12.103872130924147,0.69034625955680184,38.168041958147242,0.31712059382549723,"
+        "0.28209479177387814,0.12416323545489316",
     ]),
 }
 
@@ -457,32 +467,32 @@ def test_converge_golden_bytes(tmp_path, capsys, monkeypatch, threads, side, cas
     assert out_path.read_text().splitlines()[1:] == rows
 
 
-# renewal tables whose top level is a long walk, pinned from the build that
-# walked every level afresh: 200 reps at seed 13.  The last grid mixes
-# levels the block walk served with a long top level.
+# renewal tables whose top level is a long walk, pinned at stream layout 4:
+# 200 reps at seed 13, one walk per replication to the top level.  The last
+# grid mixes levels the block walk served with a long top level.
 GOLDEN_LONG_CONVERGE = {
     "a3-pareto-1e3-1e5": (["--case", "a3", "--dist", "pareto:1.5,1.0", "--ell", "const:1",
                            "--s-grid", "1e3,1e4,1e5"], [
-        "1000,200,47.748333333333342,2.8353352839707182,100.00000000582074,"
-        "0.47748333330554038,0.55026856127134682,-0.13227219050574612",
-        "10000,200,207.15166666666661,11.145950382296844,464.15888338829535,"
-        "0.44629473673861036,0.55026856127134682,-0.18895105381363986",
-        "100000,200,1067.2949999999989,110.59436035111037,2154.4346901572872,"
-        "0.49539445538823912,0.55026856127134682,-0.099722407829962001",
+        "1000,200,46.615000000000009,2.6893124470288452,100.00000000582074,0.46614999997286671,"
+        "0.55026856127134682,-0.15286819422162079",
+        "10000,200,189.59166666666661,11.192748469425753,464.15888338829535,0.40846286358385259,"
+        "0.55026856127134682,-0.25770270676533791",
+        "100000,200,920.66833333333238,55.650784627803048,2154.4346901572872,0.42733638552121433,"
+        "0.55026856127134682,-0.22340396017920516",
     ]),
     "a1-exp-2e3-2e4": (["--case", "a1", "--dist", "exp:1.0", "--s-grid", "2e3,2e4"], [
-        "2000,200,37.109999999999999,1.8922984614845206,44.721359549995796,"
-        "0.82980482645017195,0.79788456080286541,0.040006120202635609",
-        "20000,200,115.93000000000001,6.4076764185956776,141.42135623730951,"
-        "0.81974889142956453,0.79788456080286541,0.027402874677382227",
+        "2000,200,32.359999999999999,1.7065501949369071,44.721359549995796,0.72359159751893187,"
+        "0.79788456080286541,-0.093112421186815286",
+        "20000,200,115.86,5.9702236012771106,141.42135623730951,0.81925391668273395,"
+        "0.79788456080286541,0.026782515829565368",
     ]),
     "a1-exp-block-and-long": (["--case", "a1", "--dist", "exp:1.0", "--s-grid", "50,500,2e4"], [
-        "50,200,5.4299999999999997,0.3033738261484662,7.0710678118654755,"
-        "0.7679179643685905,0.79788456080286541,-0.037557558958305037",
-        "500,200,17.984999999999999,0.88965233738075189,22.360679774997898,"
-        "0.80431365150667433,0.79788456080286541,0.0080576702691674829",
-        "20000,200,115.93000000000001,6.4076764185956776,141.42135623730951,"
-        "0.81974889142956453,0.79788456080286541,0.027402874677382227",
+        "50,200,5.4900000000000002,0.30605202040826313,7.0710678118654755,0.77640324574282915,"
+        "0.79788456080286541,-0.026922835852871807",
+        "500,200,18.405000000000001,0.96689155098014168,22.360679774997898,0.82309662251767257,"
+        "0.79788456080286541,0.031598633378038699",
+        "20000,200,115.86,5.9702236012771106,141.42135623730951,0.81925391668273395,"
+        "0.79788456080286541,0.026782515829565368",
     ]),
 }
 

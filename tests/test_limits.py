@@ -125,6 +125,16 @@ def test_quadrature_meets_tol_and_bounds_its_error(alpha, r):
     assert stable_abs_moment_quadrature(alpha, r, 1e-9) == value
 
 
+@pytest.mark.parametrize("alpha", [1.001, 1.003, 1.01])
+def test_quadrature_near_alpha_one(alpha):
+    # near alpha = 1 the substituted low piece would round above its budget,
+    # so [u0, 1] is integrated in log u; the tolerance and panel cap stay
+    closed = stable_abs_moment(alpha, 1.0)
+    value, error = _abs_moment_quadrature(alpha, 1.0, 1e-9)
+    assert abs(value - closed) <= error <= 1e-9
+    assert abs(value - closed) <= 1e-6 * closed
+
+
 # QUADPACK with limit=200 misses tol = 1e-9 at alpha = 1.01, where the
 # numpy oracle still meets it (test above)
 @pytest.mark.parametrize("alpha,r", [(a, r) for a, r in WIDE_GRID if a > 1.01])

@@ -164,6 +164,39 @@ def test_rekeyed_stream_matches_fresh_generator(name, draw):
     )
 
 
+def test_streams_match_reference_across_key_batches():
+    # one Philox call keys 256 replications; the reps on either side of a
+    # batch edge, and reps asked for out of order, draw their own streams
+    base = stream_base(77)
+    streams = replication_streams(base)
+    for rep in (255, 256, 257, 511, 512, 3, 700, 0, 511, 256):
+        assert np.array_equal(streams(rep).random(5), replication_rng(base, rep).random(5))
+
+
+def test_replication_rng_state_is_the_philox_block():
+    base = stream_base(5)
+    for rep in (0, 1, 2**40):
+        key = np.array([base, 0], dtype=np.uint64)
+        words = np.random.Philox(counter=rep, key=key).random_raw(4)
+        state = replication_rng(base, rep).bit_generator.state
+        assert state["bit_generator"] == "SFC64"
+        assert np.array_equal(state["state"]["state"], words)
+
+
+def test_consecutive_replications_are_distinct_and_uncorrelated():
+    n = 4096
+    base = stream_base(2026)
+    streams = replication_streams(base)
+    states, first = set(), np.empty(n)
+    for rep in range(n):
+        rng = streams(rep)
+        states.add(tuple(rng.bit_generator.state["state"]["state"].tolist()))
+        first[rep] = rng.random()
+    assert len(states) == n
+    r = np.corrcoef(first[:-1], first[1:])[0, 1]
+    assert abs(r) <= 4.0 / math.sqrt(n - 1)
+
+
 @pytest.mark.parametrize("threads", ["1", "3"])
 def test_map_replications_draws_reference_streams(monkeypatch, threads):
     monkeypatch.setenv("RL_THREADS", threads)
@@ -173,6 +206,16 @@ def test_map_replications_draws_reference_streams(monkeypatch, threads):
     )
     want = np.array([replication_rng(base, rep).random(2) for rep in range(50)]).T
     assert np.array_equal(got, want)
+
+
+def test_map_replications_over_workers_past_a_key_batch(monkeypatch):
+    # 700 reps in ranges of 59 over three workers: ranges start inside a
+    # batch of 256 keys and cross its edge
+    monkeypatch.setenv("RL_THREADS", "3")
+    base = stream_base(42)
+    got = map_replications(each(lambda _, rng: (rng.random(),), [1.0]), 1, 700, 42, LONG)
+    want = np.array([replication_rng(base, rep).random() for rep in range(700)])
+    assert np.array_equal(got[0], want)
 
 
 @pytest.mark.parametrize(

@@ -161,13 +161,14 @@ def test_overshoot_growth_heavy_tail():
 
 
 def test_table_exponential_a1():
+    # each level's estimate against the exact Poisson value; a gap that
+    # shrinks at every level held for only 16 of seeds 1-40
     rows = convergence_table(Exponential(1.0), "a1", None, [1e2, 1e3, 1e4], 100_000, SEED)
-    gaps = [abs(r.rel_gap) for r in rows]
-    assert all(b < a for a, b in zip(gaps, gaps[1:]))
-    assert gaps[-1] <= 0.03
     for row in rows:
+        assert abs(row.estimate - exact_abs_deviation_poisson(row.s)) <= 4.0 * row.stderr
         assert row.normalizer == pytest.approx(math.sqrt(row.s), rel=1e-14)
         assert row.limit == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-14)
+    assert abs(rows[-1].rel_gap) <= 0.03
 
 
 def test_table_case_mismatch():

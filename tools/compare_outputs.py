@@ -61,6 +61,16 @@ The list covers:
     value, values that start with a dash, and a ``threads`` flag or config
     key (the worker count is ``RL_THREADS`` alone).
 
+Stream layout 4 draws other numbers for every replication, and changes
+nothing else.  A replication's stream is an SFC64 whose state is the four
+words that a Philox keyed by the seed yields at the replication's counter,
+where layout 3 gave each replication a Philox of its own; and a Pareto step
+is x_min * exp(e * log(1 - U)) instead of x_min * (1 - U)**e.  Against a
+layout-3 tree, every ``simulate`` and ``converge`` row, the ``selfcheck``
+lines that read a simulation and ``moment --method mc`` differ, and only
+they: ``limit``, ``scaling``, closed and quadrature moments, every exit code
+and every error message keep their bytes.
+
 For each README command it also checks, on each tree, that the config file
 gives the bytes of the flags: a ``MISMATCH`` line names the fields that
 differ.
