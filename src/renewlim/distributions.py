@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -86,17 +86,11 @@ class Interarrival(ABC):
 
     def sample(
         self, rng: np.random.Generator, size: int | None = None, out: np.ndarray | None = None
-    ):
-        """Draw from the law as ``finish(raw_fill(rng, out))``: a float for
-        size=None, else an ndarray of that size.
-
-        With ``out`` (a float64 array) given, fill it in place with the
-        values ``size=len(out)`` would return, and return it.
-        """
-        if out is not None:
-            return self.finish(self.raw_fill(rng, out))
-        draws = self.finish(self.raw_fill(rng, np.empty(1 if size is None else size)))
-        return float(draws[0]) if size is None else draws
+    ) -> np.ndarray:
+        """Draw from the law as ``finish(raw_fill(rng, out))``: fill ``out``
+        (a float64 array) in place, or a new array of ``size`` draws, and
+        return it.  Either way the draws are those of ``size=len(out)``."""
+        return self.finish(self.raw_fill(rng, np.empty(size) if out is None else out))
 
     @abstractmethod
     def spec_string(self) -> str:
@@ -333,29 +327,29 @@ def _inverse_power(out, x_min, exponent):
 
 @dataclass(frozen=True)
 class StableParams:
-    """The stable law with characteristic function
+    """The stable law of index alpha in (1, 2) with characteristic function
 
         t -> exp(-B*|t|**alpha - i*C*|t|**alpha*sgn(t)),
 
     where B = Gamma(1-alpha)*cos(pi*alpha/2) > 0 and
-    C = Gamma(1-alpha)*sin(pi*alpha/2) < 0 for alpha in (1, 2).
+    C = Gamma(1-alpha)*sin(pi*alpha/2) < 0.
 
     In the standard one-parameter family
     exp(-gamma**alpha*|t|**alpha*(1 - i*beta*tan(pi*alpha/2)*sgn t))
     this is the totally left-skewed member: beta = -1, gamma = B**(1/alpha).
-    The match is re-validated numerically at construction rather than
-    trusted, because stable parametrization conventions are a classic
-    source of sign bugs.
+    B, C, ``scale`` (gamma) and ``skew`` (beta's sign) follow from alpha,
+    and every construction re-validates the match numerically, because
+    stable parametrization conventions are a classic source of sign bugs.
     """
 
     alpha: float
-    B: float
-    C: float
-    scale: float
-    skew: int
+    B: float = field(init=False)
+    C: float = field(init=False)
+    scale: float = field(init=False)
+    skew: int = field(init=False)
 
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "StableParams":
+    def __post_init__(self):
+        alpha = self.alpha
         if not (1.0 < alpha < 2.0):
             raise DomainError(f"alpha must lie in the open interval (1, 2), got {alpha}")
         g = math.gamma(1.0 - alpha)  # negative on (1, 2), never at a pole
@@ -364,12 +358,16 @@ class StableParams:
         c = g * math.sin(half)
         if not (b > 0.0 and c < 0.0):
             raise DomainError(f"sign analysis failed at alpha={alpha}: B={b}, C={c}")
-        tan_half = math.tan(half)
-        beta = -(c / b) / tan_half
+        beta = -(c / b) / math.tan(half)
         skew = 1 if beta > 0 else -1
-        params = cls(alpha=alpha, B=b, C=c, scale=b ** (1.0 / alpha), skew=skew)
-        params._validate_parametrization()
-        return params
+        for name, value in zip(("B", "C", "scale", "skew"), (b, c, b ** (1.0 / alpha), skew)):
+            object.__setattr__(self, name, value)
+        self._validate_parametrization()
+
+    @classmethod
+    def from_alpha(cls, alpha: float) -> "StableParams":
+        """The same law as ``StableParams(alpha)``."""
+        return cls(alpha)
 
     def _validate_parametrization(self, tol: float = 1e-12) -> None:
         tan_half = math.tan(math.pi * self.alpha / 2.0)
@@ -392,15 +390,11 @@ class StableParams:
         val = np.exp(-self.B * mag) * np.exp(-1j * self.C * mag * np.sign(t))
         return complex(val) if val.ndim == 0 else val
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Exact draws via the Chambers-Mallows-Stuck construction."""
-        one = size is None
-        n = 1 if one else int(size)
-        v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=n)
-        w = rng.exponential(1.0, size=n)
-        x = _cms_standard(self.alpha, float(self.skew), v, w)
-        out = self.scale * x
-        return float(out[0]) if one else out
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` exact draws via the Chambers-Mallows-Stuck construction."""
+        v = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size=size)
+        w = rng.exponential(1.0, size=size)
+        return self.scale * _cms_standard(self.alpha, float(self.skew), v, w)
 
 
 def _cms_standard(alpha: float, beta: float, v: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -266,7 +266,7 @@ def stable_abs_moment_mc(alpha: float, r: float, n: int, master_seed: int) -> MC
         raise DomainError(f"cannot allocate {n} stable draws") from None
     powered = abs(draws) ** r
     se = float(powered.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return MCEstimate(mean=float(powered.mean()), std_error=se, n_reps=n, master_seed=master_seed)
+    return MCEstimate(mean=float(powered.mean()), std_error=se, n_reps=n)
 
 
 def limit_constant(case: LimitCase) -> float:

@@ -149,7 +149,7 @@ def map_replications(
     calling thread; longer walks are split over ``thread_count()`` workers.
     """
     if n_reps < 1:
-        raise ValueError(f"n_reps must be >= 1, got {n_reps}")
+        raise DomainError(f"n_reps must be >= 1, got {n_reps}")
     base = stream_base(master_seed)
     try:
         out = np.empty((n_outputs, n_reps))
@@ -395,13 +395,12 @@ class MCEstimate:
     """Monte Carlo point estimate with its standard error.
 
     ``std_error`` is the sample standard deviation divided by sqrt(n_reps);
-    the estimate is reproducible from the inputs plus ``master_seed`` alone.
+    the estimate is a function of the values alone.
     """
 
     mean: float
     std_error: float
     n_reps: int
-    master_seed: int
 
 
 def _as_floats(values: np.ndarray, step: int = 4096):
@@ -410,7 +409,7 @@ def _as_floats(values: np.ndarray, step: int = 4096):
     return chain.from_iterable(values[i : i + step].tolist() for i in range(0, len(values), step))
 
 
-def estimate_from_values(values: np.ndarray, master_seed: int) -> MCEstimate:
+def estimate_from_values(values: np.ndarray) -> MCEstimate:
     """Exactly rounded mean/SE reduction (order-independent via fsum).
 
     Each squared deviation is libm's pow(d, 2), as Python's ``d ** 2``
@@ -431,4 +430,4 @@ def estimate_from_values(values: np.ndarray, master_seed: int) -> MCEstimate:
             f"cannot estimate from values as large as {float(np.max(np.abs(values)))}: "
             "their sum or squared deviations overflow"
         ) from None
-    return MCEstimate(mean=mean, std_error=se, n_reps=n, master_seed=master_seed)
+    return MCEstimate(mean=mean, std_error=se, n_reps=n)

@@ -106,14 +106,14 @@ def renewal_estimates(
     overshoot) pair into all three renewal estimates."""
     counts, totals = collect(spec, [s], n_reps, master_seed)[:, 0]
     overshoots = totals - s
-    diffs = estimate_from_values((s + overshoots) - spec.mean() * counts, master_seed)
+    diffs = estimate_from_values((s + overshoots) - spec.mean() * counts)
     if diffs.std_error == 0.0:
         wald = 0.0 if diffs.mean == 0.0 else math.copysign(math.inf, diffs.mean)
     else:
         wald = diffs.mean / diffs.std_error
     return RenewalEstimates(
-        deviation=estimate_from_values(np.abs(counts - s / spec.mean()), master_seed),
-        overshoot=estimate_from_values(overshoots, master_seed),
+        deviation=estimate_from_values(np.abs(counts - s / spec.mean())),
+        overshoot=estimate_from_values(overshoots),
         wald=wald,
     )
 
@@ -216,7 +216,7 @@ def convergence_table(
     denoms = [math.sqrt(s) if index is None else solve_c(index, ell, s) for s in grid]
     limit = limit_constant(lc)
     values = collect(spec, grid, n_reps, master_seed)[0]
-    ests = [estimate_from_values(np.abs(v - s / lc.mu), master_seed) for v, s in zip(values, grid)]
+    ests = [estimate_from_values(np.abs(v - s / lc.mu)) for v, s in zip(values, grid)]
     rows = []
     for s, denom, est in zip(grid, denoms, ests):
         ratio = est.mean / denom

@@ -64,7 +64,7 @@ class LogPower(SlowlyVarying):
 
     coeff: float
     power: float
-    x0: float = math.e
+    x0 = math.e
 
     def __post_init__(self):
         if not self.coeff > 0.0:
@@ -91,7 +91,8 @@ class LogShifted(SlowlyVarying):
     def __post_init__(self):
         if not self.coeff > 0.0:
             raise DomainError(f"LogShifted coefficient must be positive, got {self.coeff}")
-        object.__setattr__(self, "x0", max(0.0, 1.0 - self.shift))
+
+    x0 = property(lambda self: max(0.0, 1.0 - self.shift))
 
     def __call__(self, x):
         if x + self.shift <= 1.0:

@@ -308,7 +308,7 @@ def mc_passage(
     no N*(s) output: they are excluded from the exact coupling.
     """
     values = collect(spec, [s], n_reps, master_seed)[:, 0]
-    est = estimate_from_values(np.abs(values[0] - s / spec.mean_rate()), master_seed)
+    est = estimate_from_values(np.abs(values[0] - s / spec.mean_rate()))
     if len(values) == 1:
         return est, math.nan
     couplings = values[1] - values[0]
@@ -335,38 +335,43 @@ def coupling_check(
     return mc_passage(spec, s, n_reps, master_seed)[1]
 
 
+#: each spec's fields as its constructor takes them (a spec may order them
+#: freely); a piece without ``=`` continues the jump spec before it
+_SUB_FIELDS = {"cp": ("rate", "jump"), "gamma": ("shape", "rate", "grid")}
+
+
 def parse_subordinator(text: str) -> Subordinator:
-    """Parse ``cp:rate=1.0,jump=exp:1.0`` or
-    ``gamma:shape=1.0,rate=1.0,grid=0.001``."""
+    """Parse ``cp:rate=1.0,jump=exp:1.0`` or ``gamma:shape=1.0,rate=1.0,grid=0.001``."""
     head, sep, body = text.strip().partition(":")
     head = head.strip().lower()
-    if not sep or head not in ("cp", "gamma"):
+    if not sep or head not in _SUB_FIELDS:
         raise SpecParseError(f"unknown subordinator spec {text!r}")
-    fields = {}
-    for part in body.split(",", maxsplit=1 if head == "cp" else 2):
-        key, eq, value = part.partition("=")
-        if not eq or not value.strip():
-            raise SpecParseError(f"malformed field {part!r} in subordinator spec {text!r}")
-        fields[key.strip().lower()] = value.strip()
+    names, fields = _SUB_FIELDS[head], {}
+    for place, part in enumerate(body.split(","), 1):
+        name, eq, value = part.partition("=")
+        name = name.strip().lower()
+        if not (value if eq else part).strip():
+            problem = f"field {name or place!r} is empty"
+        elif not eq:
+            if next(reversed(fields), None) == "jump":
+                fields["jump"] += "," + part
+                continue
+            problem = f"field {part.strip()!r} has no '='"
+        elif name in fields or name not in names:
+            problem = f"{'duplicate' if name in fields else 'unknown'} {head} field {name!r}"
+        else:
+            fields[name] = value
+            continue
+        raise SpecParseError(f"{problem} in subordinator spec {text!r}")
+    if len(fields) < len(names):
+        need = f"{', '.join(names[:-1])} and {names[-1]}"
+        raise SpecParseError(f"{head} spec needs fields {need}, got {sorted(fields)}")
+    fields = {name: value.strip() for name, value in fields.items()}
     try:
         if head == "cp":
-            if set(fields) != {"rate", "jump"}:
-                raise SpecParseError(
-                    f"cp spec needs fields rate and jump, got {sorted(fields)}"
-                )
-            return CompoundPoisson(
-                rate=float(fields["rate"]), jump=parse_interarrival(fields["jump"])
-            )
-        if set(fields) != {"shape", "rate", "grid"}:
-            raise SpecParseError(
-                f"gamma spec needs fields shape, rate and grid, got {sorted(fields)}"
-            )
-        return GammaSubordinator(
-            shape=float(fields["shape"]),
-            rate=float(fields["rate"]),
-            grid_step=float(fields["grid"]),
-        )
+            return CompoundPoisson(float(fields["rate"]), parse_interarrival(fields["jump"]))
+        return GammaSubordinator(*(float(fields[name]) for name in names))
+    except SpecParseError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, SpecParseError):
-            raise
         raise SpecParseError(f"invalid subordinator spec {text!r}: {exc}") from None

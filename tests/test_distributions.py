@@ -91,7 +91,7 @@ def test_truncated_mean_vs_quadrature():
 
 def test_deterministic_sampling():
     spec = Deterministic(2.0)
-    assert spec.sample(rng_for(0)) == 2.0
+    assert spec.sample(rng_for(0), size=1) == 2.0
     assert np.all(spec.sample(rng_for(0), size=10) == 2.0)
 
 
@@ -252,13 +252,27 @@ def test_sample_stable_deterministic():
     a = p.sample(rng_for(23), size=1000)
     b = p.sample(rng_for(23), size=1000)
     assert np.array_equal(a, b)
-    assert isinstance(p.sample(rng_for(23)), float)
 
 
 def test_stable_from_alpha_rejects_outside_interval():
     for bad in (1.0, 2.0, 0.5, 2.5):
         with pytest.raises(DomainError):
             StableParams.from_alpha(bad)
+
+
+def test_stable_params_are_built_from_alpha_alone(monkeypatch):
+    assert StableParams(1.5) == StableParams.from_alpha(1.5)
+    with pytest.raises(TypeError):
+        StableParams(1.5, 1.0, 1.0, 1.0, 1)
+
+    def mismatch(self, tol=1e-12):
+        raise DomainError("stable parametrization mismatch")
+
+    # every spelling of the constructor runs the numerical validation
+    monkeypatch.setattr(StableParams, "_validate_parametrization", mismatch)
+    for build in (StableParams, StableParams.from_alpha):
+        with pytest.raises(DomainError, match="mismatch"):
+            build(1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +332,22 @@ _BAD_SPECS = [
     (parse_subordinator, "cp:rate=1.0,jump=wat:1", "unknown distribution spec 'wat:1'"),
     (parse_subordinator, "cp:rate=1.0,jump=exp:-1",
      "invalid distribution spec 'exp:-1': Exponential rate must be positive, got -1.0"),
+    # each bad subordinator field gets a message of its own that names it
+    (parse_subordinator, "cp:rate=1,rate=2,jump=exp:1",
+     "duplicate cp field 'rate' in subordinator spec 'cp:rate=1,rate=2,jump=exp:1'"),
+    (parse_subordinator, "cp:rate=1,jump=exp:1,extra=3",
+     "unknown cp field 'extra' in subordinator spec 'cp:rate=1,jump=exp:1,extra=3'"),
+    (parse_subordinator, "gamma:shape=1,rate=1,grid=0.5,extra=3",
+     "unknown gamma field 'extra' in subordinator spec 'gamma:shape=1,rate=1,grid=0.5,extra=3'"),
+    (parse_subordinator, "gamma:shape=1,rate=1,grid=1,",
+     "field 4 is empty in subordinator spec 'gamma:shape=1,rate=1,grid=1,'"),
+    (parse_subordinator, "cp:rate=,jump=exp:1.0",
+     "field 'rate' is empty in subordinator spec 'cp:rate=,jump=exp:1.0'"),
+    (parse_subordinator, "gamma:shape=1,rate=1,grid=1,2",
+     "field '2' has no '=' in subordinator spec 'gamma:shape=1,rate=1,grid=1,2'"),
+    (parse_subordinator, "cp:rate", "field 'rate' has no '=' in subordinator spec 'cp:rate'"),
+    (parse_subordinator, "gamma:rate=1.0,shape=1.0",
+     "gamma spec needs fields shape, rate and grid, got ['rate', 'shape']"),
     # the slowly varying grammar
     (parse_slowly_varying, "wat:1", "unknown slowly varying spec 'wat:1'"),
     (parse_slowly_varying, "const", "unknown slowly varying spec 'const'"),

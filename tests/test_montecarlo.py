@@ -106,18 +106,18 @@ def test_map_replications_places_walks_by_their_length(monkeypatch):
 
 
 def test_estimate_from_values():
-    est = estimate_from_values(np.array([1.0, 2.0, 3.0, 4.0]), master_seed=9)
-    assert est == MCEstimate(mean=2.5, std_error=math.sqrt((5.0 / 3.0) / 4.0), n_reps=4, master_seed=9)
-    single = estimate_from_values(np.array([7.0]), master_seed=0)
+    est = estimate_from_values(np.array([1.0, 2.0, 3.0, 4.0]))
+    assert est == MCEstimate(mean=2.5, std_error=math.sqrt((5.0 / 3.0) / 4.0), n_reps=4)
+    single = estimate_from_values(np.array([7.0]))
     assert single.std_error == 0.0
 
 
-def _generator_estimate(values, master_seed):
+def _generator_estimate(values):
     """The reference reduction: fsum over numpy scalars, each square d ** 2."""
     n = len(values)
     mean = math.fsum(values) / n
     se = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1) / n) if n > 1 else 0.0
-    return MCEstimate(mean=mean, std_error=se, n_reps=n, master_seed=master_seed)
+    return MCEstimate(mean=mean, std_error=se, n_reps=n)
 
 
 def _bits(est):
@@ -135,14 +135,24 @@ def test_estimate_from_values_is_bit_equal_to_the_generator_form():
         *rng.normal(size=(5000, 2)) * 1e3,
     ]
     for values in samples:
-        assert _bits(estimate_from_values(values, 4)) == _bits(_generator_estimate(values, 4))
+        assert _bits(estimate_from_values(values)) == _bits(_generator_estimate(values))
     assert any(
         float(np.square(d)) != d**2 for v in samples[3:] for d in v - math.fsum(v) / 2
     )  # the n = 2 samples include such a d
 
 
+def test_estimates_of_the_same_values_are_equal():
+    values = np.array([0.5, 2.0, 3.25])
+    assert estimate_from_values(values) == estimate_from_values(values.copy())
+
+
+def test_map_replications_rejects_no_replications():
+    with pytest.raises(DomainError, match=r"^n_reps must be >= 1, got 0$"):
+        map_replications(each(lambda _, rng: (rng.random(),), [1.0]), 1, 0, 42, 1.0)
+
+
 def test_estimate_exact_for_constant_values():
-    est = estimate_from_values(np.full(10_000, 0.5), master_seed=1)
+    est = estimate_from_values(np.full(10_000, 0.5))
     assert est.mean == 0.5
     assert est.std_error == 0.0
 

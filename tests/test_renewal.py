@@ -234,9 +234,9 @@ def test_both_walks_give_the_reference_bytes(monkeypatch, threads, spec, s, n_re
     paths = [simulate_renewal(spec, s, rng_for(SEED, rep)) for rep in range(n_reps)]
     counts = np.array([float(p.n_of_t) for p in paths])
     overshoots = np.array([p.overshoot for p in paths])
-    dev = estimate_from_values(np.abs(counts - s / spec.mean()), SEED)
-    over = estimate_from_values(overshoots, SEED)
-    diffs = estimate_from_values((s + overshoots) - spec.mean() * counts, SEED)
+    dev = estimate_from_values(np.abs(counts - s / spec.mean()))
+    over = estimate_from_values(overshoots)
+    diffs = estimate_from_values((s + overshoots) - spec.mean() * counts)
     want = [dev.mean, dev.std_error, over.mean, over.std_error, diffs.mean / diffs.std_error]
     got = [est.deviation.mean, est.deviation.std_error, est.overshoot.mean,
            est.overshoot.std_error, est.wald]
@@ -260,9 +260,9 @@ def test_collector_equals_standalone_estimators(spec):
     paths = [simulate_renewal(spec, 40.0, rng_for(SEED, rep)) for rep in range(300)]
     counts = np.array([float(p.n_of_t) for p in paths])
     overshoots = np.array([p.overshoot for p in paths])
-    assert est.deviation == estimate_from_values(np.abs(counts - 40.0 / spec.mean()), SEED)
-    assert est.overshoot == estimate_from_values(overshoots, SEED)
-    diffs = estimate_from_values((40.0 + overshoots) - spec.mean() * counts, SEED)
+    assert est.deviation == estimate_from_values(np.abs(counts - 40.0 / spec.mean()))
+    assert est.overshoot == estimate_from_values(overshoots)
+    diffs = estimate_from_values((40.0 + overshoots) - spec.mean() * counts)
     if diffs.std_error > 0.0:
         assert est.wald == diffs.mean / diffs.std_error
     else:

@@ -205,6 +205,14 @@ def test_ell_grammar_round_trip(ell):
     assert parse_slowly_varying(ell.spec_string()) == ell
 
 
+def test_ell_domains_are_derived():
+    assert LogPower(1.0, 1.0).x0 == math.e
+    assert LogShifted(1.0, 0.25).x0 == 0.75
+    assert LogShifted(1.0, 3.0).x0 == 0.0
+    with pytest.raises(TypeError):
+        LogPower(1, 1, x0=0.5)
+
+
 @pytest.mark.parametrize("text", ["logpow:2.0", "wat:1", "const:-1", "const:", "logshift:1"])
 def test_ell_grammar_rejects(text):
     with pytest.raises(SpecParseError):

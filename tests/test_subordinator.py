@@ -365,18 +365,35 @@ def test_passage_determinism(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "cp:rate=1.0,jump=exp:1.0",
-        "cp:rate=5.0,jump=pareto:1.5,1.0",
-        "cp:rate=1.0,jump=pareto2:1.0",
-        "gamma:shape=1.0,rate=1.0,grid=0.001",
-    ],
-)
+# (case, m, b, alpha) per spec: m = rate E J and b**2 = rate E J**2 for cp
+SUB_CASES = {
+    # the two selfcheck coupling specs
+    "cp:rate=1.0,jump=exp:1.0": ("b1", 1.0, math.sqrt(2.0), None),
+    "cp:rate=5.0,jump=pareto:1.5,1.0": ("b3", 15.0, None, 1.5),
+    # deterministic jumps have zero variance, but S(1) does not
+    "cp:rate=2.0,jump=det:3.0": ("b1", 6.0, math.sqrt(18.0), None),
+    "cp:rate=1.0,jump=pareto2:1.0": ("b2", 2.0, None, None),
+    "cp:rate=1.0,jump=unif:0,1": ("b1", 0.5, math.sqrt(1.0 / 3.0), None),
+    "gamma:shape=2.0,rate=4.0,grid=0.01": ("b1", 0.5, math.sqrt(0.125), None),
+}
+
+
+@pytest.mark.parametrize("text", [*SUB_CASES, "gamma:shape=1.0,rate=1.0,grid=0.001"])
 def test_subordinator_grammar_round_trip(text):
     spec = parse_subordinator(text)
     assert parse_subordinator(spec.spec_string()) == spec
+
+
+@pytest.mark.parametrize(
+    "text,reordered",
+    [
+        ("cp:rate=5.0,jump=pareto:1.5,1.0", "cp:jump=pareto:1.5,1.0,rate=5.0"),
+        ("cp:rate=1,jump=exp:1", "cp:jump=exp:1,rate=1"),
+        ("gamma:shape=1.0,rate=2.0,grid=0.01", "gamma:grid=0.01,rate=2.0,shape=1.0"),
+    ],
+)
+def test_subordinator_fields_in_any_order(text, reordered):
+    assert parse_subordinator(reordered) == parse_subordinator(text)
 
 
 def test_subordinator_grammar_nested_commas():
@@ -399,18 +416,6 @@ def test_subordinator_grammar_rejects(text):
     with pytest.raises(SpecParseError):
         parse_subordinator(text)
 
-
-# (case, m, b, alpha) per spec: m = rate E J and b**2 = rate E J**2 for cp
-SUB_CASES = {
-    # the two selfcheck coupling specs
-    "cp:rate=1.0,jump=exp:1.0": ("b1", 1.0, math.sqrt(2.0), None),
-    "cp:rate=5.0,jump=pareto:1.5,1.0": ("b3", 15.0, None, 1.5),
-    # deterministic jumps have zero variance, but S(1) does not
-    "cp:rate=2.0,jump=det:3.0": ("b1", 6.0, math.sqrt(18.0), None),
-    "cp:rate=1.0,jump=pareto2:1.0": ("b2", 2.0, None, None),
-    "cp:rate=1.0,jump=unif:0,1": ("b1", 0.5, math.sqrt(1.0 / 3.0), None),
-    "gamma:shape=2.0,rate=4.0,grid=0.01": ("b1", 0.5, math.sqrt(0.125), None),
-}
 
 
 def test_limit_case():

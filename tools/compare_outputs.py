@@ -59,7 +59,11 @@ The list covers:
     squared deviations overflow, bad values in a config file, and usage
     errors: an unknown flag, a missing or unknown subcommand, a missing flag
     value, values that start with a dash, and a ``threads`` flag or config
-    key (the worker count is ``RL_THREADS`` alone).
+    key (the worker count is ``RL_THREADS`` alone);
+  - five subordinator specs that a reader splitting on a fixed count of
+    commas gets wrong: fields out of order, a duplicate, an unknown and an
+    empty field.  Only these differ against such a tree, which rejects the
+    reordered spec and blames each bad one on another field or value.
 
 Stream layout 4 draws other numbers for every replication, and changes
 nothing else.  A replication's stream is an SFC64 whose state is the four
@@ -280,6 +284,12 @@ COMMANDS: list[tuple[str, ...]] = [
     ("scaling", "--alpha", "1.5", "--ell", "const:1", "--x", "-1e5"),
     ("scaling", "--alpha", "1.5", "--ell", "const:1", "--x=-inf"),
     _converge("renewal", "a1", "exp:1.0", "--s-grid", "-1,3", "--reps", "10", "--seed", "1"),
+    # subordinator fields in any order, and a bad field named in its message
+    _passage("cp:jump=pareto:1.5,1.0,rate=5.0", "1000", 2500, "22"),
+    _passage("cp:rate=1,rate=2,jump=exp:1", "10", 10, "1"),
+    _passage("gamma:shape=1,rate=1,grid=0.5,extra=3", "10", 10, "1"),
+    _passage("gamma:shape=1,rate=1,grid=1,", "10", 10, "1"),
+    _passage("cp:rate=1,jump=exp:1,extra=3", "10", 10, "1"),
 ]
 
 
