@@ -291,11 +291,13 @@ def _cmd_simulate_passage(cfg: dict) -> int:
 
 
 def _cmd_converge(cfg: dict) -> int:
-    # the side picks which spec option is read; the other one is ignored
+    # the side picks which spec option is read; the other one may not be given
     if cfg["side"] == "renewal":
-        spec_key, parse = "dist", distributions.parse_interarrival
+        spec_key, other, parse = "dist", "sub", distributions.parse_interarrival
     else:
-        spec_key, parse = "sub", subordinator.parse_subordinator
+        spec_key, other, parse = "sub", "dist", subordinator.parse_subordinator
+    if cfg[other] is not None:
+        raise ConfigError(f"{other}: not read by --side {cfg['side']}")
     if cfg[spec_key] is None:
         raise ConfigError(f"{spec_key}: required but not supplied")
     ell = scaling.parse_slowly_varying(cfg["ell"]) if cfg["ell"] is not None else None

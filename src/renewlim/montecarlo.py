@@ -131,25 +131,25 @@ def replication_streams(base: np.uint64) -> Callable[[int], np.random.Generator]
     return streams
 
 
-def map_replications(
-    walk: Callable[..., None],
-    n_outputs: int,
-    n_reps: int,
-    master_seed: int,
-    steps: float,
-) -> np.ndarray:
-    """Run ``walk`` over every replication and return its outputs, an array
-    of shape (n_outputs, n_reps).  ``walk(streams, lo, hi, out)`` fills
-    columns lo..hi-1 of ``out``, column ``rep`` from ``streams(rep)`` alone
-    (``replication_streams``), so no split of the replications changes it.
+def map_replications(process, levels: Sequence[float], n_reps: int, master_seed: int) -> np.ndarray:
+    """Run ``process.walk(levels)``, an inter-arrival law's or a
+    subordinator's walk, over every replication: value j of the walk at
+    level k is row [j, k] of the (values, levels, reps) array returned.
 
-    ``steps``, the expected length of one walk, alone picks where it runs.
-    If ``block_rows(steps)`` > 1, re-keying and small fills, which hold the
-    GIL, are most of a walk's cost, so all of it runs as one range on the
-    calling thread; longer walks are split over ``thread_count()`` workers.
+    The walk comes with its output count and the expected length of one
+    walk.  ``walk(streams, lo, hi, out)`` fills columns lo..hi-1 of ``out``,
+    column ``rep`` from ``streams(rep)`` alone (``replication_streams``), so
+    no split of the replications changes it.  The expected length alone
+    picks where it runs.  If ``block_rows`` of it is > 1, re-keying and
+    small fills, which hold the GIL, are most of a walk's cost, so all of it
+    runs as one range on the calling thread; longer walks are split over
+    ``thread_count()`` workers.
     """
-    if n_reps < 1:
-        raise DomainError(f"n_reps must be >= 1, got {n_reps}")
+    if n_reps < 2:
+        raise DomainError(f"n_reps must be >= 2, got {n_reps}")
+    if not levels[0] > 0.0:
+        raise DomainError(f"s must be positive, got {levels[0]}")
+    walk, n_outputs, steps = process.walk(levels)
     base = stream_base(master_seed)
     try:
         out = np.empty((n_outputs, n_reps))
@@ -163,7 +163,7 @@ def map_replications(
         bounds = [(lo, min(lo + block, n_reps)) for lo in range(0, n_reps, block)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda b: walk(replication_streams(base), *b, out), bounds))
-    return out
+    return out.reshape(-1, len(levels), n_reps)
 
 
 def each(path: Callable[..., object], levels: Sequence[float]) -> Callable[..., None]:

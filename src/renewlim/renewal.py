@@ -29,7 +29,6 @@ __all__ = [
     "simulate_renewal",
     "RenewalEstimates",
     "renewal_estimates",
-    "collect",
     "mc_abs_deviation",
     "exact_abs_deviation_poisson",
     "ConvergenceRow",
@@ -83,28 +82,15 @@ class RenewalEstimates:
     wald: float
 
 
-def collect(process, levels: Sequence[float], n_reps: int, master_seed: int) -> np.ndarray:
-    """Run ``process.walk(levels)`` (an inter-arrival law or a subordinator)
-    over every replication: value j of the walk at level k is row [j, k] of
-    the (values, levels, reps) array returned."""
-    if n_reps < 2:
-        raise DomainError(f"n_reps must be >= 2, got {n_reps}")
-    if not levels[0] > 0.0:
-        raise DomainError(f"s must be positive, got {levels[0]}")
-    walk, n_outputs, steps = process.walk(levels)
-    out = map_replications(walk, n_outputs, n_reps, master_seed, steps)
-    return out.reshape(-1, len(levels), n_reps)
-
-
 def renewal_estimates(
     spec: Interarrival,
     s: float,
     n_reps: int,
     master_seed: int,
 ) -> RenewalEstimates:
-    """Walk each replication once (``collect``) and reduce its (count,
-    overshoot) pair into all three renewal estimates."""
-    counts, totals = collect(spec, [s], n_reps, master_seed)[:, 0]
+    """Walk each replication once (``map_replications``) and reduce its
+    (count, overshoot) pair into all three renewal estimates."""
+    counts, totals = map_replications(spec, [s], n_reps, master_seed)[:, 0]
     overshoots = totals - s
     diffs = estimate_from_values((s + overshoots) - spec.mean() * counts)
     if diffs.std_error == 0.0:
@@ -190,7 +176,8 @@ def convergence_table(
     The estimate is E|N(s) - s/mu| for an inter-arrival law and
     E|T(s) - s/m| for a subordinator.  The same master seed feeds every row
     (common random numbers), which smooths the trend of rel_gap along the
-    grid without biasing any row.  One ``collect`` call serves every row.
+    grid without biasing any row.  One ``map_replications`` call serves
+    every row.
     On the renewal side one walk of each replication to the last level
     does: replication ``rep`` draws the same steps whatever level it walks
     to, so N(s) at a lower level is the count a walk to that level alone
@@ -215,7 +202,7 @@ def convergence_table(
     # every normalizer before the first walk, so a bad ell fails fast
     denoms = [math.sqrt(s) if index is None else solve_c(index, ell, s) for s in grid]
     limit = limit_constant(lc)
-    values = collect(spec, grid, n_reps, master_seed)[0]
+    values = map_replications(spec, grid, n_reps, master_seed)[0]
     ests = [estimate_from_values(np.abs(v - s / lc.mu)) for v, s in zip(values, grid)]
     rows = []
     for s, denom, est in zip(grid, denoms, ests):

@@ -21,9 +21,7 @@ import numpy as np
 
 from .distributions import Interarrival, LimitCase, _square, parse_interarrival
 from .errors import DomainError, InvariantError, ParameterMismatchError, SpecParseError
-from .montecarlo import MCEstimate, each, estimate_from_values, first_crossing
-from .montecarlo import map_replications  # noqa: F401  only the benchmark's probe (ROADMAP item 7)
-from .renewal import collect
+from .montecarlo import MCEstimate, each, estimate_from_values, first_crossing, map_replications
 
 __all__ = [
     "Subordinator",
@@ -302,12 +300,13 @@ def mc_passage(
     master_seed: int,
 ) -> tuple[MCEstimate, float]:
     """Estimate of E|T(s) - s/m| and the fraction of replications violating
-    N*(s) - T(s) in [0, 1], from one walk per replication (``collect``).
+    N*(s) - T(s) in [0, 1], from one walk per replication
+    (``map_replications``).
 
     The fraction is nan for grid-approximated subordinators, whose walk has
     no N*(s) output: they are excluded from the exact coupling.
     """
-    values = collect(spec, [s], n_reps, master_seed)[:, 0]
+    values = map_replications(spec, [s], n_reps, master_seed)[:, 0]
     est = estimate_from_values(np.abs(values[0] - s / spec.mean_rate()))
     if len(values) == 1:
         return est, math.nan

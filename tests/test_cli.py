@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from renewlim import cli, distributions, montecarlo, renewal
+from renewlim import cli, distributions, montecarlo, renewal, subordinator
 from renewlim.cli import run
 
 
@@ -510,7 +510,8 @@ def test_converge_long_golden_bytes(tmp_path, capsys, monkeypatch, threads, name
     assert out_path.read_text().splitlines()[1:] == rows
 
 
-# every walk of either side runs through renewal.collect
+# convergence_table walks either side through one renewal.map_replications
+# call
 @pytest.mark.parametrize(
     "argv,exit_code,line",
     [
@@ -525,7 +526,7 @@ def test_converge_long_golden_bytes(tmp_path, capsys, monkeypatch, threads, name
           "--ell", "logpow:1,-5", "--s-grid", "1,100"],
          1, "could not bracket the scaling root at x=1.0 (alpha=1.5, ell=logpow:1.0,-5.0)"),
     ],
-    ids=["argv0-mc_abs_deviation", "argv1-mc_passage_abs_deviation", "argv2-bad-ell"],
+    ids=["argv0-renewal-no-ell", "argv1-passage-no-ell", "argv2-bad-ell"],
 )
 def test_converge_missing_ell_fails_before_any_walk(
     tmp_path, capsys, monkeypatch, argv, exit_code, line
@@ -533,7 +534,7 @@ def test_converge_missing_ell_fails_before_any_walk(
     def no_walk(*args, **kwargs):
         raise AssertionError("simulated before validating")
 
-    monkeypatch.setattr(renewal, "collect", no_walk)
+    monkeypatch.setattr(renewal, "map_replications", no_walk)
     out_path = tmp_path / "c.csv"
     code, out, err = run_capture(
         capsys, ["converge", *argv, "--reps", "300", "--seed", "1", "--csv", str(out_path)]
@@ -542,6 +543,41 @@ def test_converge_missing_ell_fails_before_any_walk(
     assert out == ""
     assert err == f"error: {line}\n"
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "side,own,other",
+    [
+        ("renewal", ("--case", "a1", "--dist", "exp:1.0"), ("--sub", "cp:rate=1.0,jump=exp:1.0")),
+        ("passage", ("--case", "b1", "--sub", "cp:rate=1.0,jump=exp:1.0"), ("--dist", "exp:1.0")),
+    ],
+    ids=["renewal", "passage"],
+)
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+def test_converge_rejects_the_other_sides_spec(
+    tmp_path, capsys, monkeypatch, side, own, other, spelling
+):
+    # the option the side does not read fails before any spec is parsed: an
+    # unparseable value gives the same line
+    def no_parse(text):
+        raise AssertionError("parsed a spec before rejecting the other side's")
+
+    monkeypatch.setattr(distributions, "parse_interarrival", no_parse)
+    monkeypatch.setattr(subordinator, "parse_subordinator", no_parse)
+    out_path = tmp_path / "c.csv"
+    argv = ["converge", "--side", side, *own, "--s-grid", "100", "--reps", "10", "--seed", "1",
+            "--csv", str(out_path)]
+    key = other[0][2:]
+    for value in (other[1], "wat"):
+        if spelling == "flag":
+            form = [*argv, other[0], value]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({key: value}))
+            form = [*argv, "--config", str(path)]
+        code, out, err = run_capture(capsys, form)
+        assert (code, out, err) == (2, "", f"error: {key}: not read by --side {side}\n")
+        assert not out_path.exists()
 
 
 _CONVERGE_A1 = ["converge", "--side", "renewal", "--case", "a1", "--s-grid", "100",

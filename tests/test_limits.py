@@ -135,6 +135,18 @@ def test_quadrature_near_alpha_one(alpha):
     assert abs(value - closed) <= 1e-6 * closed
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ToleranceNotMetError,
+    reason="at alpha = 1.0005 a piece needs more than the 10000-panel cap for tol = 1e-9",
+)
+@pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
+def test_quadrature_at_alpha_1_0005(r):
+    closed = stable_abs_moment(1.0005, r)
+    value, error = _abs_moment_quadrature(1.0005, r, 1e-9)
+    assert abs(value - closed) <= error <= 1e-9
+
+
 # QUADPACK with limit=200 misses tol = 1e-9 at alpha = 1.01, where the
 # numpy oracle still meets it (test above)
 @pytest.mark.parametrize("alpha,r", [(a, r) for a, r in WIDE_GRID if a > 1.01])

@@ -44,6 +44,19 @@ DRAWS = [
 LONG = 1e5  # expected steps of a walk too long for a block: the pool runs it
 
 
+@dataclass(frozen=True)
+class _Process:
+    """A stand-in process: ``walk(levels)`` returns the given walk, output
+    count and expected steps, whatever the levels."""
+
+    run: Callable
+    n_outputs: int
+    steps: float
+
+    def walk(self, levels):
+        return self.run, self.n_outputs, self.steps
+
+
 def test_replication_streams_are_distinct_and_reproducible():
     base = stream_base(123)
     a = replication_rng(base, 0).random(8)
@@ -76,10 +89,11 @@ def test_map_replications_thread_independent(monkeypatch):
         x = rng.random(4)
         return (float(x.sum()), float(x[0]))
 
+    process = _Process(each(lambda _, rng: fn(rng), [1.0]), 2, LONG)
     monkeypatch.setenv("RL_THREADS", "1")
-    one = map_replications(each(lambda _, rng: fn(rng), [1.0]), 2, 500, 42, LONG)
+    one = map_replications(process, [1.0], 500, 42)
     monkeypatch.setenv("RL_THREADS", "3")
-    three = map_replications(each(lambda _, rng: fn(rng), [1.0]), 2, 500, 42, LONG)
+    three = map_replications(process, [1.0], 500, 42)
     assert np.array_equal(one, three)
 
 
@@ -95,7 +109,7 @@ def test_map_replications_places_walks_by_their_length(monkeypatch):
             ranges.append((lo, hi, threading.get_ident()))
             out[:, lo:hi] = 0.0
 
-        map_replications(walk, 1, 120, 5, steps)
+        map_replications(_Process(walk, 1, steps), [1.0], 120, 5)
         return ranges
 
     assert placed(100.0) == [(0, 120, threading.get_ident())]
@@ -147,8 +161,9 @@ def test_estimates_of_the_same_values_are_equal():
 
 
 def test_map_replications_rejects_no_replications():
-    with pytest.raises(DomainError, match=r"^n_reps must be >= 1, got 0$"):
-        map_replications(each(lambda _, rng: (rng.random(),), [1.0]), 1, 0, 42, 1.0)
+    process = _Process(each(lambda _, rng: (rng.random(),), [1.0]), 1, 1.0)
+    with pytest.raises(DomainError, match=r"^n_reps must be >= 2, got 0$"):
+        map_replications(process, [1.0], 0, 42)
 
 
 def test_estimate_exact_for_constant_values():
@@ -211,11 +226,10 @@ def test_consecutive_replications_are_distinct_and_uncorrelated():
 def test_map_replications_draws_reference_streams(monkeypatch, threads):
     monkeypatch.setenv("RL_THREADS", threads)
     base = stream_base(42)
-    got = map_replications(
-        each(lambda _, rng: tuple(rng.random(2)), [1.0]), 2, 50, 42, LONG
-    )
+    got = map_replications(_Process(each(lambda _, rng: tuple(rng.random(2)), [1.0]), 2, LONG),
+                           [1.0], 50, 42)
     want = np.array([replication_rng(base, rep).random(2) for rep in range(50)]).T
-    assert np.array_equal(got, want)
+    assert np.array_equal(got[:, 0], want)
 
 
 def test_map_replications_over_workers_past_a_key_batch(monkeypatch):
@@ -223,9 +237,10 @@ def test_map_replications_over_workers_past_a_key_batch(monkeypatch):
     # batch of 256 keys and cross its edge
     monkeypatch.setenv("RL_THREADS", "3")
     base = stream_base(42)
-    got = map_replications(each(lambda _, rng: (rng.random(),), [1.0]), 1, 700, 42, LONG)
+    got = map_replications(_Process(each(lambda _, rng: (rng.random(),), [1.0]), 1, LONG),
+                           [1.0], 700, 42)
     want = np.array([replication_rng(base, rep).random() for rep in range(700)])
-    assert np.array_equal(got[0], want)
+    assert np.array_equal(got[0, 0], want)
 
 
 @pytest.mark.parametrize(
@@ -358,8 +373,8 @@ def _block_walk(law, levels, n_reps, seed):
     """N and S_N of block_crossings at each level, as arrays of shape
     (levels, reps), run by map_replications as the renewal side runs it."""
     walk = block_crossings(law, levels)
-    out = map_replications(walk, 2 * len(levels), n_reps, seed, levels[-1] / law.mean())
-    return out[: len(levels)], out[len(levels) :]
+    process = _Process(walk, 2 * len(levels), levels[-1] / law.mean())
+    return map_replications(process, levels, n_reps, seed)
 
 
 def _assert_same_bits(got, want):

@@ -22,7 +22,7 @@ from renewlim import (
     mc_passage_abs_deviation,
     parse_subordinator,
 )
-from renewlim import subordinator
+from renewlim import renewal, subordinator
 from renewlim.montecarlo import block_rows, first_crossing, replication_rng, stream_base
 from renewlim.subordinator import _simulate_cp_path, _simulate_gamma_path
 
@@ -465,3 +465,30 @@ def test_coupling_violation_is_counted(monkeypatch):
     cp = CompoundPoisson(1.0, Exponential(1.0))
     assert mc_passage(cp, 10.0, 20, SEED)[1] == 1.0
     assert coupling_check(cp, 10.0, 20, SEED) == 1.0
+
+
+_CP = CompoundPoisson(1.0, Exponential(1.0))
+
+
+@pytest.mark.parametrize(
+    "estimate,module",
+    [
+        (lambda: renewal.renewal_estimates(Exponential(1.0), 20.0, 10, SEED), renewal),
+        (lambda: convergence_table(Exponential(1.0), "a1", None, [10.0, 20.0], 10, SEED), renewal),
+        (lambda: mc_passage(_CP, 20.0, 10, SEED), subordinator),
+        (lambda: coupling_check(_CP, 20.0, 10, SEED), subordinator),
+        (lambda: convergence_table(_CP, "b1", None, [10.0, 20.0], 10, SEED), renewal),
+    ],
+    ids=["renewal_estimates", "renewal-table", "mc_passage", "coupling_check", "passage-table"],
+)
+def test_one_driver_call_per_estimate_through_its_modules_name(monkeypatch, estimate, module):
+    # each module's name for map_replications counts its own side's walks
+    calls = []
+    for owner in (renewal, subordinator):
+        def counted(*args, _owner=owner, _driver=owner.map_replications, **kwargs):
+            calls.append(_owner)
+            return _driver(*args, **kwargs)
+
+        monkeypatch.setattr(owner, "map_replications", counted)
+    estimate()
+    assert calls == [module]

@@ -64,6 +64,9 @@ The list covers:
     commas gets wrong: fields out of order, a duplicate, an unknown and an
     empty field.  Only these differ against such a tree, which rejects the
     reordered spec and blames each bad one on another field or value.
+  - ``converge`` given the spec option that its side does not read, as a
+    flag or a config key.  These exit 2 with one line naming the option; a
+    tree that ignores the option exits 0 with the table.
 
 Stream layout 4 draws other numbers for every replication, and changes
 nothing else.  A replication's stream is an SFC64 whose state is the four
@@ -290,6 +293,13 @@ COMMANDS: list[tuple[str, ...]] = [
     _passage("gamma:shape=1,rate=1,grid=0.5,extra=3", "10", 10, "1"),
     _passage("gamma:shape=1,rate=1,grid=1,", "10", 10, "1"),
     _passage("cp:rate=1,jump=exp:1,extra=3", "10", 10, "1"),
+    # the other side's spec option, as a flag or a config key
+    (*_converge("passage", "b1", "cp:rate=1.0,jump=exp:1.0", "--s-grid", "100", "--reps", "10",
+                "--seed", "1"), "--dist", "wat"),
+    (*_converge("renewal", "a1", "exp:1.0", "--s-grid", "100", "--reps", "10", "--seed", "1"),
+     "--sub", "wat"),
+    _config(("converge",), {"side": "passage", "case": "b1", "sub": "cp:rate=1.0,jump=exp:1.0",
+                            "dist": "wat", "s_grid": "100", "reps": 10, "seed": 1, "csv": CSV}),
 ]
 
 
