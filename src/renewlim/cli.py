@@ -95,8 +95,9 @@ def _one_of(choices: tuple[str, ...]) -> Callable[[object], str]:
 
 
 def _methods(raw) -> list[str]:
-    """A comma list of moment routes, each kept once, in the order given."""
-    return list(dict.fromkeys(map(_one_of(_METHODS), str(raw).split(","))))
+    """A comma list or a nonempty JSON array of moment routes, each kept once, in order."""
+    items = raw if isinstance(raw, list) and raw else str(raw).split(",")
+    return list(dict.fromkeys(map(_one_of(_METHODS), items)))
 
 
 def _s_grid(raw) -> tuple:

@@ -259,9 +259,9 @@ def stable_abs_moment_mc(alpha: float, r: float, n: int, master_seed: int) -> MC
     standard error of 0.0, as in ``montecarlo.estimate_from_values``.
     """
     _validate_moment_args(alpha, r)
-    rng = replication_rng(stream_base(master_seed), 0)
+    law, rng = StableParams.from_alpha(alpha), replication_rng(stream_base(master_seed), 0)
     try:
-        draws = StableParams.from_alpha(alpha).sample(rng, size=n)
+        draws = law.sample(rng, size=n)
     except (ValueError, MemoryError):  # numpy's "array is too big", or no memory
         raise DomainError(f"cannot allocate {n} stable draws") from None
     powered = abs(draws) ** r

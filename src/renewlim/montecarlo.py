@@ -131,6 +131,18 @@ def replication_streams(base: np.uint64) -> Callable[[int], np.random.Generator]
     return streams
 
 
+def check_levels(given: Sequence[float], name: str) -> list[float]:
+    """A walk's levels as floats, which the kernels then trust: nonempty,
+    finite, strictly increasing and positive, else DomainError."""
+    levels = [float(s) for s in given]
+    increasing = all(b > a for a, b in zip(levels, levels[1:]))
+    if not (levels and increasing and all(map(math.isfinite, levels))):
+        raise DomainError(f"{name}: must be nonempty, finite and strictly increasing, got {given}")
+    if not levels[0] > 0.0:
+        raise DomainError(f"s must be positive, got {levels[0]}")
+    return levels
+
+
 def map_replications(process, levels: Sequence[float], n_reps: int, master_seed: int) -> np.ndarray:
     """Run ``process.walk(levels)``, an inter-arrival law's or a
     subordinator's walk, over every replication: value j of the walk at
@@ -147,8 +159,7 @@ def map_replications(process, levels: Sequence[float], n_reps: int, master_seed:
     """
     if n_reps < 2:
         raise DomainError(f"n_reps must be >= 2, got {n_reps}")
-    if not levels[0] > 0.0:
-        raise DomainError(f"s must be positive, got {levels[0]}")
+    levels = check_levels(levels, "levels")
     walk, n_outputs, steps = process.walk(levels)
     base = stream_base(master_seed)
     try:
@@ -200,14 +211,6 @@ def _scratch_buffer(size: int) -> np.ndarray:
     return buf
 
 
-def _levels(given: Sequence[float]) -> list[float]:
-    """A walk's levels as floats; they must be nonempty and increasing."""
-    levels = list(map(float, given))
-    if not levels or levels != sorted(levels):
-        raise DomainError(f"levels: must be nonempty and increasing, got {given}")
-    return levels
-
-
 def first_crossing(
     draw: Callable[..., np.ndarray],
     levels: Sequence[float],
@@ -239,7 +242,6 @@ def first_crossing(
     differ from a sequential sum in its last bits; n differs only when a
     partial sum lies within such rounding of a level.
     """
-    levels = _levels(levels)
     top = levels[-1]
     expected = top / mean_step
     if expected > max_draws:
@@ -351,7 +353,6 @@ def block_crossings(law, levels: Sequence[float]) -> Callable[..., None]:
     level after its first chunk, and every path too long for a block, walks
     alone through ``first_crossing`` over ``law.sample``.
     """
-    levels = _levels(levels)
     top, mean_step = levels[-1], law.mean()
     rows = block_rows(top / mean_step)
 

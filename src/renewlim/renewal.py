@@ -21,7 +21,8 @@ import numpy as np
 from .distributions import Interarrival
 from .errors import CaseMismatchError, DomainError
 from .limits import limit_constant
-from .montecarlo import MCEstimate, estimate_from_values, first_crossing, map_replications
+from .montecarlo import MCEstimate, check_levels, estimate_from_values, first_crossing
+from .montecarlo import map_replications
 from .scaling import SlowlyVarying, solve_c
 
 __all__ = [
@@ -185,12 +186,7 @@ def convergence_table(
     side walks each level afresh.
     """
     case = case.strip().lower()
-    grid = [float(s) for s in s_grid]
-    finite = all(map(math.isfinite, grid))
-    if not grid or not finite or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError(f"s_grid: must be nonempty, finite and strictly increasing, got {s_grid}")
-    if not grid[0] > 0.0:
-        raise DomainError(f"s must be positive, got {grid[0]}")
+    grid = check_levels(s_grid, "s_grid")
     lc, name = spec.limit_case(), spec.spec_string()
     if lc is None:
         raise CaseMismatchError(f"{name} has zero variance; no convergence case applies")
@@ -199,6 +195,8 @@ def convergence_table(
     index = lc.scaling_index
     if index is not None and ell is None:
         raise CaseMismatchError(f"case {case} needs a slowly varying ell for c(s)")
+    if index is None and ell is not None:
+        raise CaseMismatchError(f"case {case} is normalized by sqrt(s) and reads no ell")
     # every normalizer before the first walk, so a bad ell fails fast
     denoms = [math.sqrt(s) if index is None else solve_c(index, ell, s) for s in grid]
     limit = limit_constant(lc)

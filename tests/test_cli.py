@@ -134,6 +134,21 @@ def test_moment_bad_method(capsys):
     assert "method" in err
 
 
+def test_moment_method_from_a_config_array(tmp_path, capsys):
+    # a nonempty array reads as the comma list does; an empty one names no
+    # route, so it fails as the text "[]" does
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"alpha": 1.5, "r": 1, "method": ["closed", "quadrature"]}))
+    from_file = run_capture(capsys, ["moment", "--config", str(path)])
+    assert from_file == run_capture(
+        capsys, ["moment", "--alpha", "1.5", "--r", "1", "--method", "closed,quadrature"]
+    )
+    assert from_file[0] == 0
+    path.write_text(json.dumps({"alpha": 1.5, "r": 1, "method": []}))
+    line = "error: method: must be one of ('closed', 'quadrature', 'mc'), got '[]'\n"
+    assert run_capture(capsys, ["moment", "--config", str(path)]) == (2, "", line)
+
+
 def test_simulate_renewal_csv_schema(tmp_path, capsys):
     out_path = tmp_path / "r.csv"
     code, out, _ = run_capture(
@@ -580,6 +595,37 @@ def test_converge_rejects_the_other_sides_spec(
         assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "side,own",
+    [
+        ("renewal", ("--case", "a1", "--dist", "exp:1.0")),
+        ("passage", ("--case", "b1", "--sub", "cp:rate=1.0,jump=exp:1.0")),
+    ],
+    ids=["renewal", "passage"],
+)
+@pytest.mark.parametrize("spelling", ["flag", "config"])
+def test_converge_rejects_an_ell_that_sqrt_s_cases_do_not_read(
+    tmp_path, capsys, monkeypatch, side, own, spelling
+):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("simulated before validating")
+
+    monkeypatch.setattr(renewal, "map_replications", no_walk)
+    out_path = tmp_path / "c.csv"
+    argv = ["converge", "--side", side, *own, "--s-grid", "10,100", "--reps", "10", "--seed", "1",
+            "--csv", str(out_path)]
+    if spelling == "flag":
+        argv += ["--ell", "const:1"]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"ell": "const:1"}))
+        argv += ["--config", str(path)]
+    code, out, err = run_capture(capsys, argv)
+    line = f"error: case {own[1]} is normalized by sqrt(s) and reads no ell\n"
+    assert (code, out, err) == (2, "", line)
+    assert not out_path.exists()
+
+
 _CONVERGE_A1 = ["converge", "--side", "renewal", "--case", "a1", "--s-grid", "100",
                 "--reps", "10", "--seed", "1"]
 
@@ -660,6 +706,10 @@ def _simulate_2(side, spec, s):
         ),
         (["moment", "--alpha", "1.5", "--r", "0.5", "--method", "mc", "--n", str(2**62)],
          f"cannot allocate {2**62} stable draws"),
+        # the stable law fails its own cf check here: that check's line, not
+        # an allocation failure
+        (["moment", "--alpha", "1.00002", "--r", "0.5", "--method", "closed,mc", "--n", "1000"],
+         "stable parametrization mismatch at t="),
     ],
     ids=[
         "converge-exp", "converge-unif", "simulate-exp", "limit-a1-huge", "limit-a1-tiny",
@@ -667,6 +717,7 @@ def _simulate_2(side, spec, s):
         "steps-exp", "steps-unif", "steps-det", "steps-pareto", "steps-cp",
         "mean-exp", "mean-pareto", "scale-cp-rate", "mean-gamma", "variance-gamma",
         "steps-a3-c-huge", "reps-renewal", "reps-passage", "reps-converge", "draws-moment",
+        "law-moment",
     ],
 )
 def test_extreme_scale_laws_exit_2_with_one_line(tmp_path, capsys, argv, line):

@@ -16,6 +16,7 @@ from renewlim import (
     MCEstimate,
     StableParams,
     parse_interarrival,
+    parse_subordinator,
 )
 from renewlim import montecarlo
 from renewlim.montecarlo import (
@@ -465,9 +466,34 @@ def test_multi_level_first_crossing_matches_direct_cumsum():
     assert [n for n, _, _ in got][:6] == [51, 51, 52, 2048, 2049, 3001]
 
 
-def test_first_crossing_rejects_decreasing_levels():
-    with pytest.raises(DomainError, match="levels: must be nonempty and increasing"):
-        first_crossing(lambda out: out, [5.0, 3.0], mean_step=1.0)
+def test_map_replications_rejects_decreasing_levels():
+    with pytest.raises(DomainError, match="levels: must be nonempty, finite and strictly increasing"):
+        map_replications(parse_interarrival("exp:1.0"), [5.0, 3.0], 4, 1)
+
+
+BAD_LEVELS = [[], [1.0, math.nan], [100.0, 10.0], [10.0, 10.0], [1.0, math.inf], [0.0], [-1.0, 3.0]]
+
+
+@pytest.mark.parametrize("levels", BAD_LEVELS, ids=map(str, BAD_LEVELS))
+@pytest.mark.parametrize(
+    "process",
+    [parse_interarrival("exp:1.0"), parse_subordinator("cp:rate=1,jump=exp:1"),
+     parse_subordinator("gamma:shape=1,rate=1,grid=0.5")],
+    ids=["exp", "cp", "gamma"],
+)
+def test_map_replications_rejects_bad_levels(process, levels):
+    with pytest.raises(DomainError, match="must be nonempty, finite and strictly|must be positive"):
+        map_replications(process, levels, 4, 1)
+
+
+@pytest.mark.parametrize("levels", BAD_LEVELS, ids=map(str, BAD_LEVELS))
+def test_map_replications_checks_levels_before_any_walk(levels):
+    class NoWalk:
+        def walk(self, levels):
+            raise AssertionError(f"walked levels {levels}")
+
+    with pytest.raises(DomainError):
+        map_replications(NoWalk(), levels, 4, 1)
 
 
 def _integer_fill(rng, out):

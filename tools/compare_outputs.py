@@ -67,6 +67,10 @@ The list covers:
   - ``converge`` given the spec option that its side does not read, as a
     flag or a config key.  These exit 2 with one line naming the option; a
     tree that ignores the option exits 0 with the table.
+  - ``--ell`` on a1 and b1, a ``method`` array and an empty one in a config
+    file, and ``moment --method mc`` at alpha = 1.00002, whose stable law
+    fails its own check: only the empty array keeps its bytes against a tree
+    that ignores the ell, reads the array as one word or blames allocation.
 
 Stream layout 4 draws other numbers for every replication, and changes
 nothing else.  A replication's stream is an SFC64 whose state is the four
@@ -300,6 +304,15 @@ COMMANDS: list[tuple[str, ...]] = [
      "--sub", "wat"),
     _config(("converge",), {"side": "passage", "case": "b1", "sub": "cp:rate=1.0,jump=exp:1.0",
                             "dist": "wat", "s_grid": "100", "reps": 10, "seed": 1, "csv": CSV}),
+    # an ell that a case normalized by sqrt(s) does not read, method arrays,
+    # and a stable law that fails its own check
+    _converge("renewal", "a1", "exp:1.0", "--ell", "const:1", "--s-grid", "10,100",
+              "--reps", "100", "--seed", "1"),
+    _converge("passage", "b1", "cp:rate=1.0,jump=exp:1.0", "--ell", "const:1", "--s-grid", "100",
+              "--reps", "10", "--seed", "1"),
+    _config(("moment",), {"alpha": 1.5, "r": 0.5, "method": ["closed", "quadrature"]}),
+    _config(("moment",), {"alpha": 1.5, "r": 0.5, "method": []}),
+    ("moment", "--alpha", "1.00002", "--r", "0.5", "--method", "closed,mc", "--n", "1000"),
 ]
 
 
