@@ -2,6 +2,14 @@
 convergence for renewal counting processes and subordinator first-passage
 times, with exact stable-limit constants and independent cross-checks."""
 
+import os
+
+# Walks run in parallel over replications (RL_THREADS), so a BLAS worker
+# pool only spins on a core they need.  OpenBLAS reads this once, when numpy
+# loads it, so it must be set before the first submodule imports numpy; a
+# value the user has set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .distributions import (
     Deterministic,
     Exponential,

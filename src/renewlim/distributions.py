@@ -364,11 +364,6 @@ class StableParams:
             object.__setattr__(self, name, value)
         self._validate_parametrization()
 
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "StableParams":
-        """The same law as ``StableParams(alpha)``."""
-        return cls(alpha)
-
     def _validate_parametrization(self, tol: float = 1e-12) -> None:
         tan_half = math.tan(math.pi * self.alpha / 2.0)
         ga = self.scale**self.alpha

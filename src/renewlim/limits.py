@@ -159,7 +159,7 @@ def _abs_moment_quadrature(alpha: float, r: float, tol: float) -> tuple[float, f
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
 
-    params = StableParams.from_alpha(alpha)
+    params = StableParams(alpha)
     b, c = params.B, params.C
     rho = r / alpha
     lead = 2.0 * gamma_fn(r + 1.0) * math.sin(r * math.pi / 2.0) / (math.pi * alpha)
@@ -259,7 +259,7 @@ def stable_abs_moment_mc(alpha: float, r: float, n: int, master_seed: int) -> MC
     standard error of 0.0, as in ``montecarlo.estimate_from_values``.
     """
     _validate_moment_args(alpha, r)
-    law, rng = StableParams.from_alpha(alpha), replication_rng(stream_base(master_seed), 0)
+    law, rng = StableParams(alpha), replication_rng(stream_base(master_seed), 0)
     try:
         draws = law.sample(rng, size=n)
     except (ValueError, MemoryError):  # numpy's "array is too big", or no memory

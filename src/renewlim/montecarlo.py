@@ -43,9 +43,10 @@ _ROUNDING_MARGIN = 2.0**-41  # 4096 units of roundoff, 2**-53
 
 
 def thread_count() -> int:
-    """The worker count: the RL_THREADS env var, else the machine's
-    available parallelism.  It never changes a result, so it is a
-    deployment setting with no parameter of its own."""
+    """The worker count: the RL_THREADS env var, else the number of CPUs
+    this process may run on (its affinity mask, where the platform has
+    one).  It never changes a result, so it is a deployment setting with
+    no parameter of its own."""
     env = os.environ.get(THREAD_ENV_VAR)
     if env is not None and env.strip():
         try:
@@ -55,6 +56,8 @@ def thread_count() -> int:
         if k < 1:
             raise ConfigError(f"{THREAD_ENV_VAR}: must be >= 1, got {k}")
         return k
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -69,7 +69,7 @@ def test_criterion_01_oracle_triangle():
 def test_criterion_02_stable_sampler_law():
     start = time.monotonic()
     n = 10**6
-    params = StableParams.from_alpha(1.5)
+    params = StableParams(1.5)
     w = params.sample(replication_rng(stream_base(SEED), 0), size=n)
     bound = 4.0 / math.sqrt(n)
     worst_cf = max(abs(complex(np.exp(1j * t * w).mean()) - params.cf(t)) for t in (0.5, 1.0, 2.0))

@@ -786,18 +786,23 @@ print("cold start ok")
 """
 
 
-def test_cold_start_commands_never_import_scipy(tmp_path):
+def _cold_run(code, *args, **env_vars):
+    """stdout of ``code`` run with ``args`` in a fresh interpreter that
+    imports this source tree, with no OPENBLAS_NUM_THREADS unless given in
+    ``env_vars``."""
     src = os.path.dirname(os.path.dirname(renewal.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_vars)
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START, str(tmp_path / "table.csv")],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "cold start ok\n"
+    return proc.stdout
+
+
+def test_cold_start_commands_never_import_scipy(tmp_path):
+    assert _cold_run(_COLD_START, str(tmp_path / "table.csv")) == "cold start ok\n"
     # and no module of the package imports scipy, on any path
     for path in Path(renewal.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -808,6 +813,62 @@ def test_cold_start_commands_never_import_scipy(tmp_path):
             else:
                 continue
             assert not [n for n in names if n.split(".")[0] == "scipy"], (path.name, node.lineno)
+
+
+_OS_THREADS = """
+import os
+print(len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else -1)
+"""
+
+_BLAS_PIN = """
+import contextlib, io, os
+from renewlim import cli
+with contextlib.redirect_stdout(io.StringIO()):  # leggauss, LAPACK and @ run here
+    assert cli.run(["moment", "--alpha", "1.5", "--r", "0.5", "--method", "closed,quadrature"]) == 0
+print(os.environ["OPENBLAS_NUM_THREADS"])
+""" + _OS_THREADS
+
+
+def test_import_pins_openblas_to_one_thread_unless_preset():
+    pinned, threads = _cold_run(_BLAS_PIN).split()
+    assert pinned == "1"
+    if threads != "-1":  # no /proc/self/task on this platform
+        assert threads == "1"  # no BLAS pool beside the calling thread
+    preset, _ = _cold_run(_BLAS_PIN, OPENBLAS_NUM_THREADS="3").split()
+    assert preset == "3"
+
+
+_WALK_POOL = """
+import os
+from renewlim import montecarlo, parse_interarrival
+
+law = parse_interarrival("pareto:1.5,1.0")
+_, _, steps = law.walk([1e5])
+assert montecarlo.block_rows(steps) == 1 and montecarlo.thread_count() == 2
+seen = []
+
+
+class Counted:
+    def walk(self, levels):
+        run, n_outputs, steps = law.walk(levels)
+
+        def counted(streams, lo, hi, out):
+            seen.append(len(os.listdir("/proc/self/task")))
+            run(streams, lo, hi, out)
+
+        return counted, n_outputs, steps
+
+
+montecarlo.map_replications(Counted(), [1e5], 4, 1)
+print(max(seen))
+""" + _OS_THREADS
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_walk_pool_is_joined_when_map_replications_returns():
+    during, after = _cold_run(_WALK_POOL, RL_THREADS="2").split()
+    assert int(during) > 1  # the walk ran over the workers
+    assert after == "1"
 
 
 @pytest.mark.parametrize(

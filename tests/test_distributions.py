@@ -151,8 +151,8 @@ def test_pareto_sample_tail_matches():
 # ---------------------------------------------------------------------------
 
 
-def test_stable_from_alpha_canonical_values():
-    p = StableParams.from_alpha(1.5)
+def test_stable_params_at_alpha_1_5_match_closed_forms():
+    p = StableParams(1.5)
     root2pi = math.sqrt(2.0 * math.pi)
     # Gamma(-1/2) = -2 sqrt(pi), cos(3pi/4) = -sin(3pi/4) = -sqrt(2)/2
     assert p.B == pytest.approx(root2pi, rel=1e-14)
@@ -163,7 +163,7 @@ def test_stable_from_alpha_canonical_values():
 
 @pytest.mark.parametrize("alpha", [1.05, 1.1, 1.3, 1.5, 1.7, 1.9, 1.95])
 def test_stable_signs(alpha):
-    p = StableParams.from_alpha(alpha)
+    p = StableParams(alpha)
     assert p.B > 0.0
     assert p.C < 0.0
     assert p.scale > 0.0
@@ -171,7 +171,7 @@ def test_stable_signs(alpha):
 
 @pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
 def test_cf_matches_standard_form_to_1e12(alpha):
-    p = StableParams.from_alpha(alpha)
+    p = StableParams(alpha)
     tan_half = math.tan(math.pi * alpha / 2.0)
     for t in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
         std = cmath.exp(
@@ -181,7 +181,7 @@ def test_cf_matches_standard_form_to_1e12(alpha):
 
 
 def test_cf_at_zero_and_value_at_one():
-    p = StableParams.from_alpha(1.5)
+    p = StableParams(1.5)
     assert p.cf(0.0) == 1.0 + 0.0j
     # B = sqrt(2 pi), C = -B: cf(1) = exp(-B) * exp(i*B)
     expected = cmath.exp(complex(-p.B, -p.C))
@@ -189,7 +189,7 @@ def test_cf_at_zero_and_value_at_one():
 
 
 def test_cf_hermitian_symmetry():
-    p = StableParams.from_alpha(1.3)
+    p = StableParams(1.3)
     t = 0.7
     assert p.cf(-t) == pytest.approx(p.cf(t).conjugate(), abs=1e-16)
 
@@ -200,7 +200,7 @@ def test_cf_agrees_with_direct_gamma_evaluation():
 
     rng = np.random.default_rng(314159)
     for alpha in (1.1, 1.5, 1.9):
-        p = StableParams.from_alpha(alpha)
+        p = StableParams(alpha)
         g = gamma_fn(1.0 - alpha)
         for t in rng.uniform(-5.0, 5.0, size=100):
             if t == 0.0:
@@ -222,7 +222,7 @@ def test_cf_agrees_with_direct_gamma_evaluation():
 )
 @settings(max_examples=60, deadline=None)
 def test_cf_modulus_at_most_one(alpha, t):
-    p = StableParams.from_alpha(alpha)
+    p = StableParams(alpha)
     mod = abs(p.cf(t))
     assert mod <= 1.0 + 1e-12
     if abs(t) >= 1e-6:  # strictness is invisible below float resolution
@@ -230,7 +230,7 @@ def test_cf_modulus_at_most_one(alpha, t):
 
 
 def test_sample_stable_empirical_cf():
-    p = StableParams.from_alpha(1.5)
+    p = StableParams(1.5)
     n = 200_000
     w = p.sample(rng_for(21), size=n)
     for t in (0.5, 1.0, 2.0):
@@ -240,7 +240,7 @@ def test_sample_stable_empirical_cf():
 
 def test_sample_stable_half_moment_vs_closed_form():
     # 2r = 1 < alpha, so the power has finite variance and the SE is valid
-    p = StableParams.from_alpha(1.5)
+    p = StableParams(1.5)
     n = 200_000
     vals = np.abs(p.sample(rng_for(22), size=n)) ** 0.5
     se = vals.std(ddof=1) / math.sqrt(n)
@@ -248,7 +248,7 @@ def test_sample_stable_half_moment_vs_closed_form():
 
 
 def test_sample_stable_deterministic():
-    p = StableParams.from_alpha(1.5)
+    p = StableParams(1.5)
     a = p.sample(rng_for(23), size=1000)
     b = p.sample(rng_for(23), size=1000)
     assert np.array_equal(a, b)
@@ -257,22 +257,21 @@ def test_sample_stable_deterministic():
 def test_stable_from_alpha_rejects_outside_interval():
     for bad in (1.0, 2.0, 0.5, 2.5):
         with pytest.raises(DomainError):
-            StableParams.from_alpha(bad)
+            StableParams(bad)
 
 
 def test_stable_params_are_built_from_alpha_alone(monkeypatch):
-    assert StableParams(1.5) == StableParams.from_alpha(1.5)
+    assert StableParams(1.5) == StableParams(1.5)
     with pytest.raises(TypeError):
         StableParams(1.5, 1.0, 1.0, 1.0, 1)
 
     def mismatch(self, tol=1e-12):
         raise DomainError("stable parametrization mismatch")
 
-    # every spelling of the constructor runs the numerical validation
+    # every construction runs the numerical validation
     monkeypatch.setattr(StableParams, "_validate_parametrization", mismatch)
-    for build in (StableParams, StableParams.from_alpha):
-        with pytest.raises(DomainError, match="mismatch"):
-            build(1.5)
+    with pytest.raises(DomainError, match="mismatch"):
+        StableParams(1.5)
 
 
 # ---------------------------------------------------------------------------

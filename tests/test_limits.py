@@ -92,7 +92,7 @@ def test_closed_form_vs_quadrature(alpha, r):
 def _scipy_quad_reference(alpha, r, tol):
     """The QUADPACK formulation of the quadrature oracle: the same integral
     split at u = 1, with the series near u = 0 and an infinite upper limit."""
-    p = StableParams.from_alpha(alpha)
+    p = StableParams(alpha)
     z = complex(p.B, p.C)
     rho = r / alpha
     lead = 2.0 * gamma_fn(r + 1.0) * math.sin(r * math.pi / 2.0) / (math.pi * alpha)
@@ -155,7 +155,7 @@ def test_quadrature_at_alpha_1_0005(r):
 )
 @pytest.mark.parametrize("alpha", [1.000001, 1.00001, 1.00002, 1.00003])
 def test_stable_law_just_above_alpha_1(alpha):
-    draws = StableParams.from_alpha(alpha).sample(replication_rng(stream_base(1), 0), size=1000)
+    draws = StableParams(alpha).sample(replication_rng(stream_base(1), 0), size=1000)
     assert np.isfinite(draws).all()
 
 
@@ -182,7 +182,7 @@ def test_quadrature_rejects_nonpositive_tol(tol):
 def test_quadrature_re_cf_identity():
     # the real part of the characteristic function used by the integrand
     # matches exp(-B u) cos(C u) after u = t**alpha
-    p = StableParams.from_alpha(1.5)
+    p = StableParams(1.5)
     for u in (1e-3, 0.1, 1.0, 4.0):
         t = u ** (1.0 / 1.5)
         assert p.cf(t).real == pytest.approx(
@@ -232,7 +232,7 @@ def test_monte_carlo_three_way_consistency():
     alpha, r, n = 1.5, 0.5, 200_000
     est = stable_abs_moment_mc(alpha, r, n, 31)
     # the estimator is the numpy mean and SE of |W|^r over replication 0's stream
-    p = StableParams.from_alpha(alpha)
+    p = StableParams(alpha)
     vals = np.abs(p.sample(replication_rng(stream_base(31), 0), size=n)) ** r
     se = vals.std(ddof=1) / math.sqrt(n)
     assert (est.mean, est.std_error, est.n_reps) == (float(vals.mean()), float(se), n)

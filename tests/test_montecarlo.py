@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -38,7 +39,7 @@ DRAWS = [
         (text, lambda rng, law=parse_interarrival(text): law.sample(rng, size=7))
         for text in ("exp:1.0", "det:2.0", "unif:0,2", "pareto:1.5,1.0", "pareto2:1.0")
     ),
-    ("stable", lambda rng: StableParams.from_alpha(1.5).sample(rng, size=7)),
+    ("stable", lambda rng: StableParams(1.5).sample(rng, size=7)),
     ("gamma", lambda rng: rng.gamma(0.01, 1.0, size=7)),
 ]
 
@@ -83,6 +84,17 @@ def test_thread_count_resolution(monkeypatch):
     monkeypatch.setenv("RL_THREADS", "0")
     with pytest.raises(ConfigError):
         thread_count()
+
+
+def test_thread_count_defaults_to_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.delenv("RL_THREADS", raising=False)
+    if hasattr(os, "sched_getaffinity"):
+        assert thread_count() == len(os.sched_getaffinity(0))
+        # the affinity mask, not the machine's CPU count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert thread_count() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert thread_count() == (os.cpu_count() or 1)
 
 
 def test_map_replications_thread_independent(monkeypatch):
