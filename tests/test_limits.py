@@ -127,24 +127,83 @@ def test_quadrature_meets_tol_and_bounds_its_error(alpha, r):
 
 @pytest.mark.parametrize("alpha", [1.001, 1.003, 1.01])
 def test_quadrature_near_alpha_one(alpha):
-    # near alpha = 1 the substituted low piece would round above its budget,
-    # so [u0, 1] is integrated in log u; the tolerance and panel cap stay
+    # near alpha = 1 the series and the ray keep one form, while |C| grows
+    # like 1/(alpha - 1); the tolerance and panel cap stay
     closed = stable_abs_moment(alpha, 1.0)
     value, error = _abs_moment_quadrature(alpha, 1.0, 1e-9)
     assert abs(value - closed) <= error <= 1e-9
     assert abs(value - closed) <= 1e-6 * closed
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ToleranceNotMetError,
-    reason="at alpha = 1.0005 a piece needs more than the 10000-panel cap for tol = 1e-9",
+@pytest.mark.parametrize(
+    "alpha,r",
+    [
+        (1.0005, 0.25),
+        (1.0005, 0.5),
+        pytest.param(
+            1.0005,
+            1.0,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="|value - closed| = 2.4e-10 exceeds the bound 9.4e-11: the closed form is "
+                "1.8e-10 from the exact value (its 1 - r/alpha and its cosine near pi/2) and the "
+                "quadrature 6.1e-11 (the rounded B and C), and the bound covers neither",
+            ),
+        ),
+        (1.0001, 0.25),
+        (1.0001, 0.5),
+    ],
+    ids=["0.25", "0.5", "1.0", "1.0001-0.25", "1.0001-0.5"],
 )
-@pytest.mark.parametrize("r", [0.25, 0.5, 1.0])
-def test_quadrature_at_alpha_1_0005(r):
-    closed = stable_abs_moment(1.0005, r)
-    value, error = _abs_moment_quadrature(1.0005, r, 1e-9)
+def test_quadrature_at_alpha_1_0005(alpha, r):
+    closed = stable_abs_moment(alpha, r)
+    value, error = _abs_moment_quadrature(alpha, r, 1e-9)
     assert abs(value - closed) <= error <= 1e-9
+
+
+# E|W|^r at the float alpha, from the closed form in 40-digit arithmetic
+EXACT_40 = {
+    (1.0005, 0.25): 6.681716990371176679705502845292050012632,
+    (1.0005, 0.5): 44.6560680180990326458714207168757149894,
+    (1.0005, 1.0): 3984.83461408376282680573936725339358056,
+    (1.0007, 0.25): 6.140927248104239254717986527426944589996,
+    (1.0007, 0.5): 37.72366290324727856445486062690496834018,
+    (1.0007, 1.0): 2842.660986882552008955541777798570035966,
+    (1.001, 0.25): 5.614831021830384811865506674546841522373,
+    (1.001, 0.5): 31.54144991161752360593168170243891298856,
+    (1.001, 1.0): 1986.245805219884052744072807802729172064,
+    (1.01, 0.25): 3.132553503705956558835365719353433339885,
+    (1.01, 0.5): 9.858543651469929951510287428378912668472,
+    (1.01, 1.0): 191.0857798309710857815485616377639739573,
+    (1.5, 0.25): 1.220624990866732232905894198892279680999,
+    (1.5, 0.5): 1.591263038772885369328968640433789612694,
+    (1.5, 1.0): 3.433814197903721956810146383707117496139,
+    (1.9, 0.25): 1.319355928625521390461125948634718905002,
+    (1.9, 0.5): 1.843544877370517901614861534778153613225,
+    (1.9, 1.0): 4.103684443292327188899250815824540452955,
+}
+
+
+# the bound covers the integral at the rounded B and C, not their rounding
+_ROUNDED_B_AND_C = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="at alpha = 1.0007, r = 1 the integral at the rounded B and C is 1.8e-10 from the "
+    "exact value, against a bound of 6.7e-11",
+)
+
+
+@pytest.mark.parametrize(
+    "alpha,r",
+    [
+        pytest.param(*key, marks=_ROUNDED_B_AND_C) if key == (1.0007, 1.0) else key
+        for key in EXACT_40
+    ],
+)
+def test_quadrature_bounds_its_error_against_40_digits(alpha, r):
+    value, error = _abs_moment_quadrature(alpha, r, 1e-9)
+    assert abs(value - EXACT_40[alpha, r]) <= error <= 1e-9
 
 
 @pytest.mark.xfail(

@@ -71,6 +71,17 @@ The list covers:
     file, and ``moment --method mc`` at alpha = 1.00002, whose stable law
     fails its own check: only the empty array keeps its bytes against a tree
     that ignores the ell, reads the array as one word or blames allocation.
+  - ``moment --method closed,quadrature`` at alpha = 1.0005, r = 0.5 and at
+    alpha = 1.0001, r = 0.25, where a quadrature that must resolve cos(Cu)
+    needs more than its panel cap and exits 1.
+
+The quadrature's power series and rotated ray give the same values as its
+three-piece split to about 1e-13 relative, but not the same bits.  Against
+a three-piece tree only the last digits of printed quadrature values
+differ: the ``quadrature`` lines of ``moment``, the ``rel_discrepancy``
+lines that read them, and the ``moment-closed-vs-quadrature`` detail of
+``selfcheck``.  Every CSV byte and every exit code stays, apart from the
+two commands above, which exit 1 there.
 
 Stream layout 4 draws other numbers for every replication, and changes
 nothing else.  A replication's stream is an SFC64 whose state is the four
@@ -313,6 +324,8 @@ COMMANDS: list[tuple[str, ...]] = [
     _config(("moment",), {"alpha": 1.5, "r": 0.5, "method": ["closed", "quadrature"]}),
     _config(("moment",), {"alpha": 1.5, "r": 0.5, "method": []}),
     ("moment", "--alpha", "1.00002", "--r", "0.5", "--method", "closed,mc", "--n", "1000"),
+    ("moment", "--alpha", "1.0005", "--r", "0.5", "--method", "closed,quadrature"),
+    ("moment", "--alpha", "1.0001", "--r", "0.25", "--method", "closed,quadrature"),
 ]
 
 
