@@ -16,8 +16,8 @@ each error on one ``error: ...`` line of stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
-import json
 import math
 import re
 import sys
@@ -208,6 +208,8 @@ def resolve(command: str, args: argparse.Namespace, config: dict) -> dict:
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
+    import json  # here, so a call with no config file skips its import
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -460,7 +462,11 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # what is left dies with the process: frozen, it spares the interpreter's
+    # shutdown collections a walk over numpy's and renewlim's objects
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

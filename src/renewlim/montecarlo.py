@@ -19,7 +19,6 @@ import ctypes
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
@@ -173,6 +172,10 @@ def map_replications(process, levels: Sequence[float], n_reps: int, master_seed:
     if workers == 1 or block_rows(steps) > 1:
         walk(replication_streams(base), 0, n_reps, out)
     else:
+        # imported here: a walk on the calling thread needs no pool, and
+        # concurrent.futures costs a short call 2 ms and logging's import
+        from concurrent.futures import ThreadPoolExecutor
+
         block = -(-n_reps // (workers * 4))
         bounds = [(lo, min(lo + block, n_reps)) for lo in range(0, n_reps, block)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -341,6 +344,26 @@ def block_rows(steps: float) -> int:
     return rows if rows >= _MIN_BLOCK_ROWS else 1
 
 
+def row_crossings(sums: np.ndarray, level: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The crossing of ``level`` in each row of a matrix of running sums:
+    idx, the count of the row's sums <= level (the row's length if it never
+    crosses), and the index of each row's crossing sum, its last sum for a
+    row that never crosses.  A crossing sum that is not above the level, or
+    a sum before it (0 before the first) that is, raises InvariantError."""
+    idx = np.count_nonzero(sums <= level, axis=1)
+    width = sums.shape[1]
+    at = (np.arange(len(sums)), np.minimum(idx, width - 1))
+    total = sums[at]
+    before = np.where(idx > 0, sums[at[0], at[1] - 1], 0.0)
+    broken = (idx < width) & ~((total > level) & (level >= before))
+    if broken.any():
+        i = int(np.argmax(broken))
+        raise InvariantError(
+            f"crossing bookkeeping violated: {before[i]} <= {level} < {total[i]} fails"
+        )
+    return idx, at
+
+
 def block_crossings(law, levels: Sequence[float]) -> Callable[..., None]:
     """The renewal walk for ``map_replications``: ``first_crossing`` of each
     replication over ``law``'s steps to the last of an increasing sequence
@@ -372,19 +395,9 @@ def block_crossings(law, levels: Sequence[float]) -> Callable[..., None]:
                 sums = law.finish(block)
                 np.add.accumulate(sums, axis=1, out=sums)
                 for k, lv in enumerate(levels):
-                    idx = np.count_nonzero(sums <= lv, axis=1)  # the crossing index of each row
-                    at = (np.arange(last - first), np.minimum(idx, chunk - 1))
-                    total = sums[at]
-                    before = np.where(idx > 0, sums[at[0], at[1] - 1], 0.0)
-                    crossed = idx < chunk
-                    broken = crossed & ~((total > lv) & (lv >= before))
-                    if broken.any():
-                        i = int(np.argmax(broken))
-                        raise InvariantError(
-                            f"crossing bookkeeping violated: {before[i]} <= {lv} < {total[i]} fails"
-                        )
+                    idx, at = row_crossings(sums, lv)
                     counts[k, first:last] = idx + 1
-                    totals[k, first:last] = total
+                    totals[k, first:last] = sums[at]
                 alone += (first + np.flatnonzero(sums[:, -1] <= top)).tolist()  # below the top
         for rep in alone:
             walks = first_crossing(partial(law.sample, streams(rep)), levels, mean_step)

@@ -5,9 +5,12 @@ the coupling between the first-passage time T(s) and the integer-skeleton
 count N*(s) = #{k in N_0 : S(k) <= s} can be checked path by path: it
 satisfies N*(s) - T(s) in [0, 1] almost surely.  Every compound Poisson
 walk counts N*(s) from its jump masses and epochs, at a cost linear in its
-jumps.  The gamma subordinator is
-approximated on a fixed time grid, which biases T(s) upward by at most one
-grid step; it therefore never participates in exact coupling checks.
+jumps.  Short passages walk a block of replications at once, and a row
+still at or below s after its first chunk re-runs the path walk
+(``_simulate_cp_path``), which longer passages take alone.  The gamma
+subordinator is approximated on a fixed time grid, which biases T(s)
+upward by at most one grid step; it therefore never participates in exact
+coupling checks.
 """
 
 from __future__ import annotations
@@ -19,9 +22,18 @@ from functools import partial
 
 import numpy as np
 
+from . import montecarlo
 from .distributions import Interarrival, LimitCase, _square, parse_interarrival
 from .errors import DomainError, InvariantError, ParameterMismatchError, SpecParseError
-from .montecarlo import MCEstimate, each, estimate_from_values, first_crossing, map_replications
+from .montecarlo import (
+    MCEstimate,
+    block_rows,
+    each,
+    estimate_from_values,
+    first_crossing,
+    map_replications,
+    row_crossings,
+)
 
 __all__ = [
     "Subordinator",
@@ -57,8 +69,10 @@ class Subordinator(ABC):
         """The passage walk to an increasing list of levels, as
         ``Interarrival.walk`` gives it: (walk, output count, expected steps
         of the top level).  Each level walks afresh from the replication's
-        fresh stream (``each``).  Output k is T(s) at level k; an exact
-        walk adds N*(s) at level k as output len(levels) + k."""
+        fresh stream: gamma runs its path once per level (``each``), and
+        compound Poisson walks short levels in blocks, re-running the path
+        for rows past their first chunk.  Output k is T(s) at level k; an
+        exact walk adds N*(s) at level k as output len(levels) + k."""
 
     def _check_scales(self, rate: float) -> None:
         """Reject a mean rate m or a time scale 1/rate outside the positive
@@ -113,8 +127,13 @@ class CompoundPoisson(Subordinator):
         return f"cp:rate={self.rate!r},jump={self.jump.spec_string()}"
 
     def walk(self, levels):
-        path = partial(_simulate_cp_path, self)
-        return each(path, levels), 2 * len(levels), levels[-1] / self.jump.mean()
+        """The exact passage walk: T(s) and N*(s) of each replication at each
+        level, afresh from its fresh stream, as ``_simulate_cp_path`` gives
+        them.  Where ``block_rows`` of a level's expected jumps exceeds 1, a
+        block of replications walks at once (``_cp_blocks``), and a row still
+        at or below the level after its first chunk re-runs the path walk;
+        longer levels take the path walk alone."""
+        return partial(_cp_walk, self, levels), 2 * len(levels), levels[-1] / self.jump.mean()
 
 
 #: past this x, e^-x (and so E1(x) < e^-x / x) underflows to 0.0
@@ -239,6 +258,63 @@ def _simulate_cp_path(
     if below == n_jumps:
         return t_passage, math.floor(t_passage) + 2
     return t_passage, math.ceil(epochs[below])
+
+
+def _cp_walk(spec: CompoundPoisson, levels: list[float], streams, lo: int, hi: int, out) -> None:
+    n, mean_jump = len(levels), spec.jump.mean()
+    for k, s in enumerate(levels):
+        alone = range(lo, hi)
+        if block_rows(s / mean_jump) > 1:
+            chunk = montecarlo._chunk_size(s / mean_jump)  # read at call time, as block_rows does
+            alone = _cp_blocks(spec, s, chunk, streams, lo, hi, out[k::n])
+        for rep in alone:
+            out[k::n, rep] = _simulate_cp_path(spec, s, streams(rep))
+
+
+#: complex values in a block of compound Poisson first chunks, 128 KiB; the
+#: raw draws take as much scratch again
+_CP_BLOCK = 2**13
+
+
+def _cp_blocks(
+    spec: CompoundPoisson, s: float, chunk: int, streams, lo: int, hi: int, out: np.ndarray
+) -> list[int]:
+    """Row 0 of ``out`` gets T(s) and row 1 N*(s) of each replication lo..hi-1
+    whose first ``chunk`` jumps cross s; the others are returned.
+
+    Each replication's stream draws the raw first jump chunk
+    (``jump.raw_fill``) and then as many standard exponentials, whose first n
+    times 1/rate are ``rng.exponential(1 / rate, size=n)`` bit for bit, so a
+    row draws what ``_simulate_cp_path`` draws and no later value is used.
+    ``jump.finish``, the scaling and one sequential complex running sum
+    (epochs real, mass imaginary, as the path walk builds them) then run once
+    over a block, so T(s) and N*(s) equal the path walk's bit for bit.
+    """
+    rows = max(1, _CP_BLOCK // chunk)
+    buf = montecarlo._scratch_buffer(4 * rows * chunk)
+    paths = buf[: 2 * rows * chunk].view(complex).reshape(rows, chunk)
+    raw = buf[2 * rows * chunk : 4 * rows * chunk].reshape(rows, 2 * chunk)
+    alone: list[int] = []
+    for first in range(lo, hi, rows):
+        last = min(first + rows, hi)
+        draws, path = raw[: last - first], paths[: last - first]
+        for rep, row in zip(range(first, last), draws):
+            rng = streams(rep)
+            spec.jump.raw_fill(rng, row[:chunk])
+            rng.standard_exponential(out=row[chunk:])
+        # finished in place on whole rows: numpy's SIMD exp and log, and so
+        # the bits of the jumps, may differ on strided output
+        path.imag = spec.jump.finish(draws[:, :chunk])
+        np.multiply(draws[:, chunk:], 1.0 / spec.rate, out=path.real)
+        np.add.accumulate(path, axis=1, out=path)
+        epochs, mass = path.real, path.imag
+        below, at = row_crossings(mass, s)  # leading jumps whose mass stays <= s
+        # the jump after them crosses s and lies in the row, so N*(s) is the
+        # ceiling of its epoch, and floor(T) + 2 never applies
+        out[0, first:last] = epochs[at]
+        out[1, first:last] = np.ceil(epochs[at])
+        alone += (first + np.flatnonzero(below == chunk)).tolist()
+    return alone
 
 
 def _coarse_steps(h: float) -> int:

@@ -790,17 +790,22 @@ print("cold start ok")
 """
 
 
-def _cold_run(code, *args, **env_vars):
-    """stdout of ``code`` run with ``args`` in a fresh interpreter that
-    imports this source tree, with no OPENBLAS_NUM_THREADS unless given in
-    ``env_vars``."""
+def _cold_process(argv, **env_vars):
+    """The finished ``python *argv`` in a fresh interpreter that imports this
+    source tree, with no OPENBLAS_NUM_THREADS unless given in ``env_vars``."""
     src = os.path.dirname(os.path.dirname(renewal.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.pop("OPENBLAS_NUM_THREADS", None)
     env.update(env_vars)
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def _cold_run(code, *args, **env_vars):
+    """stdout of ``code`` run with ``args`` by ``_cold_process``, which must
+    exit 0."""
+    proc = _cold_process(["-c", code, *args], **env_vars)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -817,6 +822,41 @@ def test_cold_start_commands_never_import_scipy(tmp_path):
             else:
                 continue
             assert not [n for n in names if n.split(".")[0] == "scipy"], (path.name, node.lineno)
+
+
+_PASSAGE = ["simulate", "passage", "--sub", "cp:rate=5.0,jump=pareto:1.5,1.0", "--s", "100",
+            "--reps", "300", "--seed", "3"]
+
+
+def test_cold_cli_process_writes_what_run_returns(capsys, tmp_path):
+    # main freezes what is left before it exits: the bytes and the exit code
+    # of a fresh process are still those of cli.run
+    cold = ["-m", "renewlim.cli", *_PASSAGE]
+    code, out, err = run_capture(capsys, _PASSAGE)
+    proc = _cold_process(cold)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err) == (0, out, "")
+    assert out.startswith("s,n_reps,seed,estimate")
+    code, out, err = run_capture(capsys, [*_PASSAGE, "--csv", str(tmp_path / "run.csv")])
+    proc = _cold_process([*cold, "--csv", str(tmp_path / "cold.csv")])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err) == (0, "", "")
+    assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+    proc = _cold_process([*cold, "--bogus", "1"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+_LEAN_CALL = """
+import contextlib, io, sys
+from renewlim import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(sys.argv[1:]) == 0
+print(sorted(name for name in ("concurrent.futures", "json") if name in sys.modules))
+"""
+
+
+def test_short_passage_imports_neither_the_pool_nor_json():
+    # a walk on the calling thread starts no pool, and no config file is read
+    assert _cold_run(_LEAN_CALL, *_PASSAGE, RL_THREADS="2") == "[]\n"
 
 
 _OS_THREADS = """

@@ -22,8 +22,15 @@ from renewlim import (
     mc_passage_abs_deviation,
     parse_subordinator,
 )
-from renewlim import renewal, subordinator
-from renewlim.montecarlo import block_rows, first_crossing, replication_rng, stream_base
+from renewlim import montecarlo, renewal, subordinator
+from renewlim.montecarlo import (
+    block_rows,
+    estimate_from_values,
+    first_crossing,
+    map_replications,
+    replication_rng,
+    stream_base,
+)
 from renewlim.subordinator import _simulate_cp_path, _simulate_gamma_path
 
 SEED = 20260808
@@ -200,6 +207,60 @@ def test_cp_n_star_matches_integer_time_reference(monkeypatch, jumps_short):
                     got = _simulate_cp_path(spec, s, replication_rng(base, rep))
                     want = _cp_path_reference(spec, s, replication_rng(base, rep))
                     assert got == want, (jump, rate, s, rep)
+
+
+def _path_walks(spec, s, n_reps, seed):
+    """T(s) and N*(s) of every replication from ``_simulate_cp_path``, and
+    from the integer-time reference, as (2, n_reps) float arrays."""
+    base = stream_base(seed)
+    path = [_simulate_cp_path(spec, s, replication_rng(base, rep)) for rep in range(n_reps)]
+    ref = [_cp_path_reference(spec, s, replication_rng(base, rep)) for rep in range(n_reps)]
+    return np.array(path, dtype=float).T, np.array(ref, dtype=float).T
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("first_chunk", ["sized", "half"])
+def test_cp_block_walk_equals_path_walk(monkeypatch, threads, first_chunk):
+    # "half" sizes every first chunk to half the expected jumps, so most
+    # rows run past it and re-run the path walk
+    monkeypatch.setenv("RL_THREADS", threads)
+    if first_chunk == "half":
+        monkeypatch.setattr(montecarlo, "_chunk_size", lambda target: max(4, int(target) // 2))
+    blocks = 0
+    for jump in ("exp:1.0", "pareto:1.5,1.0", "unif:0,2", "det:0.7", "det:0.5"):
+        for rate in (0.3, 1.0, 5.0):
+            spec = parse_subordinator(f"cp:rate={rate},jump={jump}")
+            for s in (0.5, 3.0, 50.0, 1e3):
+                if block_rows(s / spec.jump.mean()) == 1:
+                    continue
+                blocks += 1
+                # more than one block (8192 values) of sized first chunks
+                n_reps = {0.5: 400, 3.0: 400, 50.0: 150, 1e3: 60}[s]
+                got = map_replications(spec, [s], n_reps, SEED)[:, 0]
+                path, ref = _path_walks(spec, s, n_reps, SEED)
+                assert _same_bits(got, path), (jump, rate, s)
+                assert _same_bits(got, ref), (jump, rate, s)
+    assert blocks >= 50
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cp_passage_grid_spans_block_and_path_levels(monkeypatch, threads):
+    # the low levels walk in blocks over each worker's share of the
+    # replications, the top one path by path
+    monkeypatch.setenv("RL_THREADS", threads)
+    spec = parse_subordinator("cp:rate=1.0,jump=exp:1.0")
+    grid = [10.0, 100.0, 1000.0, 1e4]
+    assert [block_rows(s) > 1 for s in grid] == [True, True, True, False]
+    got = map_replications(spec, grid, 90, SEED)
+    rows = convergence_table(spec, "b1", None, grid, 90, SEED)
+    for k, (s, row) in enumerate(zip(grid, rows)):
+        path, ref = _path_walks(spec, s, 90, SEED)
+        assert _same_bits(got[:, k], path) and _same_bits(got[:, k], ref), s
+        assert row.estimate == estimate_from_values(np.abs(path[0] - s)).mean
 
 
 def test_gamma_passage_sanity():
@@ -451,7 +512,9 @@ def test_single_walk_validates_before_simulating(monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("simulated before validating")
 
+    # s = 10 walks in blocks, whose jumps Exponential.raw_fill draws
     monkeypatch.setattr(subordinator, "_simulate_cp_path", no_walk)
+    monkeypatch.setattr(Exponential, "raw_fill", no_walk)
     cp = CompoundPoisson(1.0, Exponential(1.0))
     with pytest.raises(DomainError, match="n_reps must be >= 2, got 1"):
         mc_passage(cp, 10.0, 1, SEED)
@@ -459,12 +522,26 @@ def test_single_walk_validates_before_simulating(monkeypatch):
         mc_passage(cp, 0.0, 10, SEED)
 
 
-def test_coupling_violation_is_counted(monkeypatch):
-    # a path whose N* lags T by more than one step breaks the coupling
+def _violations(monkeypatch, s):
+    """mc_passage's and coupling_check's violation fractions at s when every
+    path walk returns T = 5.5 and N* = 3: N* lags T by more than one step."""
     monkeypatch.setattr(subordinator, "_simulate_cp_path", lambda *a, **k: (5.5, 3))
     cp = CompoundPoisson(1.0, Exponential(1.0))
-    assert mc_passage(cp, 10.0, 20, SEED)[1] == 1.0
-    assert coupling_check(cp, 10.0, 20, SEED) == 1.0
+    return mc_passage(cp, s, 20, SEED)[1], coupling_check(cp, s, 20, SEED)
+
+
+def test_coupling_violation_is_counted(monkeypatch):
+    # s = 10 walks in blocks; a first chunk of one jump sends every row past
+    # it, back to the path walk
+    monkeypatch.setattr(montecarlo, "_chunk_size", lambda target: 1)
+    assert block_rows(10.0) > 1
+    assert _violations(monkeypatch, 10.0) == (1.0, 1.0)
+
+
+def test_coupling_violation_is_counted_on_path_walks(monkeypatch):
+    # s = 1e4 is too long for a block: every replication takes the path walk
+    assert block_rows(1e4) == 1
+    assert _violations(monkeypatch, 1e4) == (1.0, 1.0)
 
 
 _CP = CompoundPoisson(1.0, Exponential(1.0))

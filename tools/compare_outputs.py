@@ -93,6 +93,13 @@ lines that read a simulation and ``moment --method mc`` differ, and only
 they: ``limit``, ``scaling``, closed and quadrature moments, every exit code
 and every error message keep their bytes.
 
+Compound Poisson passages whose expected jumps fit a block walk a block of
+replications at once, and a row still at or below s after its first chunk
+re-runs the path walk.  Every byte stays against a tree that walks each
+path alone: the last three commands of the list, a mass that ties s, a
+``converge`` grid whose low levels walk in blocks and whose top level walks
+path by path, and a passage of many blocks, cover the new walk.
+
 For each README command it also checks, on each tree, that the config file
 gives the bytes of the flags: a ``MISMATCH`` line names the fields that
 differ.
@@ -326,6 +333,12 @@ COMMANDS: list[tuple[str, ...]] = [
     ("moment", "--alpha", "1.00002", "--r", "0.5", "--method", "closed,mc", "--n", "1000"),
     ("moment", "--alpha", "1.0005", "--r", "0.5", "--method", "closed,quadrature"),
     ("moment", "--alpha", "1.0001", "--r", "0.25", "--method", "closed,quadrature"),
+    # compound Poisson block walks: a mass that ties s, a grid of block and
+    # path levels, and many blocks of heavy-tailed jumps
+    _passage("cp:rate=1.0,jump=det:0.5", "3", 3000, "17"),
+    _converge("passage", "b1", "cp:rate=1.0,jump=exp:1.0", "--s-grid", "10,100,1000,1e4",
+              "--reps", "300", "--seed", "18"),
+    _passage("cp:rate=5.0,jump=pareto:1.5,1.0", "100", 2000, "19"),
 ]
 
 
