@@ -98,9 +98,9 @@ class Interarrival(ABC):
 
     def walk(self, levels: list[float]):
         """The renewal walk to an increasing list of levels:
-        (``block_crossings(self, levels)``, its output count, its expected
-        steps); output k is N(s) and len(levels) + k is S_N(s) at level k."""
-        return block_crossings(self, levels), 2 * len(levels), levels[-1] / self.mean()
+        (``block_crossings(self, levels)``, its 2 values per level, N(s) and
+        S_N(s), and its expected steps)."""
+        return block_crossings(self, levels), 2, levels[-1] / self.mean()
 
     def second_moment(self) -> float:
         v = self.variance()

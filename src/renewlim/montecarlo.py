@@ -32,12 +32,10 @@ THREAD_ENV_VAR = "RL_THREADS"
 
 _MAX_DRAWS_PER_PATH = 10**9
 _MAX_CHUNK = 2**21
-_BLOCK_DOUBLES = 2**16  # block scratch per thread: 512 KiB
-_MAX_BLOCK_ROWS = 256
-_MIN_BLOCK_ROWS = 32
-# a long chunk is summed a sub-block at a time: the largest first chunk of
-# block_crossings, so every chunk it sums is summed as one sub-block
-_SUB_BLOCK = _BLOCK_DOUBLES // _MIN_BLOCK_ROWS
+_BLOCK_DOUBLES = 2**15  # the scratch of one block of any walk: 256 KiB
+# the longest first chunk a block holds, and the sub-block a longer chunk is
+# summed in, so every chunk of a block is summed as one sub-block
+_SUB_BLOCK = 2048
 _ROUNDING_MARGIN = 2.0**-41  # 4096 units of roundoff, 2**-53
 
 
@@ -147,29 +145,31 @@ def check_levels(given: Sequence[float], name: str) -> list[float]:
 
 def map_replications(process, levels: Sequence[float], n_reps: int, master_seed: int) -> np.ndarray:
     """Run ``process.walk(levels)``, an inter-arrival law's or a
-    subordinator's walk, over every replication: value j of the walk at
-    level k is row [j, k] of the (values, levels, reps) array returned.
+    subordinator's walk, over every replication, and return its values as
+    an array of shape (values, levels, reps): ``out[j, k, rep]`` is value j
+    of replication rep at level k.
 
-    The walk comes with its output count and the expected length of one
-    walk.  ``walk(streams, lo, hi, out)`` fills columns lo..hi-1 of ``out``,
-    column ``rep`` from ``streams(rep)`` alone (``replication_streams``), so
-    no split of the replications changes it.  The expected length alone
-    picks where it runs.  If ``block_rows`` of it is > 1, re-keying and
-    small fills, which hold the GIL, are most of a walk's cost, so all of it
-    runs as one range on the calling thread; longer walks are split over
-    ``thread_count()`` workers.
+    The walk comes with its values per level and the expected length of
+    one walk.  ``walk(streams, lo, hi, out)`` fills ``out[..., lo:hi]``,
+    replication ``rep`` from ``streams(rep)`` alone
+    (``replication_streams``), so no split of the replications changes it.
+    The expected length alone picks where it runs.  If a block of it has
+    more than one row (``block_shape``), re-keying and small fills, which
+    hold the GIL, are most of a walk's cost, so all of it runs as one range
+    on the calling thread; longer walks are split over ``thread_count()``
+    workers.
     """
     if n_reps < 2:
         raise DomainError(f"n_reps must be >= 2, got {n_reps}")
     levels = check_levels(levels, "levels")
-    walk, n_outputs, steps = process.walk(levels)
+    walk, n_values, steps = process.walk(levels)
     base = stream_base(master_seed)
     try:
-        out = np.empty((n_outputs, n_reps))
+        out = np.empty((n_values, len(levels), n_reps))
     except (ValueError, MemoryError):  # numpy's "array is too big", or no memory
         raise DomainError(f"cannot allocate the outputs of {n_reps} replications") from None
     workers = min(thread_count(), n_reps)  # a bad RL_THREADS fails either way
-    if workers == 1 or block_rows(steps) > 1:
+    if workers == 1 or block_shape(steps)[0] > 1:
         walk(replication_streams(base), 0, n_reps, out)
     else:
         # imported here: a walk on the calling thread needs no pool, and
@@ -180,19 +180,17 @@ def map_replications(process, levels: Sequence[float], n_reps: int, master_seed:
         bounds = [(lo, min(lo + block, n_reps)) for lo in range(0, n_reps, block)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda b: walk(replication_streams(base), *b, out), bounds))
-    return out.reshape(-1, len(levels), n_reps)
+    return out
 
 
 def each(path: Callable[..., object], levels: Sequence[float]) -> Callable[..., None]:
     """The walk for ``map_replications`` that runs ``path(level, rng)`` once
-    per level, each time from replication rep's fresh ``streams(rep)``;
-    output k + j*len(levels) holds value j of the path at level k."""
-    n = len(levels)
+    per level, each time from replication rep's fresh ``streams(rep)``."""
 
     def walk(streams, lo: int, hi: int, out: np.ndarray) -> None:
         for rep in range(lo, hi):
             for k, level in enumerate(levels):
-                out[k::n, rep] = path(level, streams(rep))
+                out[:, k, rep] = path(level, streams(rep))
 
     return walk
 
@@ -331,17 +329,19 @@ def _skip_sub_blocks(
     return (first + j) * _SUB_BLOCK, float(running[j - 1]) if j > 0 else carried
 
 
-def block_rows(steps: float) -> int:
-    """Replications per block of ``block_crossings``: as many first chunks
-    of a walk of ``steps`` expected steps as fit in the scratch, at most 256.
+def block_shape(steps: float, width: int = 1) -> tuple[int, int]:
+    """(rows, chunk) of a block walk of ``steps`` expected steps per
+    replication, each step taking ``width`` doubles of scratch: chunk is
+    the first chunk of one replication, and rows as many of them as fit in
+    ``_BLOCK_DOUBLES``.
 
-    Fewer than 32 give 1, which means walk one replication at a time: from
-    about 2000 expected steps on (first chunks of 2048 doubles hold 32 rows)
+    A first chunk of more than ``_SUB_BLOCK`` draws gives 1 row, which
+    means walk one replication at a time: from about 2000 expected steps on
     a path's cost is its draws, which worker threads share, and a block on
     one thread is slower than two threads of single walks.
     """
-    rows = min(_MAX_BLOCK_ROWS, _BLOCK_DOUBLES // _chunk_size(steps))
-    return rows if rows >= _MIN_BLOCK_ROWS else 1
+    chunk = _chunk_size(steps)
+    return (_BLOCK_DOUBLES // (width * chunk) if chunk <= _SUB_BLOCK else 1), chunk
 
 
 def row_crossings(sums: np.ndarray, level: float) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
@@ -367,26 +367,25 @@ def row_crossings(sums: np.ndarray, level: float) -> tuple[np.ndarray, tuple[np.
 def block_crossings(law, levels: Sequence[float]) -> Callable[..., None]:
     """The renewal walk for ``map_replications``: ``first_crossing`` of each
     replication over ``law``'s steps to the last of an increasing sequence
-    of levels; output k is N (as a float) and output len(levels) + k is S_N
-    at level k.
+    of levels; value 0 is N (as a float) and value 1 is S_N.
 
-    When ``block_rows`` of the expected path exceeds 1, the first chunks of
-    a block of replications are drawn raw (``law.raw_fill``) into the rows
-    of one matrix, and ``law.finish``, the running sums and the crossing
-    search run once over it.  Each row sees the same elementwise operations
-    in the same order as its own walk, so N and S_N equal
-    ``first_crossing``'s bit for bit.  A row still at or below the last
+    When ``block_shape`` of the expected path gives more than one row, the
+    first chunks of a block of replications are drawn raw (``law.raw_fill``)
+    into the rows of one matrix, and ``law.finish``, the running sums and
+    the crossing search run once over it.  Each row sees the same
+    elementwise operations in the same order as its own walk, so N and S_N
+    equal ``first_crossing``'s bit for bit.  A row still at or below the last
     level after its first chunk, and every path too long for a block, walks
     alone through ``first_crossing`` over ``law.sample``.
     """
     top, mean_step = levels[-1], law.mean()
-    rows = block_rows(top / mean_step)
+    rows, chunk = block_shape(top / mean_step)
 
     def walk(streams, lo: int, hi: int, out: np.ndarray) -> None:
-        counts, totals = out[: len(levels)], out[len(levels) :]
+        counts, totals = out
         alone = range(lo, hi)
         if rows > 1:
-            alone, chunk = [], _chunk_size(top / mean_step)
+            alone = []
             for first in range(lo, hi, rows):
                 last = min(first + rows, hi)
                 block = _scratch_buffer(rows * chunk)[: (last - first) * chunk].reshape(-1, chunk)

@@ -27,7 +27,7 @@ from .distributions import Interarrival, LimitCase, _square, parse_interarrival
 from .errors import DomainError, InvariantError, ParameterMismatchError, SpecParseError
 from .montecarlo import (
     MCEstimate,
-    block_rows,
+    block_shape,
     each,
     estimate_from_values,
     first_crossing,
@@ -67,12 +67,12 @@ class Subordinator(ABC):
     @abstractmethod
     def walk(self, levels: list[float]):
         """The passage walk to an increasing list of levels, as
-        ``Interarrival.walk`` gives it: (walk, output count, expected steps
-        of the top level).  Each level walks afresh from the replication's
-        fresh stream: gamma runs its path once per level (``each``), and
-        compound Poisson walks short levels in blocks, re-running the path
-        for rows past their first chunk.  Output k is T(s) at level k; an
-        exact walk adds N*(s) at level k as output len(levels) + k."""
+        ``Interarrival.walk`` gives it: (walk, values per level, expected
+        steps of the top level).  Each level walks afresh from the
+        replication's fresh stream: gamma runs its path once per level
+        (``each``), and compound Poisson walks short levels in blocks,
+        re-running the path for rows past their first chunk.  Value 0 is
+        T(s); an exact walk adds N*(s) as value 1."""
 
     def _check_scales(self, rate: float) -> None:
         """Reject a mean rate m or a time scale 1/rate outside the positive
@@ -129,11 +129,11 @@ class CompoundPoisson(Subordinator):
     def walk(self, levels):
         """The exact passage walk: T(s) and N*(s) of each replication at each
         level, afresh from its fresh stream, as ``_simulate_cp_path`` gives
-        them.  Where ``block_rows`` of a level's expected jumps exceeds 1, a
-        block of replications walks at once (``_cp_blocks``), and a row still
-        at or below the level after its first chunk re-runs the path walk;
-        longer levels take the path walk alone."""
-        return partial(_cp_walk, self, levels), 2 * len(levels), levels[-1] / self.jump.mean()
+        them.  Where ``block_shape`` of a level's expected jumps gives more
+        than one row, a block of replications walks at once (``_cp_blocks``),
+        and a row still at or below the level after its first chunk re-runs
+        the path walk; longer levels take the path walk alone."""
+        return partial(_cp_walk, self, levels), 2, levels[-1] / self.jump.mean()
 
 
 #: past this x, e^-x (and so E1(x) < e^-x / x) underflows to 0.0
@@ -215,7 +215,7 @@ class GammaSubordinator(Subordinator):
     def walk(self, levels):
         coarse_mean = self.mean_rate() * self.grid_step * _coarse_steps(self.grid_step)
         path = partial(_simulate_gamma_path, self)
-        return each(path, levels), len(levels), levels[-1] / coarse_mean
+        return each(path, levels), 1, levels[-1] / coarse_mean
 
 
 def _simulate_cp_path(
@@ -261,26 +261,22 @@ def _simulate_cp_path(
 
 
 def _cp_walk(spec: CompoundPoisson, levels: list[float], streams, lo: int, hi: int, out) -> None:
-    n, mean_jump = len(levels), spec.jump.mean()
     for k, s in enumerate(levels):
+        # a step takes a raw jump, a raw gap and one complex value
+        rows, chunk = block_shape(s / spec.jump.mean(), 4)
         alone = range(lo, hi)
-        if block_rows(s / mean_jump) > 1:
-            chunk = montecarlo._chunk_size(s / mean_jump)  # read at call time, as block_rows does
-            alone = _cp_blocks(spec, s, chunk, streams, lo, hi, out[k::n])
+        if rows > 1:
+            alone = _cp_blocks(spec, s, rows, chunk, streams, lo, hi, out[:, k])
         for rep in alone:
-            out[k::n, rep] = _simulate_cp_path(spec, s, streams(rep))
-
-
-#: complex values in a block of compound Poisson first chunks, 128 KiB; the
-#: raw draws take as much scratch again
-_CP_BLOCK = 2**13
+            out[:, k, rep] = _simulate_cp_path(spec, s, streams(rep))
 
 
 def _cp_blocks(
-    spec: CompoundPoisson, s: float, chunk: int, streams, lo: int, hi: int, out: np.ndarray
+    spec: CompoundPoisson, s: float, rows: int, chunk: int, streams, lo: int, hi: int, out
 ) -> list[int]:
     """Row 0 of ``out`` gets T(s) and row 1 N*(s) of each replication lo..hi-1
-    whose first ``chunk`` jumps cross s; the others are returned.
+    whose first ``chunk`` jumps cross s, ``rows`` replications at a time;
+    the others are returned.
 
     Each replication's stream draws the raw first jump chunk
     (``jump.raw_fill``) and then as many standard exponentials, whose first n
@@ -290,7 +286,6 @@ def _cp_blocks(
     (epochs real, mass imaginary, as the path walk builds them) then run once
     over a block, so T(s) and N*(s) equal the path walk's bit for bit.
     """
-    rows = max(1, _CP_BLOCK // chunk)
     buf = montecarlo._scratch_buffer(4 * rows * chunk)
     paths = buf[: 2 * rows * chunk].view(complex).reshape(rows, chunk)
     raw = buf[2 * rows * chunk : 4 * rows * chunk].reshape(rows, 2 * chunk)

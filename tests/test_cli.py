@@ -888,7 +888,7 @@ from renewlim import montecarlo, parse_interarrival
 
 law = parse_interarrival("pareto:1.5,1.0")
 _, _, steps = law.walk([1e5])
-assert montecarlo.block_rows(steps) == 1 and montecarlo.thread_count() == 2
+assert montecarlo.block_shape(steps)[0] == 1 and montecarlo.thread_count() == 2
 seen = []
 
 

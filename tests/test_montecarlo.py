@@ -22,7 +22,7 @@ from renewlim import (
 from renewlim import montecarlo
 from renewlim.montecarlo import (
     block_crossings,
-    block_rows,
+    block_shape,
     each,
     estimate_from_values,
     first_crossing,
@@ -48,15 +48,15 @@ LONG = 1e5  # expected steps of a walk too long for a block: the pool runs it
 
 @dataclass(frozen=True)
 class _Process:
-    """A stand-in process: ``walk(levels)`` returns the given walk, output
-    count and expected steps, whatever the levels."""
+    """A stand-in process: ``walk(levels)`` returns the given walk, values
+    per level and expected steps, whatever the levels."""
 
     run: Callable
-    n_outputs: int
+    n_values: int
     steps: float
 
     def walk(self, levels):
-        return self.run, self.n_outputs, self.steps
+        return self.run, self.n_values, self.steps
 
 
 def test_replication_streams_are_distinct_and_reproducible():
@@ -120,7 +120,7 @@ def test_map_replications_places_walks_by_their_length(monkeypatch):
 
         def walk(streams, lo, hi, out):
             ranges.append((lo, hi, threading.get_ident()))
-            out[:, lo:hi] = 0.0
+            out[..., lo:hi] = 0.0
 
         map_replications(_Process(walk, 1, steps), [1.0], 120, 5)
         return ranges
@@ -386,7 +386,7 @@ def _block_walk(law, levels, n_reps, seed):
     """N and S_N of block_crossings at each level, as arrays of shape
     (levels, reps), run by map_replications as the renewal side runs it."""
     walk = block_crossings(law, levels)
-    process = _Process(walk, 2 * len(levels), levels[-1] / law.mean())
+    process = _Process(walk, 2, levels[-1] / law.mean())
     return map_replications(process, levels, n_reps, seed)
 
 
@@ -395,20 +395,32 @@ def _assert_same_bits(got, want):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("steps", [3, 40, 100, 1000, 1747, 1748, 1e5, math.inf])
+def test_block_shape_fits_one_budget(steps, width):
+    # a walk is short when its first chunk fits a sub-block, and then its
+    # block fills the one scratch budget with whole rows
+    rows, chunk = block_shape(steps, width)
+    assert chunk == montecarlo._chunk_size(steps)
+    assert (rows > 1) == (chunk <= montecarlo._SUB_BLOCK)
+    if rows > 1:
+        assert rows * width * chunk <= montecarlo._BLOCK_DOUBLES < (rows + 1) * width * chunk
+
+
 @pytest.mark.parametrize(
     "steps,n_reps,rows",
     # the last block of each is partial; from about 2000 steps a path is
     # walked alone, though block_crossings still walks it correctly
-    [(40, 300, 256), (1000, 60, 53), (3000, 10, 1)],
+    [(3, 2500, 1057), (40, 300, 344), (1000, 60, 26), (3000, 10, 1)],
 )
 @pytest.mark.parametrize("text", WALK_LAWS)
 def test_block_crossings_match_first_crossing(text, steps, n_reps, rows):
     spec = parse_interarrival(text)
     level = steps * spec.mean()
-    assert block_rows(level / spec.mean()) == rows
+    assert block_shape(level / spec.mean())[0] == rows
     got = [a[0] for a in _block_walk(spec, [level], n_reps, 31)]
     _assert_same_bits(got, _per_replication_walks(spec, level, n_reps, 31))
-    if text == "pareto:1.05,1.0" and rows > 1:
+    if text == "pareto:1.05,1.0" and steps in (40, 1000):  # many rows replay their stream
         assert (got[0] > montecarlo._chunk_size(steps)).sum() > n_reps // 4
 
 
@@ -522,11 +534,11 @@ def _integer_finish(out):
     "levels,mean_step,rows",
     # a block whose rows mostly cross; a mean step set so high that most rows
     # replay their stream; paths long enough to walk alone, in sub-blocks
-    [([10.0, 100.5, 2000.0], 2.0, 53), ([10.0, 100.5, 2000.0], 3.0, 77),
+    [([10.0, 100.5, 2000.0], 2.0, 26), ([10.0, 100.5, 2000.0], 3.0, 38),
      ([10.0, 3000.0, 12000.0], 2.0, 1)],
 )
 def test_multi_level_block_crossings_match_direct_cumsum(levels, mean_step, rows):
-    assert block_rows(levels[-1] / mean_step) == rows
+    assert block_shape(levels[-1] / mean_step)[0] == rows
     law = _Law(_integer_fill, _integer_finish, mean_step)
     counts, totals = _block_walk(law, levels, 60, 3)
     base = stream_base(3)

@@ -18,7 +18,7 @@ from renewlim import (
     renewal_estimates,
     simulate_renewal,
 )
-from renewlim.montecarlo import block_rows, estimate_from_values, replication_rng, stream_base
+from renewlim.montecarlo import block_shape, estimate_from_values, replication_rng, stream_base
 
 SEED = 20260808
 
@@ -229,7 +229,7 @@ def test_estimates_deterministic_and_thread_independent(monkeypatch):
 )
 def test_both_walks_give_the_reference_bytes(monkeypatch, threads, spec, s, n_reps):
     monkeypatch.setenv("RL_THREADS", threads)
-    assert (block_rows(s / spec.mean()) > 1) == (s == 40.0)
+    assert (block_shape(s / spec.mean())[0] > 1) == (s == 40.0)
     est = renewal_estimates(spec, s, n_reps, SEED)
     paths = [simulate_renewal(spec, s, rng_for(SEED, rep)) for rep in range(n_reps)]
     counts = np.array([float(p.n_of_t) for p in paths])

@@ -24,7 +24,7 @@ from renewlim import (
 )
 from renewlim import montecarlo, renewal, subordinator
 from renewlim.montecarlo import (
-    block_rows,
+    block_shape,
     estimate_from_values,
     first_crossing,
     map_replications,
@@ -235,7 +235,7 @@ def test_cp_block_walk_equals_path_walk(monkeypatch, threads, first_chunk):
         for rate in (0.3, 1.0, 5.0):
             spec = parse_subordinator(f"cp:rate={rate},jump={jump}")
             for s in (0.5, 3.0, 50.0, 1e3):
-                if block_rows(s / spec.jump.mean()) == 1:
+                if block_shape(s / spec.jump.mean())[0] == 1:
                     continue
                 blocks += 1
                 # more than one block (8192 values) of sized first chunks
@@ -254,7 +254,7 @@ def test_cp_passage_grid_spans_block_and_path_levels(monkeypatch, threads):
     monkeypatch.setenv("RL_THREADS", threads)
     spec = parse_subordinator("cp:rate=1.0,jump=exp:1.0")
     grid = [10.0, 100.0, 1000.0, 1e4]
-    assert [block_rows(s) > 1 for s in grid] == [True, True, True, False]
+    assert [block_shape(s)[0] > 1 for s in grid] == [True, True, True, False]
     got = map_replications(spec, grid, 90, SEED)
     rows = convergence_table(spec, "b1", None, grid, 90, SEED)
     for k, (s, row) in enumerate(zip(grid, rows)):
@@ -394,7 +394,7 @@ def test_passage_table_rows_equal_per_level_estimates(monkeypatch, threads, spec
     # the table places both levels by its top one, which moves no byte
     monkeypatch.setenv("RL_THREADS", threads)
     grid = [100.0, 1e4]
-    assert [block_rows(spec.walk([s])[2]) > 1 for s in grid] == [True, False]
+    assert [block_shape(spec.walk([s])[2])[0] > 1 for s in grid] == [True, False]
     rows = convergence_table(spec, "b1", None, grid, 200, SEED)
     for row, s in zip(rows, grid):
         est = mc_passage_abs_deviation(spec, s, 200, SEED)
@@ -534,13 +534,13 @@ def test_coupling_violation_is_counted(monkeypatch):
     # s = 10 walks in blocks; a first chunk of one jump sends every row past
     # it, back to the path walk
     monkeypatch.setattr(montecarlo, "_chunk_size", lambda target: 1)
-    assert block_rows(10.0) > 1
+    assert block_shape(10.0)[0] > 1
     assert _violations(monkeypatch, 10.0) == (1.0, 1.0)
 
 
 def test_coupling_violation_is_counted_on_path_walks(monkeypatch):
     # s = 1e4 is too long for a block: every replication takes the path walk
-    assert block_rows(1e4) == 1
+    assert block_shape(1e4)[0] == 1
     assert _violations(monkeypatch, 1e4) == (1.0, 1.0)
 
 

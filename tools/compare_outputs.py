@@ -96,9 +96,13 @@ and every error message keep their bytes.
 Compound Poisson passages whose expected jumps fit a block walk a block of
 replications at once, and a row still at or below s after its first chunk
 re-runs the path walk.  Every byte stays against a tree that walks each
-path alone: the last three commands of the list, a mass that ties s, a
+path alone: three commands near the end of the list, a mass that ties s, a
 ``converge`` grid whose low levels walk in blocks and whose top level walks
 path by path, and a passage of many blocks, cover the new walk.
+
+Each block row is an independent replication, so the block size moves no
+byte; the last six commands walk blocks of over 1000 rows and the levels on
+either side of the short/long threshold (s = 1747 and 1748 for ``exp:1.0``).
 
 For each README command it also checks, on each tree, that the config file
 gives the bytes of the flags: a ``MISMATCH`` line names the fields that
@@ -339,6 +343,13 @@ COMMANDS: list[tuple[str, ...]] = [
     _converge("passage", "b1", "cp:rate=1.0,jump=exp:1.0", "--s-grid", "10,100,1000,1e4",
               "--reps", "300", "--seed", "18"),
     _passage("cp:rate=5.0,jump=pareto:1.5,1.0", "100", 2000, "19"),
+    # block sizes: blocks of 1057 rows and a partial last one, the last level
+    # whose first chunks fit a block and the first that walks path by path
+    _renewal("exp:1.0", "3", 3000, "24"),
+    *(_renewal("exp:1.0", s, 1000, "25") for s in ("1747", "1748")),
+    *(_passage("cp:rate=1.0,jump=exp:1.0", s, 1000, "26") for s in ("1747", "1748")),
+    _converge("renewal", "a1", "exp:1.0", "--s-grid", "100,1000,1747", "--reps", "500",
+              "--seed", "27"),
 ]
 
 
