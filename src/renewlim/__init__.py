@@ -27,13 +27,11 @@ from .errors import (
     InvariantError,
     NoBracketError,
     ParameterMismatchError,
-    PoleError,
     RenewlimError,
     SpecParseError,
     ToleranceNotMetError,
 )
 from .limits import (
-    gamma_fn,
     limit_constant,
     stable_abs_moment,
     stable_abs_moment_mc,
@@ -46,7 +44,6 @@ from .renewal import (
     RenewalObservation,
     convergence_table,
     exact_abs_deviation_poisson,
-    mc_abs_deviation,
     renewal_estimates,
     simulate_renewal,
 )
@@ -64,7 +61,6 @@ from .subordinator import (
     Subordinator,
     coupling_check,
     mc_passage,
-    mc_passage_abs_deviation,
     parse_subordinator,
 )
 

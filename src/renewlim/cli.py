@@ -138,7 +138,7 @@ _CASE = Option(
     ("--case",), _one_of(distributions.CASES), required=True, help=",".join(distributions.CASES)
 )
 _LEVEL = Option(("--s",), _positive, required=True, help="level s")
-_REPS = Option(("--reps",), _at_least(1), required=True, help="replications")
+_REPS = Option(("--reps",), _at_least(2), required=True, help="replications")
 _SEED = Option(("--seed",), _at_least(0), required=True, help="master seed")
 _DIST = Option(("--dist",), str, help="inter-arrival spec, e.g. exp:1.0")
 _SUB = Option(("--sub",), str, help="subordinator spec, e.g. cp:rate=1.0,jump=exp:1.0")

@@ -9,10 +9,6 @@ class DomainError(RenewlimError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class PoleError(DomainError):
-    """The gamma function was evaluated at a non-positive integer."""
-
-
 class NoBracketError(RenewlimError, RuntimeError):
     """The scaling-equation solver could not bracket a root.
 

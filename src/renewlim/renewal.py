@@ -30,7 +30,6 @@ __all__ = [
     "simulate_renewal",
     "RenewalEstimates",
     "renewal_estimates",
-    "mc_abs_deviation",
     "exact_abs_deviation_poisson",
     "ConvergenceRow",
     "convergence_table",
@@ -103,16 +102,6 @@ def renewal_estimates(
         overshoot=estimate_from_values(overshoots),
         wald=wald,
     )
-
-
-def mc_abs_deviation(
-    spec: Interarrival,
-    s: float,
-    n_reps: int,
-    master_seed: int,
-) -> MCEstimate:
-    """Monte Carlo estimate of E|N(s) - s/mu|."""
-    return renewal_estimates(spec, s, n_reps, master_seed).deviation
 
 
 def exact_abs_deviation_poisson(s: float) -> float:

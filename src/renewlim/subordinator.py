@@ -39,7 +39,6 @@ __all__ = [
     "Subordinator",
     "CompoundPoisson",
     "GammaSubordinator",
-    "mc_passage_abs_deviation",
     "mc_passage",
     "coupling_check",
     "parse_subordinator",
@@ -56,10 +55,6 @@ class Subordinator(ABC):
     @abstractmethod
     def variance_rate(self) -> float:
         """b**2 = Var S(1) = integral of x**2 over the Levy measure."""
-
-    @abstractmethod
-    def levy_tail(self, x: float) -> float:
-        """nu(x, inf): the rate of jumps larger than x."""
 
     @abstractmethod
     def spec_string(self) -> str: ...
@@ -107,9 +102,6 @@ class CompoundPoisson(Subordinator):
         m2 = self.jump.second_moment()
         return math.inf if math.isinf(m2) else self.rate * m2
 
-    def levy_tail(self, x):
-        return self.rate * self.jump.tail(x)
-
     def limit_case(self):
         # b1 for any finite E J**2, deterministic jumps too; else the jump
         # law's case, a2 or a3, turns into b2 or b3 with the same alpha
@@ -134,43 +126,6 @@ class CompoundPoisson(Subordinator):
         and a row still at or below the level after its first chunk re-runs
         the path walk; longer levels take the path walk alone."""
         return partial(_cp_walk, self, levels), 2, levels[-1] / self.jump.mean()
-
-
-#: past this x, e^-x (and so E1(x) < e^-x / x) underflows to 0.0
-_EXP_UNDERFLOW = 745.2
-
-
-def _exp1(x: float) -> float:
-    """The exponential integral E1(x) = int_x^inf e^-t / t dt for x > 0.
-
-    For x <= 1 the series -gamma - ln x - sum_k (-x)^k / (k k!) converges
-    fast.  For x > 1 the continued fraction
-    E1(x) = e^-x / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...))) is evaluated by the
-    modified Lentz method.
-    """
-    if x <= 1.0:
-        total, term, k = 0.0, 1.0, 0
-        while True:
-            k += 1
-            term *= -x / k
-            total += term / k
-            if abs(term) <= 1e-17 * k * abs(total):
-                return -np.euler_gamma - math.log(x) - total
-    if x > _EXP_UNDERFLOW:
-        return 0.0
-    b = x + 1.0
-    c, d = 1e300, 1.0 / b  # Lentz's start: C = 1/tiny, D = 1/b_1
-    h = d
-    for i in range(1, 1000):
-        a = -float(i * i)
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        step = c * d
-        h *= step
-        if abs(step - 1.0) <= 1e-16:
-            return h * math.exp(-x)
-    raise InvariantError(f"E1 continued fraction did not converge at x={x}")
 
 
 @dataclass(frozen=True)
@@ -199,15 +154,6 @@ class GammaSubordinator(Subordinator):
 
     def variance_rate(self):
         return self.shape / _square(self.rate)
-
-    def levy_tail(self, x):
-        # Levy density shape * x**-1 * exp(-rate*x) integrates to shape*E1(rate*x)
-        y = self.rate * x
-        if y <= 0.0:  # x <= 0, or rate * x underflowed: the tail diverges at 0
-            return math.inf
-        if math.isnan(y):
-            return math.nan
-        return self.shape * _exp1(y)
 
     def spec_string(self):
         return f"gamma:shape={self.shape!r},rate={self.rate!r},grid={self.grid_step!r}"
@@ -352,16 +298,6 @@ def _simulate_gamma_path(spec: GammaSubordinator, s: float, rng: np.random.Gener
     if not s_lo <= s < s_hi:
         raise InvariantError(f"gamma bridge bracket violated: {s_lo} <= {s} < {s_hi} fails")
     return hi * h
-
-
-def mc_passage_abs_deviation(
-    spec: Subordinator,
-    s: float,
-    n_reps: int,
-    master_seed: int,
-) -> MCEstimate:
-    """Monte Carlo estimate of E|T(s) - s/m|."""
-    return mc_passage(spec, s, n_reps, master_seed)[0]
 
 
 def mc_passage(

@@ -25,8 +25,7 @@ from renewlim import (
     convergence_table,
     coupling_check,
     exact_abs_deviation_poisson,
-    mc_abs_deviation,
-    mc_passage_abs_deviation,
+    mc_passage,
     renewal_estimates,
     solve_c,
     stable_abs_moment,
@@ -87,7 +86,7 @@ def test_criterion_02_stable_sampler_law():
 def test_criterion_03_a1_reproduction():
     start = time.monotonic()
     s, n = 1e4, 100_000
-    est = mc_abs_deviation(Exponential(1.0), s, n, SEED)
+    est = renewal_estimates(Exponential(1.0), s, n, SEED).deviation
     oracle = exact_abs_deviation_poisson(s)
     target = math.sqrt(2.0 / math.pi)
     gap = abs(est.mean / math.sqrt(s) / target - 1.0)
@@ -132,7 +131,7 @@ def test_criterion_05_a3_trend():
 
 def test_criterion_06_b1_reproduction():
     s, n = 1e4, 100_000
-    est = mc_passage_abs_deviation(CompoundPoisson(1.0, Exponential(1.0)), s, n, SEED)
+    est = mc_passage(CompoundPoisson(1.0, Exponential(1.0)), s, n, SEED)[0]
     target = 2.0 / math.sqrt(math.pi)
     gap = abs(est.mean / math.sqrt(s) / target - 1.0)
     _report("6 b1 reproduction", gap <= 0.05, f"scaled gap {gap:.4%} vs 2/sqrt(pi)")

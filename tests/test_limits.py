@@ -2,18 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate
 
 from renewlim import (
     DomainError,
     LimitCase,
     ParameterMismatchError,
-    PoleError,
     StableParams,
     ToleranceNotMetError,
-    gamma_fn,
     limit_constant,
     stable_abs_moment,
     stable_abs_moment_mc,
@@ -32,32 +28,6 @@ WIDE_GRID = [
 ]
 
 
-def test_gamma_values():
-    assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-    assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-14)
-    # recurrence from Gamma(1/2): Gamma(-1/2) = Gamma(1/2)/(-1/2)
-    assert gamma_fn(-0.5) == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-14)
-
-
-def test_gamma_poles():
-    for x in (0.0, -1.0, -2.0, -10.0):
-        with pytest.raises(PoleError):
-            gamma_fn(x)
-
-
-@given(x=st.floats(0.1, 20.0))
-@settings(max_examples=50, deadline=None)
-def test_gamma_recurrence(x):
-    assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-12)
-
-
-def test_gamma_reflection():
-    # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    for x in (0.25, 0.5, 0.9, -0.3, -1.7):
-        lhs = gamma_fn(x) * gamma_fn(1.0 - x)
-        assert lhs == pytest.approx(math.pi / math.sin(math.pi * x), rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # fractional absolute moments
 # ---------------------------------------------------------------------------
@@ -70,8 +40,8 @@ def test_moment_r1_reduction():
         reduced = (
             2.0
             / math.pi
-            * gamma_fn(1.0 - 1.0 / alpha)
-            * abs(gamma_fn(1.0 - alpha)) ** (1.0 / alpha)
+            * math.gamma(1.0 - 1.0 / alpha)
+            * abs(math.gamma(1.0 - alpha)) ** (1.0 / alpha)
             * math.sin(math.pi / alpha)
         )
         assert stable_abs_moment(alpha, 1.0) == pytest.approx(reduced, rel=1e-14)
@@ -95,7 +65,7 @@ def _scipy_quad_reference(alpha, r, tol):
     p = StableParams(alpha)
     z = complex(p.B, p.C)
     rho = r / alpha
-    lead = 2.0 * gamma_fn(r + 1.0) * math.sin(r * math.pi / 2.0) / (math.pi * alpha)
+    lead = 2.0 * math.gamma(r + 1.0) * math.sin(r * math.pi / 2.0) / (math.pi * alpha)
     inv_q = 1.0 / (1.0 - rho)
 
     def h(u):

@@ -14,7 +14,6 @@ from renewlim import (
     Uniform,
     convergence_table,
     exact_abs_deviation_poisson,
-    mc_abs_deviation,
     renewal_estimates,
     simulate_renewal,
 )
@@ -80,7 +79,7 @@ def test_exponential_overshoot_memoryless():
 
 
 def test_deterministic_abs_deviation_and_overshoot():
-    est = mc_abs_deviation(Deterministic(1.0), 2.5, 100, SEED)
+    est = renewal_estimates(Deterministic(1.0), 2.5, 100, SEED).deviation
     assert est.mean == 0.5
     assert est.std_error == 0.0
     est = renewal_estimates(Deterministic(1.0), 2.5, 100, SEED).overshoot
@@ -115,7 +114,7 @@ def test_oracle_window_vs_closed_form_mad():
 
 
 def test_oracle_vs_monte_carlo_at_s100():
-    est = mc_abs_deviation(Exponential(1.0), 100.0, 1_000_000, SEED)
+    est = renewal_estimates(Exponential(1.0), 100.0, 1_000_000, SEED).deviation
     oracle = exact_abs_deviation_poisson(100.0)
     assert abs(est.mean - oracle) <= 4.0 * est.std_error
 
@@ -208,11 +207,11 @@ def test_table_small_a2_structure():
 def test_estimates_deterministic_and_thread_independent(monkeypatch):
     spec = Uniform(0.0, 1.0)
     monkeypatch.setenv("RL_THREADS", "1")
-    a = mc_abs_deviation(spec, 200.0, 4000, 99)
+    a = renewal_estimates(spec, 200.0, 4000, 99).deviation
     monkeypatch.setenv("RL_THREADS", "3")
-    b = mc_abs_deviation(spec, 200.0, 4000, 99)
+    b = renewal_estimates(spec, 200.0, 4000, 99).deviation
     assert a == b
-    c = mc_abs_deviation(spec, 200.0, 4000, 100)
+    c = renewal_estimates(spec, 200.0, 4000, 100).deviation
     assert c.mean != a.mean
 
 
@@ -245,7 +244,7 @@ def test_both_walks_give_the_reference_bytes(monkeypatch, threads, spec, s, n_re
 
 def test_n_reps_validation():
     with pytest.raises(DomainError):
-        mc_abs_deviation(Exponential(1.0), 10.0, 1, SEED)
+        renewal_estimates(Exponential(1.0), 10.0, 1, SEED)
     with pytest.raises(DomainError):
         simulate_renewal(Exponential(1.0), 0.0, rng_for(0))
     with pytest.raises(DomainError, match="s must be positive"):
@@ -255,7 +254,6 @@ def test_n_reps_validation():
 @pytest.mark.parametrize("spec", [Exponential(1.0), Pareto(1.5, 1.0), Deterministic(1.0)])
 def test_collector_equals_standalone_estimators(spec):
     est = renewal_estimates(spec, 40.0, 300, SEED)
-    assert est.deviation == mc_abs_deviation(spec, 40.0, 300, SEED)
     # reference: one fresh generator per replication, one reduction per estimate
     paths = [simulate_renewal(spec, 40.0, rng_for(SEED, rep)) for rep in range(300)]
     counts = np.array([float(p.n_of_t) for p in paths])

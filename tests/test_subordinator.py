@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import special
 
 from renewlim import (
     CaseMismatchError,
@@ -19,7 +19,6 @@ from renewlim import (
     convergence_table,
     coupling_check,
     mc_passage,
-    mc_passage_abs_deviation,
     parse_subordinator,
 )
 from renewlim import montecarlo, renewal, subordinator
@@ -52,38 +51,19 @@ def test_cp_moment_accessors():
     cp = CompoundPoisson(2.0, Pareto(1.5, 1.0))
     assert cp.mean_rate() == 6.0
     assert math.isinf(cp.variance_rate())
-    assert cp.levy_tail(4.0) == pytest.approx(2.0 * 0.125, rel=1e-14)
 
 
 def test_gamma_moment_accessors():
     g = GammaSubordinator(2.0, 4.0, 1e-3)
     assert g.mean_rate() == 0.5
     assert g.variance_rate() == pytest.approx(2.0 / 16.0, rel=1e-14)
-    # levy tail = shape * E1(rate * x); cross-check by direct quadrature
-    val, err = integrate.quad(lambda y: 2.0 * math.exp(-4.0 * y) / y, 0.5, np.inf)
-    assert err < 1e-10
-    assert g.levy_tail(0.5) == pytest.approx(val, rel=1e-10)
-
-
-def test_gamma_levy_tail_matches_exp1():
-    # shape = rate = 1, so levy_tail(x) is E1(x) itself
-    g = GammaSubordinator(1.0, 1.0, 1e-3)
-    for x in np.logspace(-8.0, math.log10(700.0), 400):
-        assert g.levy_tail(float(x)) == pytest.approx(float(special.exp1(x)), rel=1e-13)
-    # both sides of the switch from the series (x <= 1) to the continued fraction
-    below, above = np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)
-    for x in (0.9, 0.999, below, 1.0, above, 1.001, 1.1):
-        assert g.levy_tail(float(x)) == pytest.approx(float(special.exp1(x)), rel=1e-13)
-    assert g.levy_tail(800.0) == 0.0  # past underflow
-    assert g.levy_tail(0.0) == math.inf
-    assert math.isnan(g.levy_tail(math.nan))
 
 
 def test_b3_hypothesis_check():
     # x**alpha * nu(x, inf) / rate -> 1 for regularly varying jump tails
     cp = CompoundPoisson(3.0, Pareto(1.5, 1.0))
     for x in (2.0, 10.0, 1e3):
-        assert x**1.5 * cp.levy_tail(x) / cp.rate == pytest.approx(1.0, rel=1e-12)
+        assert x**1.5 * cp.rate * cp.jump.tail(x) / cp.rate == pytest.approx(1.0, rel=1e-12)
 
 
 def test_cp_s1_moments_monte_carlo():
@@ -137,7 +117,7 @@ def test_cp_s1_tail_transfer_heavy_tail():
     sums[counts == 0] = 0.0
     x = 100.0
     p_hat = float((sums > x).mean())
-    p_tail = cp.levy_tail(x)
+    p_tail = cp.rate * cp.jump.tail(x)
     assert abs(p_hat - p_tail) <= 4.0 * math.sqrt(p_tail * (1.0 - p_tail) / n) + 0.05 * p_tail
 
 
@@ -361,7 +341,7 @@ def test_coupling_rejects_grid_approximation(monkeypatch):
 def test_b1_constant_small_scale():
     # m = 1, b^2 = 2: E|T(s) - s|/sqrt(s) -> 2/sqrt(pi)
     cp = CompoundPoisson(1.0, Exponential(1.0))
-    est = mc_passage_abs_deviation(cp, 1000.0, 5000, SEED)
+    est = mc_passage(cp, 1000.0, 5000, SEED)[0]
     target = 2.0 / math.sqrt(math.pi)
     assert abs(est.mean / math.sqrt(1000.0) / target - 1.0) <= 0.05
 
@@ -370,7 +350,7 @@ def test_gamma_b1_constant():
     # gamma(1,1): m = 1, b^2 = Var S(1) = 1, so the limit is sqrt(2/pi);
     # tolerance includes the grid bias (grid_step/sqrt(s) relative)
     g = GammaSubordinator(1.0, 1.0, 1e-3)
-    est = mc_passage_abs_deviation(g, 200.0, 1000, SEED)
+    est = mc_passage(g, 200.0, 1000, SEED)[0]
     target = math.sqrt(2.0 / math.pi)
     assert abs(est.mean / math.sqrt(200.0) / target - 1.0) <= 0.10
 
@@ -397,7 +377,7 @@ def test_passage_table_rows_equal_per_level_estimates(monkeypatch, threads, spec
     assert [block_shape(spec.walk([s])[2])[0] > 1 for s in grid] == [True, False]
     rows = convergence_table(spec, "b1", None, grid, 200, SEED)
     for row, s in zip(rows, grid):
-        est = mc_passage_abs_deviation(spec, s, 200, SEED)
+        est = mc_passage(spec, s, 200, SEED)[0]
         assert (row.estimate, row.stderr) == (est.mean, est.std_error)
 
 
@@ -415,9 +395,9 @@ def test_passage_case_mismatch():
 def test_passage_determinism(monkeypatch):
     cp = CompoundPoisson(1.0, Exponential(1.0))
     monkeypatch.setenv("RL_THREADS", "1")
-    a = mc_passage_abs_deviation(cp, 100.0, 1000, 3)
+    a = mc_passage(cp, 100.0, 1000, 3)[0]
     monkeypatch.setenv("RL_THREADS", "4")
-    b = mc_passage_abs_deviation(cp, 100.0, 1000, 3)
+    b = mc_passage(cp, 100.0, 1000, 3)[0]
     assert a == b
 
 
@@ -491,7 +471,7 @@ def test_validation():
     with pytest.raises(DomainError):
         GammaSubordinator(1.0, 1.0, 0.0)
     with pytest.raises(DomainError):
-        mc_passage_abs_deviation(CompoundPoisson(1.0, Exponential(1.0)), -1.0, 10, SEED)
+        mc_passage(CompoundPoisson(1.0, Exponential(1.0)), -1.0, 10, SEED)
 
 
 @pytest.mark.parametrize(
@@ -500,8 +480,7 @@ def test_validation():
 )
 def test_single_walk_equals_standalone_estimators(text):
     spec = parse_subordinator(text)
-    est, frac = mc_passage(spec, 60.0, 200, SEED)
-    assert est == mc_passage_abs_deviation(spec, 60.0, 200, SEED)
+    frac = mc_passage(spec, 60.0, 200, SEED)[1]
     if isinstance(spec, CompoundPoisson):
         assert frac == coupling_check(spec, 60.0, 200, SEED) == 0.0
     else:
