@@ -59,7 +59,6 @@ from .subordinator import (
     CompoundPoisson,
     GammaSubordinator,
     Subordinator,
-    coupling_check,
     mc_passage,
     parse_subordinator,
 )

@@ -84,6 +84,13 @@ def _at_least(low: int) -> Callable[[object], int]:
     return check
 
 
+def _text(raw) -> str:
+    """A spec or a path: a flag's string or a JSON string, nothing else."""
+    if not isinstance(raw, str):
+        raise ValueError(f"expected a string, got {raw!r}")
+    return raw
+
+
 def _one_of(choices: tuple[str, ...]) -> Callable[[object], str]:
     def check(raw) -> str:
         value = str(raw).strip().lower()
@@ -140,9 +147,9 @@ _CASE = Option(
 _LEVEL = Option(("--s",), _positive, required=True, help="level s")
 _REPS = Option(("--reps",), _at_least(2), required=True, help="replications")
 _SEED = Option(("--seed",), _at_least(0), required=True, help="master seed")
-_DIST = Option(("--dist",), str, help="inter-arrival spec, e.g. exp:1.0")
-_SUB = Option(("--sub",), str, help="subordinator spec, e.g. cp:rate=1.0,jump=exp:1.0")
-_CSV = Option(("--csv",), str, help="output path; stdout when omitted")
+_DIST = Option(("--dist",), _text, help="inter-arrival spec, e.g. exp:1.0")
+_SUB = Option(("--sub",), _text, help="subordinator spec, e.g. cp:rate=1.0,jump=exp:1.0")
+_CSV = Option(("--csv",), _text, help="output path; stdout when omitted")
 
 TABLES: dict[str, tuple[Option, ...]] = {
     "moment": (
@@ -161,7 +168,7 @@ TABLES: dict[str, tuple[Option, ...]] = {
     ),
     "scaling": (
         Option(("--alpha",), _positive, required=True, help="regular-variation index"),
-        Option(("--ell",), str, required=True, help="slowly varying spec, e.g. const:1.0"),
+        Option(("--ell",), _text, required=True, help="slowly varying spec, e.g. const:1.0"),
         Option(("--x",), _positive, required=True, help="point at which c(x) is solved"),
         Option(("--tol",), _positive, default=scaling.DEFAULT_RESIDUAL_TOL, help="residual bound"),
     ),
@@ -172,7 +179,7 @@ TABLES: dict[str, tuple[Option, ...]] = {
         _CASE,
         _DIST,
         _SUB,
-        Option(("--ell",), str, help="slowly varying spec for c(s) (cases a2/a3/b2/b3)"),
+        Option(("--ell",), _text, help="slowly varying spec for c(s) (cases a2/a3/b2/b3)"),
         Option(("--s-grid",), _s_grid, required=True, help="comma list of increasing levels"),
         _REPS,
         _SEED,
@@ -217,6 +224,8 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config: cannot read {path!r}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON in {path!r}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: {path!r} is not UTF-8: {exc.reason}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config: top level of {path!r} must be a JSON object")
     return data
@@ -224,14 +233,18 @@ def _load_config(path: str | None) -> dict:
 
 def _write_csv(path: str | None, header: str, rows) -> None:
     """The header, then one line per row: ints as they are, floats to 17
-    significant digits; to stdout when ``path`` is None."""
+    significant digits; to stdout when ``path`` is None.  The file is opened
+    only here, once every row is known, so a failed run leaves none."""
     lines = [header] + [",".join(map(_csv_field, row)) for row in rows]
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"csv: cannot write {path!r}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +360,7 @@ def selfcheck(seed: int) -> Iterator[Check]:
     # coupling invariant on exact paths
     for spec_text in ("cp:rate=1.0,jump=exp:1.0", "cp:rate=5.0,jump=pareto:1.5,1.0"):
         spec = subordinator.parse_subordinator(spec_text)
-        frac = subordinator.coupling_check(spec, 100.0, 2000, seed)
+        frac = subordinator.mc_passage(spec, 100.0, 2000, seed)[1]
         yield Check(f"coupling[{spec_text}]", frac == 0.0, f"violation fraction {_fmt(frac)}")
 
     # coupled studentized residual of the stopping identity; the exp:1.0

@@ -183,18 +183,6 @@ def map_replications(process, levels: Sequence[float], n_reps: int, master_seed:
     return out
 
 
-def each(path: Callable[..., object], levels: Sequence[float]) -> Callable[..., None]:
-    """The walk for ``map_replications`` that runs ``path(level, rng)`` once
-    per level, each time from replication rep's fresh ``streams(rep)``."""
-
-    def walk(streams, lo: int, hi: int, out: np.ndarray) -> None:
-        for rep in range(lo, hi):
-            for k, level in enumerate(levels):
-                out[:, k, rep] = path(level, streams(rep))
-
-    return walk
-
-
 def _chunk_size(target: float) -> int:
     target = min(target, _MAX_CHUNK)  # the same size for any longer walk, inf included
     return min(int(target * 1.02 + 6.0 * math.sqrt(target + 1.0)) + 16, _MAX_CHUNK)

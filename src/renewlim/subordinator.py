@@ -18,17 +18,15 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from . import montecarlo
 from .distributions import Interarrival, LimitCase, _square, parse_interarrival
-from .errors import DomainError, InvariantError, ParameterMismatchError, SpecParseError
+from .errors import DomainError, InvariantError, SpecParseError
 from .montecarlo import (
     MCEstimate,
     block_shape,
-    each,
     estimate_from_values,
     first_crossing,
     map_replications,
@@ -40,13 +38,14 @@ __all__ = [
     "CompoundPoisson",
     "GammaSubordinator",
     "mc_passage",
-    "coupling_check",
     "parse_subordinator",
 ]
 
 
 class Subordinator(ABC):
     """An increasing Levy process with zero drift and no killing."""
+
+    n_values = 1  # T(s); an exact walk adds N*(s)
 
     @abstractmethod
     def mean_rate(self) -> float:
@@ -60,14 +59,26 @@ class Subordinator(ABC):
     def spec_string(self) -> str: ...
 
     @abstractmethod
+    def step_mean(self) -> float:
+        """The mean of one step of the passage walk, which sizes it."""
+
+    @abstractmethod
+    def _passages(self, s: float, streams, lo: int, hi: int, out: np.ndarray) -> None:
+        """Write value j of the passage of level s of each replication
+        lo..hi-1 to ``out[j, rep]``, each from its fresh ``streams(rep)``.
+        Value 0 is T(s); an exact walk adds N*(s) as value 1."""
+
     def walk(self, levels: list[float]):
         """The passage walk to an increasing list of levels, as
         ``Interarrival.walk`` gives it: (walk, values per level, expected
         steps of the top level).  Each level walks afresh from the
-        replication's fresh stream: gamma runs its path once per level
-        (``each``), and compound Poisson walks short levels in blocks,
-        re-running the path for rows past their first chunk.  Value 0 is
-        T(s); an exact walk adds N*(s) as value 1."""
+        replication's fresh stream (``_passages``)."""
+
+        def walk(streams, lo: int, hi: int, out: np.ndarray) -> None:
+            for k, s in enumerate(levels):
+                self._passages(s, streams, lo, hi, out[:, k])
+
+        return walk, self.n_values, levels[-1] / self.step_mean()
 
     def _check_scales(self, rate: float) -> None:
         """Reject a mean rate m or a time scale 1/rate outside the positive
@@ -89,6 +100,7 @@ class CompoundPoisson(Subordinator):
 
     rate: float
     jump: Interarrival
+    n_values = 2  # T(s) and N*(s)
 
     def __post_init__(self):
         if not 0.0 < self.rate < math.inf:
@@ -118,14 +130,22 @@ class CompoundPoisson(Subordinator):
     def spec_string(self):
         return f"cp:rate={self.rate!r},jump={self.jump.spec_string()}"
 
-    def walk(self, levels):
-        """The exact passage walk: T(s) and N*(s) of each replication at each
-        level, afresh from its fresh stream, as ``_simulate_cp_path`` gives
-        them.  Where ``block_shape`` of a level's expected jumps gives more
-        than one row, a block of replications walks at once (``_cp_blocks``),
-        and a row still at or below the level after its first chunk re-runs
-        the path walk; longer levels take the path walk alone."""
-        return partial(_cp_walk, self, levels), 2, levels[-1] / self.jump.mean()
+    def step_mean(self):
+        return self.jump.mean()
+
+    def _passages(self, s, streams, lo, hi, out):
+        """The exact passage: T(s) and N*(s), as ``_simulate_cp_path`` gives
+        them.  Where ``block_shape`` of the expected jumps gives more than one
+        row, a block of replications walks at once (``_cp_blocks``), and a row
+        still at or below s after its first chunk re-runs the path walk;
+        longer levels take the path walk alone."""
+        # a step takes a raw jump, a raw gap and one complex value
+        rows, chunk = block_shape(s / self.step_mean(), 4)
+        alone = range(lo, hi)
+        if rows > 1:
+            alone = _cp_blocks(self, s, rows, chunk, streams, lo, hi, out)
+        for rep in alone:
+            out[:, rep] = _simulate_cp_path(self, s, streams(rep))
 
 
 @dataclass(frozen=True)
@@ -158,10 +178,12 @@ class GammaSubordinator(Subordinator):
     def spec_string(self):
         return f"gamma:shape={self.shape!r},rate={self.rate!r},grid={self.grid_step!r}"
 
-    def walk(self, levels):
-        coarse_mean = self.mean_rate() * self.grid_step * _coarse_steps(self.grid_step)
-        path = partial(_simulate_gamma_path, self)
-        return each(path, levels), 1, levels[-1] / coarse_mean
+    def step_mean(self):
+        return self.mean_rate() * self.grid_step * _coarse_steps(self.grid_step)
+
+    def _passages(self, s, streams, lo, hi, out):
+        for rep in range(lo, hi):
+            out[:, rep] = _simulate_gamma_path(self, s, streams(rep))
 
 
 def _simulate_cp_path(
@@ -204,17 +226,6 @@ def _simulate_cp_path(
     if below == n_jumps:
         return t_passage, math.floor(t_passage) + 2
     return t_passage, math.ceil(epochs[below])
-
-
-def _cp_walk(spec: CompoundPoisson, levels: list[float], streams, lo: int, hi: int, out) -> None:
-    for k, s in enumerate(levels):
-        # a step takes a raw jump, a raw gap and one complex value
-        rows, chunk = block_shape(s / spec.jump.mean(), 4)
-        alone = range(lo, hi)
-        if rows > 1:
-            alone = _cp_blocks(spec, s, rows, chunk, streams, lo, hi, out[:, k])
-        for rep in alone:
-            out[:, k, rep] = _simulate_cp_path(spec, s, streams(rep))
 
 
 def _cp_blocks(
@@ -284,7 +295,7 @@ def _simulate_gamma_path(spec: GammaSubordinator, s: float, rng: np.random.Gener
     j, s_hi, s_lo = first_crossing(
         lambda out: rng.gamma(per_step * coarse, 1.0 / spec.rate, size=len(out)),
         [s],
-        spec.mean_rate() * h * coarse,
+        spec.step_mean(),
         max_draws=int(1e9 / (h * coarse)),
     )[0]
     lo, hi = (j - 1) * coarse, j * coarse
@@ -319,26 +330,6 @@ def mc_passage(
         return est, math.nan
     couplings = values[1] - values[0]
     return est, np.count_nonzero(~((couplings >= 0.0) & (couplings <= 1.0))) / n_reps
-
-
-def coupling_check(
-    spec: Subordinator,
-    s: float,
-    n_reps: int,
-    master_seed: int,
-) -> float:
-    """Fraction of replications violating N*(s) - T(s) in [0, 1].
-
-    Only exact paths qualify: a subordinator whose walk has no N*(s) output,
-    a grid approximation, is rejected before any walk runs, because the
-    discretization bias breaks the pathwise identity.
-    """
-    if spec.walk([s])[1] < 2:
-        raise ParameterMismatchError(
-            "coupling check requires exact compound Poisson paths, got "
-            f"{spec.spec_string()}"
-        )
-    return mc_passage(spec, s, n_reps, master_seed)[1]
 
 
 #: each spec's fields as its constructor takes them (a spec may order them

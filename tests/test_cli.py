@@ -348,6 +348,53 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert float(out) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-14)
 
 
+def test_config_file_not_utf8_is_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"seed": 1, "x": "\xff"}')
+    code, out, err = run_capture(capsys, ["selfcheck", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: config: {str(path)!r} is not UTF-8: invalid start byte\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "renewal", "--dist", "exp:1.0", "--s", "10", "--reps", "10", "--seed", "1"],
+        ["converge", "--side", "renewal", "--case", "a1", "--dist", "exp:1.0",
+         "--s-grid", "10,20", "--reps", "10", "--seed", "1"],
+    ],
+    ids=["simulate-renewal", "converge"],
+)
+def test_unwritable_csv_is_one_line(tmp_path, capsys, argv):
+    # a directory cannot be opened for writing; the walk ran, nothing is written
+    for target in (tmp_path, tmp_path / "missing" / "out.csv"):
+        code, out, err = run_capture(capsys, [*argv, "--csv", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: csv: cannot write {str(target)!r}: ")
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "words,config,key",
+    [
+        (["simulate", "renewal"], {"s": 10, "reps": 10, "seed": 1}, "dist"),
+        (["simulate", "passage"], {"s": 10, "reps": 10, "seed": 1}, "sub"),
+        (["scaling"], {"alpha": 1.5, "x": 64}, "ell"),
+        (["simulate", "renewal"], {"dist": "exp:1.0", "s": 10, "reps": 10, "seed": 1}, "csv"),
+    ],
+)
+@pytest.mark.parametrize("value", [{"a": 1}, ["exp:1.0"], 5], ids=["object", "array", "number"])
+def test_text_options_take_only_json_strings(tmp_path, capsys, monkeypatch, words, config, key, value):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**config, key: value}))
+    code, out, err = run_capture(capsys, [*words, "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {key}: expected a string, got {value!r}\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_config_unknown_key_named(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"case": "a1", "mu": 1.0, "sigma": 1.0, "bogus": 3}))

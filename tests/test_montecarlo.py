@@ -23,7 +23,6 @@ from renewlim import montecarlo
 from renewlim.montecarlo import (
     block_crossings,
     block_shape,
-    each,
     estimate_from_values,
     first_crossing,
     map_replications,
@@ -57,6 +56,17 @@ class _Process:
 
     def walk(self, levels):
         return self.run, self.n_values, self.steps
+
+
+def _per_rep(fn):
+    """A one-level walk that writes ``fn(rng)`` as the values of each
+    replication, drawn from its fresh ``streams(rep)``."""
+
+    def walk(streams, lo, hi, out):
+        for rep in range(lo, hi):
+            out[:, 0, rep] = fn(streams(rep))
+
+    return walk
 
 
 def test_replication_streams_are_distinct_and_reproducible():
@@ -102,7 +112,7 @@ def test_map_replications_thread_independent(monkeypatch):
         x = rng.random(4)
         return (float(x.sum()), float(x[0]))
 
-    process = _Process(each(lambda _, rng: fn(rng), [1.0]), 2, LONG)
+    process = _Process(_per_rep(fn), 2, LONG)
     monkeypatch.setenv("RL_THREADS", "1")
     one = map_replications(process, [1.0], 500, 42)
     monkeypatch.setenv("RL_THREADS", "3")
@@ -174,7 +184,7 @@ def test_estimates_of_the_same_values_are_equal():
 
 
 def test_map_replications_rejects_no_replications():
-    process = _Process(each(lambda _, rng: (rng.random(),), [1.0]), 1, 1.0)
+    process = _Process(_per_rep(lambda rng: (rng.random(),)), 1, 1.0)
     with pytest.raises(DomainError, match=r"^n_reps must be >= 2, got 0$"):
         map_replications(process, [1.0], 0, 42)
 
@@ -239,7 +249,7 @@ def test_consecutive_replications_are_distinct_and_uncorrelated():
 def test_map_replications_draws_reference_streams(monkeypatch, threads):
     monkeypatch.setenv("RL_THREADS", threads)
     base = stream_base(42)
-    got = map_replications(_Process(each(lambda _, rng: tuple(rng.random(2)), [1.0]), 2, LONG),
+    got = map_replications(_Process(_per_rep(lambda rng: tuple(rng.random(2))), 2, LONG),
                            [1.0], 50, 42)
     want = np.array([replication_rng(base, rep).random(2) for rep in range(50)]).T
     assert np.array_equal(got[:, 0], want)
@@ -250,7 +260,7 @@ def test_map_replications_over_workers_past_a_key_batch(monkeypatch):
     # batch of 256 keys and cross its edge
     monkeypatch.setenv("RL_THREADS", "3")
     base = stream_base(42)
-    got = map_replications(_Process(each(lambda _, rng: (rng.random(),), [1.0]), 1, LONG),
+    got = map_replications(_Process(_per_rep(lambda rng: (rng.random(),)), 1, LONG),
                            [1.0], 700, 42)
     want = np.array([replication_rng(base, rep).random() for rep in range(700)])
     assert np.array_equal(got[0, 0], want)

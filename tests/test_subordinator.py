@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,10 +15,9 @@ from renewlim import (
     GammaSubordinator,
     InvariantError,
     Pareto,
-    ParameterMismatchError,
     SpecParseError,
+    Subordinator,
     convergence_table,
-    coupling_check,
     mc_passage,
     parse_subordinator,
 )
@@ -319,18 +319,8 @@ def test_gamma_passage_observation():
 
 
 def test_coupling_zero_violations_small():
-    assert coupling_check(CompoundPoisson(1.0, Exponential(1.0)), 100.0, 2000, SEED) == 0.0
-    assert coupling_check(CompoundPoisson(5.0, Pareto(1.5, 1.0)), 1000.0, 2000, SEED) == 0.0
-
-
-def test_coupling_rejects_grid_approximation(monkeypatch):
-    # the gamma walk has no N*(s) output, and that is seen before any walk
-    def no_walk(*args, **kwargs):
-        raise AssertionError("walked before rejecting")
-
-    monkeypatch.setattr(subordinator, "_simulate_gamma_path", no_walk)
-    with pytest.raises(ParameterMismatchError, match="requires exact compound Poisson paths"):
-        coupling_check(GammaSubordinator(1.0, 1.0, 1e-3), 100.0, 10, SEED)
+    assert mc_passage(CompoundPoisson(1.0, Exponential(1.0)), 100.0, 2000, SEED)[1] == 0.0
+    assert mc_passage(CompoundPoisson(5.0, Pareto(1.5, 1.0)), 1000.0, 2000, SEED)[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +389,53 @@ def test_passage_determinism(monkeypatch):
     monkeypatch.setenv("RL_THREADS", "4")
     b = mc_passage(cp, 100.0, 1000, 3)[0]
     assert a == b
+
+
+@dataclass(frozen=True)
+class _Shifted(Subordinator):
+    """A stand-in family that states only what a family must: its moments,
+    its spec, the mean step that sizes its walk, and its passage of one
+    level, here T(s) = s + U with U the first uniform of the replication's
+    stream."""
+
+    step: float
+
+    def mean_rate(self):
+        return 1.0
+
+    def variance_rate(self):
+        return 1.0
+
+    def spec_string(self):
+        return f"shifted:step={self.step!r}"
+
+    def step_mean(self):
+        return self.step
+
+    def _passages(self, s, streams, lo, hi, out):
+        for rep in range(lo, hi):
+            out[0, rep] = s + streams(rep).random()
+
+
+@pytest.mark.parametrize("step", [1.0, 1e-4], ids=["calling-thread", "pool"])
+def test_a_family_gets_its_walk_from_its_passage_of_one_level(monkeypatch, step):
+    spec, grid = _Shifted(step), [10.0, 20.0]
+    # a mean step of 1e-4 makes the walk long enough to run on the workers
+    assert (block_shape(spec.walk(grid)[2])[0] == 1) == (step < 1.0)
+    outputs = []
+    for threads in ("1", "3"):
+        monkeypatch.setenv("RL_THREADS", threads)
+        values = map_replications(spec, grid, 300, SEED)
+        rows = convergence_table(spec, "b1", None, grid, 300, SEED)
+        outputs.append((values.tobytes(), rows))
+    assert outputs[0] == outputs[1]
+    assert values.shape == (1, 2, 300)
+    # every level walks afresh from the replication's stream
+    for row, s in zip(rows, grid):
+        est, frac = mc_passage(spec, s, 300, SEED)
+        assert (row.estimate, row.stderr) == (est.mean, est.std_error)
+        # no N*(s) output: no coupling
+        assert math.isnan(frac)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +519,7 @@ def test_single_walk_equals_standalone_estimators(text):
     spec = parse_subordinator(text)
     frac = mc_passage(spec, 60.0, 200, SEED)[1]
     if isinstance(spec, CompoundPoisson):
-        assert frac == coupling_check(spec, 60.0, 200, SEED) == 0.0
+        assert frac == 0.0
     else:
         assert math.isnan(frac)
 
@@ -502,11 +539,10 @@ def test_single_walk_validates_before_simulating(monkeypatch):
 
 
 def _violations(monkeypatch, s):
-    """mc_passage's and coupling_check's violation fractions at s when every
-    path walk returns T = 5.5 and N* = 3: N* lags T by more than one step."""
+    """mc_passage's violation fraction at s when every path walk returns
+    T = 5.5 and N* = 3: N* lags T by more than one step."""
     monkeypatch.setattr(subordinator, "_simulate_cp_path", lambda *a, **k: (5.5, 3))
-    cp = CompoundPoisson(1.0, Exponential(1.0))
-    return mc_passage(cp, s, 20, SEED)[1], coupling_check(cp, s, 20, SEED)
+    return mc_passage(CompoundPoisson(1.0, Exponential(1.0)), s, 20, SEED)[1]
 
 
 def test_coupling_violation_is_counted(monkeypatch):
@@ -514,13 +550,13 @@ def test_coupling_violation_is_counted(monkeypatch):
     # it, back to the path walk
     monkeypatch.setattr(montecarlo, "_chunk_size", lambda target: 1)
     assert block_shape(10.0)[0] > 1
-    assert _violations(monkeypatch, 10.0) == (1.0, 1.0)
+    assert _violations(monkeypatch, 10.0) == 1.0
 
 
 def test_coupling_violation_is_counted_on_path_walks(monkeypatch):
     # s = 1e4 is too long for a block: every replication takes the path walk
     assert block_shape(1e4)[0] == 1
-    assert _violations(monkeypatch, 1e4) == (1.0, 1.0)
+    assert _violations(monkeypatch, 1e4) == 1.0
 
 
 _CP = CompoundPoisson(1.0, Exponential(1.0))
@@ -532,10 +568,9 @@ _CP = CompoundPoisson(1.0, Exponential(1.0))
         (lambda: renewal.renewal_estimates(Exponential(1.0), 20.0, 10, SEED), renewal),
         (lambda: convergence_table(Exponential(1.0), "a1", None, [10.0, 20.0], 10, SEED), renewal),
         (lambda: mc_passage(_CP, 20.0, 10, SEED), subordinator),
-        (lambda: coupling_check(_CP, 20.0, 10, SEED), subordinator),
         (lambda: convergence_table(_CP, "b1", None, [10.0, 20.0], 10, SEED), renewal),
     ],
-    ids=["renewal_estimates", "renewal-table", "mc_passage", "coupling_check", "passage-table"],
+    ids=["renewal_estimates", "renewal-table", "mc_passage", "passage-table"],
 )
 def test_one_driver_call_per_estimate_through_its_modules_name(monkeypatch, estimate, module):
     # each module's name for map_replications counts its own side's walks

@@ -56,10 +56,14 @@ The list covers:
     the case errors of ``converge`` (a zero-variance law, a case that is not
     the law's, a missing ell, an ell for which c(s) has no root) and of
     ``limit`` (a parameter the case does not take), laws whose variance or
-    squared deviations overflow, bad values in a config file, and usage
-    errors: an unknown flag, a missing or unknown subcommand, a missing flag
-    value, values that start with a dash, and a ``threads`` flag or config
-    key (the worker count is ``RL_THREADS`` alone);
+    squared deviations overflow, bad values in a config file, a ``--csv``
+    that names a directory, a spec given in a config file as a JSON array,
+    and usage errors: an unknown flag, a missing or unknown subcommand, a
+    missing flag value, values that start with a dash, and a ``threads``
+    flag or config key (the worker count is ``RL_THREADS`` alone).  Neither
+    the directory nor the array writes a file; a tree that lets the write
+    error escape exits 1 with a traceback, and one that reads any JSON value
+    as a spec blames the array's text, not its field;
   - five subordinator specs that a reader splitting on a fixed count of
     commas gets wrong: fields out of order, a duplicate, an unknown and an
     empty field.  Only these differ against such a tree, which rejects the
@@ -301,6 +305,9 @@ COMMANDS: list[tuple[str, ...]] = [
     _config(SIMULATE, {"dist": "exp:1.0", "s": 10, "reps": 10.7, "seed": 1}),
     _config(SIMULATE, {"dist": "exp:1.0", "s": 10, "reps": True, "seed": 1}),
     _config(SIMULATE, {"dist": "exp:1.0", "s": 10, "reps": 10, "seed": 1.9}),
+    _config(SIMULATE, {"dist": ["exp:1.0"], "s": 10, "reps": 10, "seed": 1}),
+    # a CSV path that cannot be written: the working directory
+    (*_renewal("exp:1.0", "10", 10, "1"), "--csv", "."),
     # usage errors
     (*_renewal("exp:1.0", "10", 10, "1"), "--threads", "2"),
     _config(SIMULATE, {"dist": "exp:1.0", "s": 10, "reps": 10, "seed": 1, "threads": 2}),
