@@ -38,12 +38,12 @@ from .limits import (
     stable_abs_moment_quadrature,
 )
 from .montecarlo import MCEstimate, replication_rng, stream_base, thread_count
+from .oracle import exact_abs_deviation_poisson
 from .renewal import (
     ConvergenceRow,
     RenewalEstimates,
     RenewalObservation,
     convergence_table,
-    exact_abs_deviation_poisson,
     renewal_estimates,
     simulate_renewal,
 )

@@ -24,7 +24,7 @@ import sys
 from collections.abc import Callable, Iterator
 from dataclasses import astuple, dataclass, replace
 
-from . import distributions, limits, renewal, scaling, subordinator
+from . import distributions, limits, oracle, renewal, scaling, subordinator
 from .errors import ConfigError, RenewlimError
 
 _METHODS = ("closed", "quadrature", "mc")
@@ -372,10 +372,10 @@ def selfcheck(seed: int) -> Iterator[Check]:
         yield _z_check(f"wald[{dist_text}]", estimates[dist_text].wald, "residual")
 
     # exact Poisson oracle vs Monte Carlo and vs its own asymptote
-    oracle = renewal.exact_abs_deviation_poisson(100.0)
+    exact = oracle.exact_abs_deviation_poisson(100.0)
     est = estimates["exp:1.0"].deviation
-    yield _z_check("poisson-oracle-vs-mc", abs(est.mean - oracle) / est.std_error, "|z| =")
-    asym = renewal.exact_abs_deviation_poisson(1e4) / math.sqrt(1e4)
+    yield _z_check("poisson-oracle-vs-mc", abs(est.mean - exact) / est.std_error, "|z| =")
+    asym = oracle.exact_abs_deviation_poisson(1e4) / math.sqrt(1e4)
     target = math.sqrt(2.0 / math.pi)
     ok = abs(asym / target - 1.0) <= 0.01
     yield Check("poisson-oracle-asymptote", ok, f"value {_fmt(asym)} vs {_fmt(target)}")

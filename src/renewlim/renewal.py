@@ -4,9 +4,8 @@ N(t) counts the partial-sum points of i.i.d. positive increments in [0, t]
 (the zero-th point S_0 = 0 always counts, so N(t) >= 1).  Monte Carlo
 estimators of E|N(s) - s/mu| come with valid standard errors because N(s)
 has a finite second moment at fixed s whenever the increments have a finite
-mean.  The exponential case is backed by an exact Poisson oracle.  The
-convergence table here serves both sides: renewal counts (cases a1-a3) and
-subordinator first-passage times (cases b1-b3).
+mean.  The convergence table here serves both sides: renewal counts (cases
+a1-a3) and subordinator first-passage times (cases b1-b3).
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "simulate_renewal",
     "RenewalEstimates",
     "renewal_estimates",
-    "exact_abs_deviation_poisson",
     "ConvergenceRow",
     "convergence_table",
     "CSV_HEADER",
@@ -102,33 +100,6 @@ def renewal_estimates(
         overshoot=estimate_from_values(overshoots),
         wald=wald,
     )
-
-
-def exact_abs_deviation_poisson(s: float) -> float:
-    """Exact E|N(s) - s| for unit-rate exponential inter-arrivals.
-
-    There N(s) - 1 is Poisson(s), so the value is E|1 + P - s| with
-    P ~ Poisson(s), computed by direct pmf summation over
-    k in [s - 14*sqrt(s) - 30, s + 14*sqrt(s) + 30].  The neglected tail
-    mass is below exp(-90) * (s+1), keeping the truncation error under
-    1e-12 for every practically reachable s.
-    """
-    if not s > 0.0:
-        raise DomainError(f"s must be positive, got {s}")
-    return _poisson_abs_moment(lam=s, center=s - 1.0)
-
-
-def _poisson_abs_moment(lam: float, center: float) -> float:
-    """E|P - center| for P ~ Poisson(lam), by windowed pmf summation."""
-    half = 14.0 * math.sqrt(lam) + 30.0
-    lo = max(0, int(math.floor(lam - half)))
-    hi = int(math.ceil(lam + half))
-    log_lam = math.log(lam)
-    terms = [
-        abs(k - center) * math.exp(k * log_lam - lam - math.lgamma(k + 1.0))
-        for k in range(lo, hi + 1)
-    ]
-    return math.fsum(terms)
 
 
 CSV_HEADER = "s,n_reps,estimate,stderr,normalizer,ratio,limit,rel_gap"

@@ -959,6 +959,7 @@ def test_import_pins_openblas_to_one_thread_unless_preset():
 
 _WALK_POOL = """
 import os
+import time
 from renewlim import montecarlo, parse_interarrival
 
 law = parse_interarrival("pareto:1.5,1.0")
@@ -980,7 +981,13 @@ class Counted:
 
 montecarlo.map_replications(Counted(), [1e5], 4, 1)
 print(max(seen))
-""" + _OS_THREADS
+# a joined worker can stay listed in /proc/self/task for a moment after
+# shutdown returns; a pool kept alive without shutdown keeps its idle workers
+deadline = time.monotonic() + 1.0
+while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+    time.sleep(0.01)
+print(len(os.listdir("/proc/self/task")))
+"""
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from renewlim import (
     renewal_estimates,
     simulate_renewal,
 )
+from renewlim import oracle
 from renewlim.montecarlo import block_shape, estimate_from_values, replication_rng, stream_base
+from renewlim.oracle import count_law
 
 SEED = 20260808
 
@@ -104,13 +108,65 @@ def test_oracle_tiny_s():
 def test_oracle_window_vs_closed_form_mad():
     # independent check of the summation machinery: the mean absolute
     # deviation of Poisson(lam) around lam has the closed form
-    # 2 * lam**(floor(lam)+1) * exp(-lam) / floor(lam)!
-    from renewlim.renewal import _poisson_abs_moment
-
+    # 2 * lam**(floor(lam)+1) * exp(-lam) / floor(lam)!; N(s) - 1 is
+    # Poisson(s) for exp:1.0
     for lam in (0.3, 3.7, 10.0, 100.0, 5000.0):
         k = math.floor(lam)
         closed = 2.0 * math.exp((k + 1.0) * math.log(lam) - lam - math.lgamma(k + 1.0))
-        assert _poisson_abs_moment(lam, lam) == pytest.approx(closed, rel=1e-11)
+        support, pmf = count_law(Exponential(1.0), lam)
+        mad = math.fsum(abs(n - 1 - lam) * p for n, p in zip(support, pmf))
+        assert mad == pytest.approx(closed, rel=1e-11)
+
+
+@pytest.mark.parametrize("rate", [1.0, 2.0])
+@pytest.mark.parametrize("s", [1e2, 1e4])
+def test_count_law_matches_scipy_poisson(rate, s):
+    lam = rate * s
+    support, pmf = count_law(Exponential(rate), s)
+    n = np.array(support, dtype=float)
+    # each term is exp of k*log(lam) - lam - lgamma(k+1), whose rounding is
+    # a few ulps of its largest part: about 3e-11 relative at lam = 1e4,
+    # where scipy's pmf is as far from a 40-digit value as this one
+    rel = 1e-12 + 4.0 * np.finfo(float).eps * (n[-1] * math.log(lam) + lam)
+    ref = stats.poisson.pmf(n - 1.0, lam)
+    np.testing.assert_allclose(pmf, ref, rtol=rel, atol=0.0)
+    # E|N(s) - s/mu| against scipy's pmf over a window three times as wide
+    half = 40.0 * math.sqrt(lam) + 100.0
+    k = np.arange(max(0, int(lam - half)), int(lam + half))
+    want = math.fsum(np.abs(k + 1.0 - lam) * stats.poisson.pmf(k, lam))
+    got = math.fsum(abs(m - lam) * p for m, p in zip(support, pmf))
+    assert got == pytest.approx(want, rel=rel, abs=0.0)
+
+
+def test_oracle_values_are_pinned():
+    assert exact_abs_deviation_poisson(100.0) == 7.998796958388042
+    assert exact_abs_deviation_poisson(1e4) == 79.79045079663697
+
+
+@pytest.mark.parametrize("s", [math.inf, math.nan, 1e300, 1e12, 0.0, -1.0])
+def test_oracle_refuses_levels_it_cannot_sum(s):
+    with pytest.raises(DomainError):
+        exact_abs_deviation_poisson(s)
+
+
+@pytest.mark.parametrize("law", [Pareto(1.5, 1.0), Deterministic(1.0), Uniform(0.0, 1.0)])
+def test_count_law_refuses_laws_without_an_exact_law(law):
+    with pytest.raises(DomainError, match=f"no exact count law for {law.spec_string()}"):
+        count_law(law, 10.0)
+
+
+def test_oracle_imports_no_simulation():
+    # the exact laws stay independent of what they check
+    tree = ast.parse(Path(oracle.__file__).read_text(), filename=oracle.__file__)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[-1] not in {"montecarlo", "renewal", "subordinator"}, node.lineno
 
 
 def test_oracle_vs_monte_carlo_at_s100():

@@ -145,6 +145,28 @@ def test_cp_passage_consistency():
     assert abs(float(vals.mean()) - s) <= 3.0 * se
 
 
+def _cp_passage_mean_z(seed):
+    # for exp jumps the jumps up to the crossing of s number 1 + Poisson(s/mu),
+    # each after an Exp(rate) gap, so E T(s) = (1 + s/mu) / rate exactly
+    cp = parse_subordinator("cp:rate=1.0,jump=exp:1.0")
+    s = 100.0
+    est = estimate_from_values(subordinator.map_replications(cp, [s], 20_000, seed)[0, 0])
+    return (est.mean - (1.0 + s / cp.jump.mean()) / cp.rate) / est.std_error
+
+
+def test_cp_passage_mean_is_exact_and_the_walk_takes_the_crossing_jump(monkeypatch):
+    assert abs(_cp_passage_mean_z(20240801)) <= 4.0
+
+    # T(s) and N*(s) read from the jump before the crossing, in the block
+    # walk only: every row of this level walks in a block
+    def one_jump_early(mass, s):
+        below, at = montecarlo.row_crossings(mass, s)
+        return below, (at[0], at[1] - 1)
+
+    monkeypatch.setattr(subordinator, "row_crossings", one_jump_early)
+    assert abs(_cp_passage_mean_z(20240801)) > 4.0
+
+
 def _cp_path_reference(spec, s, rng):
     """The integer-time rebuild of N*(s): S(k) from the jumps by integer
     time k, at every k = 0, ..., floor(T) + 1."""
