@@ -96,31 +96,20 @@ def _gauss_rules() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _adaptive_gauss(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, panels: int, budget: float
-) -> tuple[float, float]:
-    """Integral of the vectorised ``f`` over [a, b] and an error bound no
+def _adaptive_gauss(f: Callable[[np.ndarray], np.ndarray], budget: float) -> tuple[float, float]:
+    """Integral of the vectorised ``f`` over [0, _RAY] and an error bound no
     larger than ``budget``.
 
-    The starting partition has ``panels`` equal panels.  Each round
-    evaluates both Gauss rules on every open panel in one call of ``f``.  A
-    panel is accepted with the fine rule's value when the rules differ by no
-    more than its length's share of the budget, and is bisected otherwise,
-    so the accepted estimates sum to at most ``budget``.  Raises
+    The starting partition has ``_RAY`` unit panels.  Each round evaluates
+    both Gauss rules on every open panel in one call of ``f``.  A panel is
+    accepted with the fine rule's value when the rules differ by no more
+    than its length's share of the budget, and is bisected otherwise, so
+    the accepted estimates sum to at most ``budget``.  Raises
     ToleranceNotMetError when the partition would exceed _MAX_PANELS.
     """
-
-    def too_many() -> ToleranceNotMetError:
-        return ToleranceNotMetError(
-            f"quadrature on [{a:.6g}, {b:.6g}] needs more than {_MAX_PANELS} panels "
-            f"for an error of {budget:.3e}"
-        )
-
-    if panels > _MAX_PANELS:
-        raise too_many()
     nodes, weights = _gauss_rules()
-    share = budget / (b - a)
-    edges = np.linspace(a, b, panels + 1)
+    share = budget / _RAY
+    edges = np.linspace(0.0, _RAY, _RAY + 1)
     lo, hi = edges[:-1], edges[1:]
     value = error = 0.0
     accepted = 0
@@ -137,7 +126,10 @@ def _adaptive_gauss(
         accepted += int(done.sum())
         split = ~done
         if accepted + 2 * int(split.sum()) > _MAX_PANELS:
-            raise too_many()
+            raise ToleranceNotMetError(
+                f"quadrature on [0, {_RAY}] needs more than {_MAX_PANELS} panels "
+                f"for an error of {budget:.3e}"
+            )
         lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
     return value, error
 
@@ -171,7 +163,7 @@ def _abs_moment_quadrature(alpha: float, r: float, tol: float) -> tuple[float, f
         return (weight * np.exp(-tau) * (1.0 + tau * rot.conjugate()) ** (-1.0 - rho)).real
 
     # half of tol for the ray; the other half covers its tail and the rounding
-    val_ray, err_ray = _adaptive_gauss(ray, 0.0, _RAY, _RAY, tol / (2.0 * scale))
+    val_ray, err_ray = _adaptive_gauss(ray, tol / (2.0 * scale))
 
     # the panels' floor again, on the magnitudes summed and on the product
     # scale * total: the k = 1 term rounds relative to its real part, every

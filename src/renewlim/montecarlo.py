@@ -29,6 +29,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, InvariantError
 
 THREAD_ENV_VAR = "RL_THREADS"
+_MAX_THREADS = 1024  # RL_THREADS' ceiling: a typo is a config error, not a failed thread
 
 _MAX_DRAWS_PER_PATH = 10**9
 _MAX_CHUNK = 2**21
@@ -37,12 +38,13 @@ _BLOCK_DOUBLES = 2**15  # the scratch of one block of any walk: 256 KiB
 # summed in, so every chunk of a block is summed as one sub-block
 _SUB_BLOCK = 2048
 _ROUNDING_MARGIN = 2.0**-41  # 4096 units of roundoff, 2**-53
+_FLOAT_SLICE = 4096  # the values _as_floats converts at a time
 
 
 def thread_count() -> int:
-    """The worker count: the RL_THREADS env var, else the number of CPUs
-    this process may run on (its affinity mask, where the platform has
-    one).  It never changes a result, so it is a deployment setting with
+    """The worker count: the RL_THREADS env var (1 to 1024), else the number
+    of CPUs this process may run on (its affinity mask, where the platform
+    has one).  It never changes a result, so it is a deployment setting with
     no parameter of its own."""
     env = os.environ.get(THREAD_ENV_VAR)
     if env is not None and env.strip():
@@ -50,8 +52,8 @@ def thread_count() -> int:
             k = int(env)
         except ValueError:
             raise ConfigError(f"{THREAD_ENV_VAR}: not an integer: {env!r}") from None
-        if k < 1:
-            raise ConfigError(f"{THREAD_ENV_VAR}: must be >= 1, got {k}")
+        if not 1 <= k <= _MAX_THREADS:
+            raise ConfigError(f"{THREAD_ENV_VAR}: must be in 1..{_MAX_THREADS}, got {k}")
         return k
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -352,44 +354,67 @@ def row_crossings(sums: np.ndarray, level: float) -> tuple[np.ndarray, tuple[np.
     return idx, at
 
 
+def block_walk(rows: int, width: int, streams, lo: int, hi: int, fill, cross, alone) -> None:
+    """Walk replications lo..hi-1 ``rows`` at a time: the one block loop of
+    every short walk.
+
+    A block is ``rows`` rows of ``width`` doubles of this thread's scratch,
+    the last block maybe fewer.  ``fill(rng, row)`` draws each row from its
+    replication's freshly keyed ``streams(rep)``; ``cross(block, first)``,
+    whose row 0 is replication ``first``, writes the block's values and
+    returns a mask of the rows still at or below the top level.  After the
+    last block, as they reuse its scratch (``first_crossing``), those rows
+    (every replication when ``rows`` is 1) walk alone through
+    ``alone(rep, rng)``, each from its stream keyed afresh.
+    """
+    lone = range(lo, hi)
+    if rows > 1:
+        buf, lone = _scratch_buffer(rows * width), []
+        for first in range(lo, hi, rows):
+            block = buf[: (min(first + rows, hi) - first) * width].reshape(-1, width)
+            for rep, row in enumerate(block, first):
+                fill(streams(rep), row)
+            lone += (first + np.flatnonzero(cross(block, first))).tolist()
+    for rep in lone:
+        alone(rep, streams(rep))
+
+
 def block_crossings(law, levels: Sequence[float]) -> Callable[..., None]:
     """The renewal walk for ``map_replications``: ``first_crossing`` of each
     replication over ``law``'s steps to the last of an increasing sequence
     of levels; value 0 is N (as a float) and value 1 is S_N.
 
-    When ``block_shape`` of the expected path gives more than one row, the
-    first chunks of a block of replications are drawn raw (``law.raw_fill``)
-    into the rows of one matrix, and ``law.finish``, the running sums and
-    the crossing search run once over it.  Each row sees the same
-    elementwise operations in the same order as its own walk, so N and S_N
-    equal ``first_crossing``'s bit for bit.  A row still at or below the last
-    level after its first chunk, and every path too long for a block, walks
-    alone through ``first_crossing`` over ``law.sample``.
+    When ``block_shape`` of the expected path gives more than one row,
+    ``block_walk`` draws the first chunks of a block of replications raw
+    (``law.raw_fill``) into the rows of one matrix, and ``law.finish``, the
+    running sums and the crossing search run once over it.  Each row sees
+    the same elementwise operations in the same order as its own walk, so N
+    and S_N equal ``first_crossing``'s bit for bit.  A row still at or below
+    the last level after its first chunk, and every path too long for a
+    block, walks alone through ``first_crossing`` over ``law.sample``.
     """
-    top, mean_step = levels[-1], law.mean()
-    rows, chunk = block_shape(top / mean_step)
+    mean_step = law.mean()
+    rows, chunk = block_shape(levels[-1] / mean_step)
 
     def walk(streams, lo: int, hi: int, out: np.ndarray) -> None:
         counts, totals = out
-        alone = range(lo, hi)
-        if rows > 1:
-            alone = []
-            for first in range(lo, hi, rows):
-                last = min(first + rows, hi)
-                block = _scratch_buffer(rows * chunk)[: (last - first) * chunk].reshape(-1, chunk)
-                for rep, row in zip(range(first, last), block):
-                    law.raw_fill(streams(rep), row)
-                sums = law.finish(block)
-                np.add.accumulate(sums, axis=1, out=sums)
-                for k, lv in enumerate(levels):
-                    idx, at = row_crossings(sums, lv)
-                    counts[k, first:last] = idx + 1
-                    totals[k, first:last] = sums[at]
-                alone += (first + np.flatnonzero(sums[:, -1] <= top)).tolist()  # below the top
-        for rep in alone:
-            walks = first_crossing(partial(law.sample, streams(rep)), levels, mean_step)
+
+        def cross(block: np.ndarray, first: int) -> np.ndarray:
+            sums = law.finish(block)
+            np.add.accumulate(sums, axis=1, out=sums)
+            last = first + len(sums)
+            for k, lv in enumerate(levels):
+                idx, at = row_crossings(sums, lv)
+                counts[k, first:last] = idx + 1
+                totals[k, first:last] = sums[at]
+            return idx == chunk  # no sum above the top level
+
+        def alone(rep: int, rng: np.random.Generator) -> None:
+            walks = first_crossing(partial(law.sample, rng), levels, mean_step)
             for k, (n, total, _) in enumerate(walks):
                 counts[k, rep], totals[k, rep] = n, total
+
+        block_walk(rows, chunk, streams, lo, hi, law.raw_fill, cross, alone)
 
     return walk
 
@@ -407,9 +432,10 @@ class MCEstimate:
     n_reps: int
 
 
-def _as_floats(values: np.ndarray, step: int = 4096):
+def _as_floats(values: np.ndarray):
     """The values as Python floats, converted a slice at a time so no list
     of all of them is ever held."""
+    step = _FLOAT_SLICE
     return chain.from_iterable(values[i : i + step].tolist() for i in range(0, len(values), step))
 
 

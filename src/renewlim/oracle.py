@@ -12,8 +12,7 @@ from .errors import DomainError
 
 __all__ = ["count_law", "exact_abs_deviation_poisson"]
 
-# the most pmf terms a window may hold: rate * s up to about 1.3e11
-_MAX_TERMS = 10**7
+_MAX_LAMBDA = 1e6  # the largest rate * s summed: 28,061 terms, 5.4e-10 relative off
 
 
 def count_law(law, s: float) -> tuple[range, list[float]]:
@@ -23,22 +22,22 @@ def count_law(law, s: float) -> tuple[range, list[float]]:
     k in [lam - 14*sqrt(lam) - 30, lam + 14*sqrt(lam) + 30].  The neglected
     tail mass is below exp(-90) * (lam+1).  Each term is exp of
     k*log(lam) - lam - lgamma(k+1), rounded to a few ulps of k*log(lam), so
-    E|P - lam| read from it is off by 9e-12 relative at lam = 1e4, 1e-7 at
-    1e8 and 7e-6 at 1e10 (against a 50-digit closed form).  A window of
-    more than 10**7 terms, or none, raises DomainError, as does any law
-    without an exact count law here.
+    E|P - lam| read from it is off by 8.8e-12 relative at lam = 1e4,
+    5.4e-10 at 1e6 and 1.0e-7 at 1e8 (against a 50-digit closed form).  A
+    lam above 1e6, where that error passes 1e-9, or not above 0 raises
+    DomainError, as does any law without an exact count law here.
     """
     if not isinstance(law, Exponential):
         raise DomainError(f"no exact count law for {law.spec_string()}")
     if not s > 0.0:
         raise DomainError(f"s must be positive, got {s}")
     lam = law.rate * s
-    half = 14.0 * math.sqrt(lam) + 30.0
-    if not (lam > 0.0 and 2.0 * half <= _MAX_TERMS):
+    if not 0.0 < lam <= _MAX_LAMBDA:
         raise DomainError(
-            f"the Poisson window of {law.spec_string()} at s = {s} (rate * s = {lam}) "
-            f"is not a finite range of at most {_MAX_TERMS} terms"
+            f"the Poisson law of {law.spec_string()} at s = {s} (rate * s = {lam}) "
+            f"is summed only for 0 < rate * s <= {_MAX_LAMBDA:g}"
         )
+    half = 14.0 * math.sqrt(lam) + 30.0
     lo = max(0, int(math.floor(lam - half)))
     hi = int(math.ceil(lam + half))
     log_lam = math.log(lam)

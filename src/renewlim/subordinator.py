@@ -5,12 +5,12 @@ the coupling between the first-passage time T(s) and the integer-skeleton
 count N*(s) = #{k in N_0 : S(k) <= s} can be checked path by path: it
 satisfies N*(s) - T(s) in [0, 1] almost surely.  Every compound Poisson
 walk counts N*(s) from its jump masses and epochs, at a cost linear in its
-jumps.  Short passages walk a block of replications at once, and a row
-still at or below s after its first chunk re-runs the path walk
-(``_simulate_cp_path``), which longer passages take alone.  The gamma
-subordinator is approximated on a fixed time grid, which biases T(s)
-upward by at most one grid step; it therefore never participates in exact
-coupling checks.
+jumps.  Short passages walk a block of replications at once
+(``montecarlo.block_walk``), and a row still at or below s after its first
+chunk re-runs the path walk (``_simulate_cp_path``), which longer passages
+take alone.  The gamma subordinator is approximated on a fixed time grid,
+which biases T(s) upward by at most one grid step; it therefore never
+participates in exact coupling checks.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import montecarlo
 from .distributions import Interarrival, LimitCase, _square, parse_interarrival
 from .errors import DomainError, InvariantError, SpecParseError
 from .montecarlo import (
     MCEstimate,
     block_shape,
+    block_walk,
     estimate_from_values,
     first_crossing,
     map_replications,
@@ -135,17 +135,41 @@ class CompoundPoisson(Subordinator):
 
     def _passages(self, s, streams, lo, hi, out):
         """The exact passage: T(s) and N*(s), as ``_simulate_cp_path`` gives
-        them.  Where ``block_shape`` of the expected jumps gives more than one
-        row, a block of replications walks at once (``_cp_blocks``), and a row
-        still at or below s after its first chunk re-runs the path walk;
-        longer levels take the path walk alone."""
-        # a step takes a raw jump, a raw gap and one complex value
+        them, in ``block_walk`` where ``block_shape`` of the expected jumps
+        gives more than one row.  A row is [raw jumps | raw gaps | complex
+        path]: its stream draws the raw first jump chunk (``jump.raw_fill``)
+        and as many standard exponentials, whose first n times 1/rate are
+        ``rng.exponential(1 / rate, size=n)`` bit for bit, so a row draws what
+        the path walk draws.  ``jump.finish``, the scaling and one sequential
+        complex running sum (epochs real, mass imaginary, as the path walk
+        builds them) run once over a block, so T(s) and N*(s) equal the path
+        walk's bit for bit.  A row still at or below s after its first chunk,
+        and every longer level, re-runs the path walk."""
         rows, chunk = block_shape(s / self.step_mean(), 4)
-        alone = range(lo, hi)
-        if rows > 1:
-            alone = _cp_blocks(self, s, rows, chunk, streams, lo, hi, out)
-        for rep in alone:
-            out[:, rep] = _simulate_cp_path(self, s, streams(rep))
+        jumps, gaps, sums = slice(0, chunk), slice(chunk, 2 * chunk), slice(2 * chunk, None)
+
+        def fill(rng: np.random.Generator, row: np.ndarray) -> None:
+            self.jump.raw_fill(rng, row[jumps])
+            rng.standard_exponential(out=row[gaps])
+
+        def cross(block: np.ndarray, first: int) -> np.ndarray:
+            path = block[:, sums].view(complex)
+            # finished in place on whole rows: numpy's SIMD exp and log, and
+            # so the bits of the jumps, may differ on strided output
+            path.imag = self.jump.finish(block[:, jumps])
+            np.multiply(block[:, gaps], 1.0 / self.rate, out=path.real)
+            np.add.accumulate(path, axis=1, out=path)
+            # a crossed row holds the jump that crosses s, so N*(s) is the
+            # ceiling of its epoch and floor(T) + 2 never applies
+            below, at = row_crossings(path.imag, s)
+            epochs = path.real[at]
+            out[:, first : first + len(block)] = epochs, np.ceil(epochs)
+            return below == chunk
+
+        def alone(rep: int, rng: np.random.Generator) -> None:
+            out[:, rep] = _simulate_cp_path(self, s, rng)
+
+        block_walk(rows, 4 * chunk, streams, lo, hi, fill, cross, alone)
 
 
 @dataclass(frozen=True)
@@ -226,47 +250,6 @@ def _simulate_cp_path(
     if below == n_jumps:
         return t_passage, math.floor(t_passage) + 2
     return t_passage, math.ceil(epochs[below])
-
-
-def _cp_blocks(
-    spec: CompoundPoisson, s: float, rows: int, chunk: int, streams, lo: int, hi: int, out
-) -> list[int]:
-    """Row 0 of ``out`` gets T(s) and row 1 N*(s) of each replication lo..hi-1
-    whose first ``chunk`` jumps cross s, ``rows`` replications at a time;
-    the others are returned.
-
-    Each replication's stream draws the raw first jump chunk
-    (``jump.raw_fill``) and then as many standard exponentials, whose first n
-    times 1/rate are ``rng.exponential(1 / rate, size=n)`` bit for bit, so a
-    row draws what ``_simulate_cp_path`` draws and no later value is used.
-    ``jump.finish``, the scaling and one sequential complex running sum
-    (epochs real, mass imaginary, as the path walk builds them) then run once
-    over a block, so T(s) and N*(s) equal the path walk's bit for bit.
-    """
-    buf = montecarlo._scratch_buffer(4 * rows * chunk)
-    paths = buf[: 2 * rows * chunk].view(complex).reshape(rows, chunk)
-    raw = buf[2 * rows * chunk : 4 * rows * chunk].reshape(rows, 2 * chunk)
-    alone: list[int] = []
-    for first in range(lo, hi, rows):
-        last = min(first + rows, hi)
-        draws, path = raw[: last - first], paths[: last - first]
-        for rep, row in zip(range(first, last), draws):
-            rng = streams(rep)
-            spec.jump.raw_fill(rng, row[:chunk])
-            rng.standard_exponential(out=row[chunk:])
-        # finished in place on whole rows: numpy's SIMD exp and log, and so
-        # the bits of the jumps, may differ on strided output
-        path.imag = spec.jump.finish(draws[:, :chunk])
-        np.multiply(draws[:, chunk:], 1.0 / spec.rate, out=path.real)
-        np.add.accumulate(path, axis=1, out=path)
-        epochs, mass = path.real, path.imag
-        below, at = row_crossings(mass, s)  # leading jumps whose mass stays <= s
-        # the jump after them crosses s and lies in the row, so N*(s) is the
-        # ceiling of its epoch, and floor(T) + 2 never applies
-        out[0, first:last] = epochs[at]
-        out[1, first:last] = np.ceil(epochs[at])
-        alone += (first + np.flatnonzero(below == chunk)).tolist()
-    return alone
 
 
 def _coarse_steps(h: float) -> int:

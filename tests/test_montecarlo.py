@@ -23,6 +23,7 @@ from renewlim import montecarlo
 from renewlim.montecarlo import (
     block_crossings,
     block_shape,
+    block_walk,
     estimate_from_values,
     first_crossing,
     map_replications,
@@ -93,6 +94,15 @@ def test_thread_count_resolution(monkeypatch):
         thread_count()
     monkeypatch.setenv("RL_THREADS", "0")
     with pytest.raises(ConfigError):
+        thread_count()
+
+
+def test_thread_count_has_a_ceiling(monkeypatch):
+    # read only: no thread is started at either value
+    monkeypatch.setenv("RL_THREADS", "1024")
+    assert thread_count() == 1024
+    monkeypatch.setenv("RL_THREADS", "1025")
+    with pytest.raises(ConfigError, match=r"RL_THREADS: must be in 1\.\.1024, got 1025"):
         thread_count()
 
 
@@ -415,6 +425,64 @@ def test_block_shape_fits_one_budget(steps, width):
     assert (rows > 1) == (chunk <= montecarlo._SUB_BLOCK)
     if rows > 1:
         assert rows * width * chunk <= montecarlo._BLOCK_DOUBLES < (rows + 1) * width * chunk
+
+
+def _recorded_block_walk(rows, width, lo, hi, uncrossed):
+    """block_walk over real streams with stand-in pieces: fill draws each
+    row's uniforms, cross returns ``uncrossed(block, first)``, and alone
+    reads one uniform.  Returns the calls each piece saw, and under "order"
+    the pieces in the order they were called."""
+    base = stream_base(9)
+    calls = {"fill": [], "cross": [], "alone": [], "order": []}
+
+    def fill(rng, row):
+        calls["order"].append("fill")
+        calls["fill"].append(len(row))
+        rng.random(out=row)
+
+    def cross(block, first):
+        calls["order"].append("cross")
+        calls["cross"].append((first, block.shape, block.copy()))
+        return uncrossed(block, first)
+
+    def alone(rep, rng):
+        calls["order"].append("alone")
+        calls["alone"].append((rep, rng.random()))
+
+    block_walk(rows, width, replication_streams(base), lo, hi, fill, cross, alone)
+    return base, calls
+
+
+def test_block_walk_sends_every_uncrossed_row_alone_in_order_on_a_fresh_stream():
+    # 10 replications in blocks of 4 rows: 4, 4 and a short last block of 2
+    base, calls = _recorded_block_walk(4, 3, 5, 15, lambda block, first: np.ones(len(block), bool))
+    assert calls["fill"] == [3] * 10
+    # every lone walk after the last block, since both use the scratch
+    blocks = (["fill"] * 4 + ["cross"]) * 2 + ["fill"] * 2 + ["cross"]
+    assert calls["order"] == blocks + ["alone"] * 10
+    assert [(first, shape) for first, shape, _ in calls["cross"]] == [
+        (5, (4, 3)), (9, (4, 3)), (13, (2, 3))
+    ]
+    # each row holds its replication's first draws, and each lone walk
+    # starts its replication's stream afresh
+    rows = np.concatenate([block for _, _, block in calls["cross"]])
+    want = [replication_rng(base, rep).random(3) for rep in range(5, 15)]
+    assert np.array_equal(rows, want)
+    assert calls["alone"] == [(rep, replication_rng(base, rep).random()) for rep in range(5, 15)]
+
+
+def test_block_walk_sends_only_the_masked_rows_alone():
+    def odd_reps(block, first):
+        return (first + np.arange(len(block))) % 2 == 1
+
+    _, calls = _recorded_block_walk(4, 2, 0, 11, odd_reps)
+    assert [rep for rep, _ in calls["alone"]] == [1, 3, 5, 7, 9]
+
+
+def test_block_walk_of_one_row_walks_every_replication_alone():
+    base, calls = _recorded_block_walk(1, 3, 2, 7, lambda block, first: pytest.fail("crossed"))
+    assert calls["fill"] == calls["cross"] == []
+    assert calls["alone"] == [(rep, replication_rng(base, rep).random()) for rep in range(2, 7)]
 
 
 @pytest.mark.parametrize(

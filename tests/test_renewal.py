@@ -143,10 +143,19 @@ def test_oracle_values_are_pinned():
     assert exact_abs_deviation_poisson(1e4) == 79.79045079663697
 
 
-@pytest.mark.parametrize("s", [math.inf, math.nan, 1e300, 1e12, 0.0, -1.0])
+# rate * s above 1e6: the rounding of the terms puts E|P - lam| more than
+# 1e-9 relative off its closed form (1.0e-7 at 1e8)
+@pytest.mark.parametrize("s", [math.inf, math.nan, 1e300, 1e12, 0.0, -1.0, 1.0000001e6, 1e8])
 def test_oracle_refuses_levels_it_cannot_sum(s):
     with pytest.raises(DomainError):
         exact_abs_deviation_poisson(s)
+
+
+def test_oracle_sums_up_to_its_budget():
+    support, pmf = count_law(Exponential(2.0), 5e5)  # rate * s = 1e6
+    assert len(pmf) == 28_061
+    value = exact_abs_deviation_poisson(1e6)
+    assert abs(value / 1e3 / math.sqrt(2.0 / math.pi) - 1.0) <= 1e-3
 
 
 @pytest.mark.parametrize("law", [Pareto(1.5, 1.0), Deterministic(1.0), Uniform(0.0, 1.0)])
