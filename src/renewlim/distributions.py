@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, ParameterMismatchError, SpecParseError
-from .montecarlo import block_crossings
+from .montecarlo import block_shape, block_walk, first_crossing, row_crossings
 
 __all__ = [
     "Interarrival",
@@ -97,10 +97,44 @@ class Interarrival(ABC):
         """Compact spec-grammar form, e.g. ``exp:1.0``."""
 
     def walk(self, levels: list[float]):
-        """The renewal walk to an increasing list of levels:
-        (``block_crossings(self, levels)``, its 2 values per level, N(s) and
-        S_N(s), and its expected steps)."""
-        return block_crossings(self, levels), 2, levels[-1] / self.mean()
+        """The renewal walk to an increasing list of levels, for
+        ``map_replications``: (walk, its 2 values per level, N(s) as a float
+        and S_N(s), and its expected steps).  ``walk`` runs ``first_crossing``
+        of each replication over the law's steps to the last level.
+
+        When ``block_shape`` of the expected path gives more than one row,
+        ``block_walk`` draws the first chunks of a block of replications raw
+        (``raw_fill``) into the rows of one matrix, and ``finish``, the
+        running sums and the crossing search run once over it.  Each row sees
+        the same elementwise operations in the same order as its own walk, so
+        N and S_N equal ``first_crossing``'s bit for bit.  A row still at or
+        below the last level after its first chunk, and every path too long
+        for a block, walks alone through ``first_crossing`` over ``sample``.
+        """
+        mean_step = self.mean()
+        rows, chunk = block_shape(levels[-1] / mean_step)
+
+        def walk(streams, lo: int, hi: int, out: np.ndarray) -> None:
+            counts, totals = out
+
+            def cross(block: np.ndarray, first: int) -> np.ndarray:
+                sums = self.finish(block)
+                np.add.accumulate(sums, axis=1, out=sums)
+                last = first + len(sums)
+                for k, lv in enumerate(levels):
+                    idx, at = row_crossings(sums, lv)
+                    counts[k, first:last] = idx + 1
+                    totals[k, first:last] = sums[at]
+                return idx == chunk  # no sum above the top level
+
+            def alone(rep: int, rng: np.random.Generator) -> None:
+                walks = first_crossing(partial(self.sample, rng), levels, mean_step)
+                for k, (n, total, _) in enumerate(walks):
+                    counts[k, rep], totals[k, rep] = n, total
+
+            block_walk(rows, chunk, streams, lo, hi, self.raw_fill, cross, alone)
+
+        return walk, 2, levels[-1] / mean_step
 
     def second_moment(self) -> float:
         v = self.variance()
@@ -324,6 +358,8 @@ def _inverse_power(out, x_min, exponent):
 # Stable limit family
 # ---------------------------------------------------------------------------
 
+_CF_TOL = 1e-12  # the most the cf may differ from the standard form at a check point
+
 
 @dataclass(frozen=True)
 class StableParams:
@@ -364,7 +400,7 @@ class StableParams:
             object.__setattr__(self, name, value)
         self._validate_parametrization()
 
-    def _validate_parametrization(self, tol: float = 1e-12) -> None:
+    def _validate_parametrization(self) -> None:
         tan_half = math.tan(math.pi * self.alpha / 2.0)
         ga = self.scale**self.alpha
         for t in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0):
@@ -373,7 +409,7 @@ class StableParams:
                 -ga * abs(t) ** self.alpha
                 * (1.0 - 1j * self.skew * tan_half * math.copysign(1.0, t))
             )
-            if abs(direct - std) > tol:
+            if abs(direct - std) > _CF_TOL:
                 raise DomainError(
                     f"stable parametrization mismatch at t={t}: |diff|={abs(direct - std):.3e}"
                 )

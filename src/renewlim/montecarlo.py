@@ -20,7 +20,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, repeat
 from typing import Callable, Sequence
 
@@ -219,7 +218,8 @@ def first_crossing(
     ``draw`` fills the float64 array ``out`` in place with the next len(out)
     steps and returns it, or returns a new array of that length; the
     running sums are then taken in that array.  ``out`` is a slice of one
-    scratch buffer per thread, so a walk allocates nothing per chunk.
+    scratch buffer per thread, so a walk whose draw fills ``out`` allocates
+    nothing per chunk.
 
     Each chunk is sized from the expected number of steps still to go to the
     last level, (level - S) / mean_step, and holds at least 64 draws, so a
@@ -377,46 +377,6 @@ def block_walk(rows: int, width: int, streams, lo: int, hi: int, fill, cross, al
             lone += (first + np.flatnonzero(cross(block, first))).tolist()
     for rep in lone:
         alone(rep, streams(rep))
-
-
-def block_crossings(law, levels: Sequence[float]) -> Callable[..., None]:
-    """The renewal walk for ``map_replications``: ``first_crossing`` of each
-    replication over ``law``'s steps to the last of an increasing sequence
-    of levels; value 0 is N (as a float) and value 1 is S_N.
-
-    When ``block_shape`` of the expected path gives more than one row,
-    ``block_walk`` draws the first chunks of a block of replications raw
-    (``law.raw_fill``) into the rows of one matrix, and ``law.finish``, the
-    running sums and the crossing search run once over it.  Each row sees
-    the same elementwise operations in the same order as its own walk, so N
-    and S_N equal ``first_crossing``'s bit for bit.  A row still at or below
-    the last level after its first chunk, and every path too long for a
-    block, walks alone through ``first_crossing`` over ``law.sample``.
-    """
-    mean_step = law.mean()
-    rows, chunk = block_shape(levels[-1] / mean_step)
-
-    def walk(streams, lo: int, hi: int, out: np.ndarray) -> None:
-        counts, totals = out
-
-        def cross(block: np.ndarray, first: int) -> np.ndarray:
-            sums = law.finish(block)
-            np.add.accumulate(sums, axis=1, out=sums)
-            last = first + len(sums)
-            for k, lv in enumerate(levels):
-                idx, at = row_crossings(sums, lv)
-                counts[k, first:last] = idx + 1
-                totals[k, first:last] = sums[at]
-            return idx == chunk  # no sum above the top level
-
-        def alone(rep: int, rng: np.random.Generator) -> None:
-            walks = first_crossing(partial(law.sample, rng), levels, mean_step)
-            for k, (n, total, _) in enumerate(walks):
-                counts[k, rep], totals[k, rep] = n, total
-
-        block_walk(rows, chunk, streams, lo, hi, law.raw_fill, cross, alone)
-
-    return walk
 
 
 @dataclass(frozen=True)

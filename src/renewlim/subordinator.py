@@ -191,6 +191,8 @@ class GammaSubordinator(Subordinator):
             raise DomainError(f"gamma rate must be positive finite, got {self.rate}")
         if not 0.0 < self.grid_step <= 1.0:
             raise DomainError(f"grid_step must lie in (0, 1], got {self.grid_step}")
+        if not math.log2(1.0 / self.grid_step) < 1023.5:  # else K >= 2**1024, no float
+            raise DomainError(f"grid_step {self.grid_step}: its coarse step K is not a float")
         self._check_scales(self.rate)
 
     def mean_rate(self):
@@ -291,7 +293,7 @@ def _simulate_gamma_path(spec: GammaSubordinator, s: float, rng: np.random.Gener
             lo, s_lo = mid, s_mid
     if not s_lo <= s < s_hi:
         raise InvariantError(f"gamma bridge bracket violated: {s_lo} <= {s} < {s_hi} fails")
-    return hi * h
+    return hi / coarse * (coarse * h)  # hi * h bit for bit, though hi may pass 2**1024
 
 
 def mc_passage(

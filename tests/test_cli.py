@@ -737,6 +737,13 @@ def _simulate_2(side, spec, s):
         (_simulate_2("passage", "gamma:shape=1.0,rate=1e-320,grid=1", "10"),
          "invalid subordinator spec 'gamma:shape=1.0,rate=1e-320,grid=1': GammaSubordinator "
          "mean rate must be positive finite, got inf"),
+        # K = 2**round(log2(1/grid)) is 2**1024, or 1/grid is inf: no float
+        *(
+            (_simulate_2("passage", f"gamma:shape=1,rate=1,grid={grid}", "10"),
+             f"invalid subordinator spec 'gamma:shape=1,rate=1,grid={grid}': grid_step "
+             f"{float(grid)}: its coarse step K is not a float")
+            for grid in ("6e-309", "1e-310", "5e-324")
+        ),
         # rate**2 overflows, so the variance rate is 0
         (["converge", "--side", "passage", "--case", "b1", "--sub",
           "gamma:shape=1.0,rate=1e200,grid=1", "--s-grid", "1", "--reps", "3", "--seed", "1"],
@@ -766,7 +773,8 @@ def _simulate_2(side, spec, s):
         "converge-exp", "converge-unif", "simulate-exp", "limit-a1-huge", "limit-a1-tiny",
         "limit-a3-huge", "converge-exp-limit", "converge-gamma-limit", "converge-cp-det",
         "steps-exp", "steps-unif", "steps-det", "steps-pareto", "steps-cp",
-        "mean-exp", "mean-pareto", "scale-cp-rate", "mean-gamma", "variance-gamma",
+        "mean-exp", "mean-pareto", "scale-cp-rate", "mean-gamma", "grid-gamma-k",
+        "grid-gamma-inf", "grid-gamma-min", "variance-gamma",
         "steps-a3-c-huge", "reps-renewal", "reps-passage", "reps-converge", "draws-moment",
         "law-moment",
     ],
@@ -780,6 +788,18 @@ def test_extreme_scale_laws_exit_2_with_one_line(tmp_path, capsys, argv, line):
     assert out == ""
     assert err.startswith(f"error: {line}") and err.count("\n") == 1
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("grid", ["1e-300", "1e-308", "7.9e-309"])
+def test_tiny_gamma_grids_still_run(capsys, grid):
+    # K = 2**1023 at the two finest grids, so the crossing's grid index k*
+    # passes the floats, and T(s) = k* h is still read off it
+    code, out, err = run_capture(
+        capsys, _simulate_2("passage", f"gamma:shape=1,rate=1,grid={grid}", "10")
+    )
+    assert (code, err) == (0, "")
+    row = out.splitlines()[1].split(",")
+    assert row[:3] == ["10", "2", "1"] and math.isfinite(float(row[3]))
 
 
 def test_draw_cap_exits_2_with_one_line(capsys, monkeypatch):

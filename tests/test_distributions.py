@@ -263,7 +263,7 @@ def test_stable_params_are_built_from_alpha_alone(monkeypatch):
     with pytest.raises(TypeError):
         StableParams(1.5, 1.0, 1.0, 1.0, 1)
 
-    def mismatch(self, tol=1e-12):
+    def mismatch(self):
         raise DomainError("stable parametrization mismatch")
 
     # every construction runs the numerical validation

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import sys
@@ -5,6 +6,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -20,8 +22,8 @@ from renewlim import (
     parse_subordinator,
 )
 from renewlim import montecarlo
+from renewlim.distributions import Interarrival
 from renewlim.montecarlo import (
-    block_crossings,
     block_shape,
     block_walk,
     estimate_from_values,
@@ -382,8 +384,9 @@ def _per_replication_walks(spec, level, n_reps, seed):
 
 @dataclass(frozen=True)
 class _Law:
-    """A stand-in law for block_crossings: the raw fill and the transform
-    given, and a mean step chosen by the test (set high to force replays)."""
+    """A stand-in law for the renewal walk, which it borrows: the raw fill
+    and the transform given, and a mean step chosen by the test (set high to
+    force replays)."""
 
     fill: Callable
     transform: Callable
@@ -401,13 +404,13 @@ class _Law:
     def mean(self):
         return self.mean_step
 
+    walk = Interarrival.walk
+
 
 def _block_walk(law, levels, n_reps, seed):
-    """N and S_N of block_crossings at each level, as arrays of shape
+    """N and S_N of the renewal walk at each level, as arrays of shape
     (levels, reps), run by map_replications as the renewal side runs it."""
-    walk = block_crossings(law, levels)
-    process = _Process(walk, 2, levels[-1] / law.mean())
-    return map_replications(process, levels, n_reps, seed)
+    return map_replications(law, levels, n_reps, seed)
 
 
 def _assert_same_bits(got, want):
@@ -485,10 +488,23 @@ def test_block_walk_of_one_row_walks_every_replication_alone():
     assert calls["alone"] == [(rep, replication_rng(base, rep).random()) for rep in range(2, 7)]
 
 
+def test_montecarlo_reads_no_process_method():
+    # the plumbing stays process-agnostic: each law and subordinator states
+    # its own walk, so no process method is named here
+    methods = {"raw_fill", "finish", "sample", "mean", "step_mean", "mean_rate", "_passages"}
+    tree = ast.parse(Path(montecarlo.__file__).read_text(), filename=montecarlo.__file__)
+    reads = [
+        (node.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in methods
+    ]
+    assert reads == []
+
+
 @pytest.mark.parametrize(
     "steps,n_reps,rows",
     # the last block of each is partial; from about 2000 steps a path is
-    # walked alone, though block_crossings still walks it correctly
+    # walked alone, though the renewal walk still walks it correctly
     [(3, 2500, 1057), (40, 300, 344), (1000, 60, 26), (3000, 10, 1)],
 )
 @pytest.mark.parametrize("text", WALK_LAWS)

@@ -63,7 +63,12 @@ The list covers:
     flag or config key (the worker count is ``RL_THREADS`` alone).  Neither
     the directory nor the array writes a file; a tree that lets the write
     error escape exits 1 with a traceback, and one that reads any JSON value
-    as a spec blames the array's text, not its field;
+    as a spec blames the array's text, not its field.  Two gamma grids
+    below 2**-1023.5, 6e-309 (K = 2**round(log2(1/grid)) = 2**1024) and
+    1e-310 (1/grid is inf), exit 2 with one line; a tree without that check
+    exits 1 with a traceback.  The grid 1e-308 (K = 2**1023) exits 0 with
+    its row; a tree that turns the crossing's grid index, past 2**1024,
+    into a float exits 1 with a traceback;
   - five subordinator specs that a reader splitting on a fixed count of
     commas gets wrong: fields out of order, a duplicate, an unknown and an
     empty field.  Only these differ against such a tree, which rejects the
@@ -78,24 +83,6 @@ The list covers:
   - ``moment --method closed,quadrature`` at alpha = 1.0005, r = 0.5 and at
     alpha = 1.0001, r = 0.25, where a quadrature that must resolve cos(Cu)
     needs more than its panel cap and exits 1.
-
-The quadrature's power series and rotated ray give the same values as its
-three-piece split to about 1e-13 relative, but not the same bits.  Against
-a three-piece tree only the last digits of printed quadrature values
-differ: the ``quadrature`` lines of ``moment``, the ``rel_discrepancy``
-lines that read them, and the ``moment-closed-vs-quadrature`` detail of
-``selfcheck``.  Every CSV byte and every exit code stays, apart from the
-two commands above, which exit 1 there.
-
-Stream layout 4 draws other numbers for every replication, and changes
-nothing else.  A replication's stream is an SFC64 whose state is the four
-words that a Philox keyed by the seed yields at the replication's counter,
-where layout 3 gave each replication a Philox of its own; and a Pareto step
-is x_min * exp(e * log(1 - U)) instead of x_min * (1 - U)**e.  Against a
-layout-3 tree, every ``simulate`` and ``converge`` row, the ``selfcheck``
-lines that read a simulation and ``moment --method mc`` differ, and only
-they: ``limit``, ``scaling``, closed and quadrature moments, every exit code
-and every error message keep their bytes.
 
 Compound Poisson passages whose expected jumps fit a block walk a block of
 replications at once, and a row still at or below s after its first chunk
@@ -283,6 +270,10 @@ COMMANDS: list[tuple[str, ...]] = [
     _renewal("exp:1.0", "100", 1),
     _renewal("pareto:0.5,1.0", "100", 100),
     _renewal("exp:1e-12", "1e3", 10),
+    # gamma grids whose coarse step K is 2**1024, or whose 1/grid is inf, and
+    # one whose crossing's grid index passes 2**1024
+    *(_passage(f"gamma:shape=1,rate=1,grid={grid}", "10", 2, "1")
+      for grid in ("6e-309", "1e-310", "1e-308")),
     # laws so extreme that a variance or a squared deviation leaves the floats
     _renewal("exp:1e-200", "100", 10, "1"),
     _converge("renewal", "a1", "exp:1e-200", "--s-grid", "100", "--reps", "10", "--seed", "1"),
